@@ -1,33 +1,39 @@
 """Power and blocklength allocation for the shared downlink.
 
 Two families of solvers over n vehicles, a symbol budget M, and an
-energy budget E:
+energy budget E, built on one primitive: the least total energy that
+gives every link margin g using at most M symbols.
 
-Min-max reliability: maximize the worst per-vehicle margin g (that is,
-minimize the worst decoder error probability). Restricted variants fix
-either the blocklengths (power found by bisection on the common margin)
-or a common power (symbols granted greedily); the joint solver wraps
-the power bisection in an integer symbol-exchange local search.
-
-Energy minimization: meet a fixed reliability target on every link at
-the least total energy sum(p_i * m_i). Power is closed-form per vehicle
-at a fixed blocklength split; the split itself is improved by moving
-alpha symbols at a time from the cheapest vehicle to the most expensive
-one while that strictly helps. A vehicle's energy times its gain,
-c_g(m) = m * expm1(ln2 * D / m + g / sqrt(m)), is least at one
-gain-free blocklength m*, so no vehicle is given more than
+A link with normalized gain h meets margin g at blocklength m with
+energy c_g(m) / h, where c_g(m) = m * expm1(ln2 * D / m + g / sqrt(m))
+(clamped at zero) does not depend on h. c_g is convex and decreasing up
+to its first minimizer m*, and past m* it does not decrease. Least total
+energy is therefore a separable convex allocation of symbols, and
+granting symbols one at a time to the largest marginal saving
+(c_g(m) - c_g(m + 1)) / h_i is exact (Fox 1966; Federgruen & Groenevelt
+1986). No saving past m* is positive, so no vehicle gets more than
 max(m*, its floor) symbols and the budget is not always spent.
 
+Energy minimization: that primitive at the target margin, with powers in
+closed form per vehicle.
+
+Min-max reliability: maximize the worst per-vehicle margin g (that is,
+minimize the worst decoder error probability). Required energy is
+nondecreasing in g, so the largest g whose least energy fits E is found
+by bisection on g: over the primitive for the joint problem, over the
+closed-form powers at fixed blocklengths for the fixed-m variant. The
+fixed-power variant grants symbols greedily to the worst link.
+
 Brute-force enumerations over small instances back both families as
-verification oracles. Everything runs in margin space; probabilities
-appear only inside reports.
+verification oracles; they share no search code with the fast solvers.
+Everything runs in margin space; probabilities appear only inside
+reports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,11 +49,9 @@ from .fbl_core import (
     upper_blocklength,
 )
 
-# A move or bisection step must beat the incumbent by this relative
-# margin to count as progress; guarantees termination on finite floats.
+# The margin bisection stops once the energy at its lower end is within
+# this fraction of the budget.
 _REL_IMPROVEMENT = 1e-12
-# Absolute version for margin comparisons (g is O(10), often near 0).
-_ABS_IMPROVEMENT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -131,9 +135,17 @@ def _build_report(
     total_energy = math.fsum(
         p * m for p, m in zip(allocation.powers, allocation.blocklengths)
     )
-    assert sum(allocation.blocklengths) <= cfg.symbol_budget
-    if enforce_energy_budget:
-        assert total_energy <= cfg.energy_budget * (1.0 + 1e-9)
+    # solver invariants, checked explicitly so they also hold under python -O
+    if sum(allocation.blocklengths) > cfg.symbol_budget:
+        raise RuntimeError(
+            f"{solver_name}: blocklengths sum to {sum(allocation.blocklengths)}, "
+            f"exceeding the symbol budget {cfg.symbol_budget}"
+        )
+    if enforce_energy_budget and total_energy > cfg.energy_budget * (1.0 + 1e-9):
+        raise RuntimeError(
+            f"{solver_name}: total energy {total_energy:.6g} J exceeds the "
+            f"energy budget {cfg.energy_budget:.6g} J"
+        )
     return SolveReport(
         allocation=allocation,
         margins=margins,
@@ -176,8 +188,8 @@ def min_energy_fixed_m(
 
 
 def _blocklength_floors(scenario: Scenario) -> list[int]:
-    """Exchange floors: the energy-feasibility blocklength bound where it
-    exists, else the trivial floor of one symbol.
+    """Energy-solver floors: the energy-feasibility blocklength bound
+    where it exists, else the trivial floor of one symbol.
 
     The energy objective itself carries no budget, so a link that cannot
     meet the configured energy budget at any blocklength still gets the
@@ -191,6 +203,14 @@ def _blocklength_floors(scenario: Scenario) -> list[int]:
         )
         floors.append(bound if bound is not None else 1)
     return floors
+
+
+def _check_floor_sum(floors: list[int], m_total: int) -> None:
+    if sum(floors) > m_total:
+        raise InfeasibleError(
+            f"minimum blocklengths sum to {sum(floors)}, exceeding the "
+            f"symbol budget {m_total}"
+        )
 
 
 def _energy_gain_table(payload_bits: int, g_target: float, m_total: int) -> np.ndarray:
@@ -208,94 +228,73 @@ def _energy_gain_table(payload_bits: int, g_target: float, m_total: int) -> np.n
     return np.maximum(table, 0.0)
 
 
-@lru_cache(maxsize=64)
-def _energy_minimizer(payload_bits: int, g_target: float, m_total: int) -> int:
-    """m*: the first blocklength in 1..m_total at which c_g is least.
+def _least_energy_split(
+    table: np.ndarray, gains, floors, m_total: int
+) -> tuple[list[int], float]:
+    """Blocklengths m >= floors with sum(m) <= m_total that minimize
+    sum(table[m_i - 1] / gains[i]), and that least energy.
 
-    A pure function of the configuration, so it is computed once per
-    (D, g, M) rather than once per solve.
+    Every vehicle starts at its floor, and each spare symbol goes to the
+    largest positive marginal saving (table[m - 1] - table[m]) / h_i,
+    ties to the lowest vehicle id. table is convex and decreasing up to
+    its first minimizer, so each vehicle's savings only fall as it gains
+    symbols and the greedy is exact; past the minimizer no saving is
+    positive, so the greedy stops there by itself. Granting one symbol at
+    a time to the largest saving takes the same steps as taking the
+    largest spare entries of the n x (m_total - 1) saving matrix at once,
+    which is one stable sort.
     """
-    return 1 + int(np.argmin(_energy_gain_table(payload_bits, g_target, m_total)))
+    gains = np.asarray(gains, dtype=float)
+    floors = np.asarray(floors)
+    spare = m_total - int(floors.sum())
+    with np.errstate(invalid="ignore"):
+        steps = table[:-1] - table[1:]
+    # inf - inf: a step that stays inside the overflow region must still
+    # be taken to leave it
+    steps[np.isnan(steps)] = np.inf
+    savings = steps / gains[:, None]
+    savings[np.arange(m_total - 1) < floors[:, None] - 1] = 0.0
+    order = np.argsort(-savings, axis=None, kind="stable")[:spare]
+    granted = order[savings.ravel()[order] > 0.0] // (m_total - 1)
+    m_vec = floors + np.bincount(granted, minlength=len(floors))
+    return m_vec.tolist(), float(np.sum(table[m_vec - 1] / gains))
 
 
 def symbol_sharing(scenario: Scenario, g_target: float | None = None) -> SolveReport:
-    """Minimize total energy by trading symbols between vehicles.
+    """Minimize total energy at margin g_target on every link.
 
-    Starts from the equal split and repeatedly moves alpha symbols from
-    the cheapest vehicle (minimum power) to the most expensive one
-    (maximum power), keeping a move only while total energy strictly
-    decreases; the last unhelpful move is rolled back. Ties break toward
-    the lowest vehicle_id, moves below a vehicle's blocklength floor end
-    the search.
-
-    Each vehicle's energy is least at the blocklength m* that minimizes
-    c_g over 1..M (the first minimizer; 365 at D=160, eps=1e-9 when
-    M >= 365). m* does not depend on the gain, and past it more symbols
-    only cost more energy. So each vehicle is capped at max(m*, its
-    floor): the starting share is clipped to the cap, fewer than M
-    symbols may be spent, and a move that would push the recipient past
-    its cap ends the search.
+    The blocklengths are the least-energy split at g_target over the
+    energy-budget floors (see _least_energy_split): exact, and it stops
+    each vehicle at max(m*, its floor), where m* minimizes c_g (365 at
+    D=160, eps=1e-9 when M >= 365), so fewer than M symbols may be spent.
+    The powers are the closed-form minimum at those blocklengths. Raises
+    InfeasibleError when the floors sum past the symbol budget or no
+    split has finite energy.
     """
     cfg = scenario.config
-    n = scenario.n_vehicles
-    if cfg.symbol_budget < n:
-        raise InfeasibleError(
-            f"symbol budget {cfg.symbol_budget} cannot cover {n} vehicles "
-            f"at one symbol each"
-        )
     gt = _resolve_g_target(scenario, g_target)
-    alpha = cfg.alpha
     floors = _blocklength_floors(scenario)
-    m_star = _energy_minimizer(cfg.payload_bits, gt, cfg.symbol_budget)
-    caps = [max(m_star, floor) for floor in floors]
-    m_vec = [min(m, cap) for m, cap in zip(_equal_split(cfg.symbol_budget, n), caps)]
-
-    best_powers: tuple[float, ...] | None = None
-    best_m: tuple[int, ...] | None = None
-    best_energy = math.inf
-    trace: list[tuple[int, float]] = []
-    iterations = 0
-    iteration_cap = max(1, (cfg.symbol_budget * n) // alpha)
-    converged = False
-    while iterations < iteration_cap:
-        iterations += 1
-        powers, energy = min_energy_fixed_m(scenario, m_vec, gt)
-        improved = best_m is None or energy < best_energy * (1.0 - _REL_IMPROVEMENT)
-        if not improved:
-            # best_* still holds the pre-move state, so stopping here is
-            # the rollback of the move just tried
-            converged = True
-            break
-        best_powers, best_m, best_energy = powers, tuple(m_vec), energy
-        trace.append((iterations, energy))
-        recipient = int(np.argmax(powers))  # most expensive link
-        donor = int(np.argmin(powers))  # cheapest link
-        if recipient == donor:
-            converged = True
-            break
-        if (
-            m_vec[donor] - alpha < max(1, floors[donor])
-            or m_vec[recipient] + alpha > caps[recipient]
-        ):
-            converged = True
-            break
-        m_vec[recipient] += alpha
-        m_vec[donor] -= alpha
-
-    assert best_powers is not None and best_m is not None
-    if not math.isfinite(best_energy):
+    _check_floor_sum(floors, cfg.symbol_budget)
+    m_vec, _ = _least_energy_split(
+        _energy_gain_table(cfg.payload_bits, gt, cfg.symbol_budget),
+        [link.norm_gain for link in scenario.links],
+        floors,
+        cfg.symbol_budget,
+    )
+    powers, energy = min_energy_fixed_m(scenario, m_vec, gt)
+    if not math.isfinite(energy):
         raise InfeasibleError(
             "no finite-energy allocation exists within the symbol budget "
             "for this reliability target"
         )
     return _build_report(
         scenario,
-        best_powers,
-        best_m,
+        powers,
+        m_vec,
         solver_name="symbol_sharing",
-        iterations=iterations,
-        trace=trace,
-        converged=converged,
+        iterations=1,
+        trace=((1, energy),),
+        converged=True,
         enforce_energy_budget=False,
     )
 
@@ -303,7 +302,7 @@ def symbol_sharing(scenario: Scenario, g_target: float | None = None) -> SolveRe
 def equal_allocation_energy(
     scenario: Scenario, g_target: float | None = None
 ) -> tuple[Allocation, float]:
-    """Baseline: equal symbol split, closed-form powers, no exchange."""
+    """Baseline: equal symbol split, closed-form powers."""
     cfg = scenario.config
     n = scenario.n_vehicles
     if cfg.symbol_budget < n:
@@ -323,8 +322,8 @@ def brute_force_energy(
     """Exhaustive minimum of total energy over integer blocklength splits.
 
     Verification oracle for symbol_sharing: searches every m vector with
-    sum(m) <= symbol_budget and m_i at or above the same floors the
-    exchange respects. Guarded to n <= 3 and M <= 1000.
+    sum(m) <= symbol_budget and m_i at or above the same floors
+    symbol_sharing respects. Guarded to n <= 3 and M <= 1000.
     """
     cfg = scenario.config
     n = scenario.n_vehicles
@@ -419,17 +418,55 @@ def brute_force_energy(
 # min-max reliability under the energy budget
 
 
+def _largest_affordable_margin(energy_at, margin_floor: float, budget: float):
+    """Largest margin g >= margin_floor with energy_at(g) <= budget, found
+    by expanding upward from margin_floor and then bisecting; returns
+    (g, number of energy_at calls).
+
+    energy_at must be nondecreasing in g, and the caller has checked that
+    the budget covers margin_floor.
+    """
+    # expand upward until the budget no longer covers the margin; the
+    # closed-form power overflows to inf well before float limits, so
+    # this always terminates
+    evaluations = 0
+    lo = margin_floor
+    step = 1.0
+    while True:
+        hi = margin_floor + step
+        evaluations += 1
+        if energy_at(hi) > budget:
+            break
+        lo = hi
+        step *= 2.0
+
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # floats exhausted
+        evaluations += 1
+        energy_mid = energy_at(mid)
+        if energy_mid > budget:
+            hi = mid
+        else:
+            lo = mid
+            if budget - energy_mid <= _REL_IMPROVEMENT * budget:
+                break
+    return lo, evaluations
+
+
 def solve_power_minmax_fixed_m(
     scenario: Scenario, blocklengths, margin_floor: float = 0.0
 ) -> SolveReport:
     """Equalize reliability margins at fixed blocklengths.
 
-    The worst margin is maximized by spending the whole energy budget on
-    a common margin: required energy is nondecreasing in the margin, so
-    bisection on the common margin converges to the budget boundary.
-    Vehicles whose constraint is slack at zero power (possible only for
-    negative margin floors) are clamped and flagged; infeasibility means
-    the budget cannot even fund margin_floor (default 0, i.e. eps 0.5).
+    The min-max problem restricted to fixed blocklengths: the worst
+    margin is maximized by spending the whole energy budget on a common
+    margin, the largest g whose closed-form powers fit the budget
+    (_largest_affordable_margin). Vehicles whose constraint is slack at
+    zero power (possible only for negative margin floors) are clamped
+    and flagged; infeasibility means the budget cannot even fund
+    margin_floor (default 0, i.e. eps 0.5).
     """
     cfg = scenario.config
     n = scenario.n_vehicles
@@ -449,49 +486,21 @@ def solve_power_minmax_fixed_m(
     budget = cfg.energy_budget
     gains = [link.norm_gain for link in scenario.links]
 
-    def required(margin: float) -> tuple[list[float], float]:
-        powers = [
-            min_power_for_target(h, m, d, margin) for h, m in zip(gains, m_vec)
-        ]
-        return powers, math.fsum(p * m for p, m in zip(powers, m_vec))
+    def energy_at(margin: float) -> float:
+        return math.fsum(
+            min_power_for_target(h, m, d, margin) * m for h, m in zip(gains, m_vec)
+        )
 
-    evaluations = 1
-    powers_lo, energy_lo = required(margin_floor)
+    energy_lo = energy_at(margin_floor)
     if energy_lo > budget:
         raise InfeasibleError(
             f"energy budget {budget:.6g} J cannot reach the margin search "
             f"floor {margin_floor:.6g} at these blocklengths "
             f"(needs {energy_lo:.6g} J)"
         )
-
-    # expand upward until the budget no longer covers the margin; the
-    # closed-form power overflows to inf well before float limits, so
-    # this always terminates
-    lo = margin_floor
-    step = 1.0
-    while True:
-        hi = margin_floor + step
-        evaluations += 1
-        _, energy_hi = required(hi)
-        if energy_hi > budget:
-            break
-        lo = hi
-        step *= 2.0
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # floats exhausted
-        evaluations += 1
-        _, energy_mid = required(mid)
-        if energy_mid > budget:
-            hi = mid
-        else:
-            lo = mid
-            if budget - energy_mid <= _REL_IMPROVEMENT * budget:
-                break
-
-    powers, _ = required(lo)
+    lo, evaluations = _largest_affordable_margin(energy_at, margin_floor, budget)
+    evaluations += 1  # the floor check above
+    powers = [min_power_for_target(h, m, d, lo) for h, m in zip(gains, m_vec)]
     clamped = tuple(i for i, p in enumerate(powers) if p == 0.0)
     return _build_report(
         scenario,
@@ -577,11 +586,7 @@ def _minmax_bounds(scenario: Scenario) -> tuple[list[int], list[int]]:
                 f"up to {cfg.symbol_budget} at its channel gain"
             )
         floors.append(bound)
-    if sum(floors) > cfg.symbol_budget:
-        raise InfeasibleError(
-            f"minimum blocklengths sum to {sum(floors)}, exceeding the "
-            f"symbol budget {cfg.symbol_budget}"
-        )
+    _check_floor_sum(floors, cfg.symbol_budget)
     ceilings = [
         upper_blocklength(floors, i, cfg.symbol_budget)
         for i in range(scenario.n_vehicles)
@@ -595,95 +600,43 @@ def _zero_power_floor(payload_bits: int, m_vec) -> float:
     return min(-LN2 * payload_bits / math.sqrt(m) for m in m_vec)
 
 
-def _project_equal_split(
-    total: int, floors: list[int], ceilings: list[int]
-) -> list[int]:
-    """Equal split clipped into [floor, ceiling] and repaired to sum to
-    total. Feasible whenever sum(floors) <= total."""
-    n = len(floors)
-    m_vec = [min(max(m, lo), hi) for m, lo, hi in zip(_equal_split(total, n), floors, ceilings)]
-    deficit = total - sum(m_vec)
-    while deficit > 0:
-        idx = max(range(n), key=lambda i: ceilings[i] - m_vec[i])
-        room = ceilings[idx] - m_vec[idx]
-        if room <= 0:
-            break
-        add = min(room, deficit)
-        m_vec[idx] += add
-        deficit -= add
-    while deficit < 0:
-        idx = max(range(n), key=lambda i: m_vec[i] - floors[i])
-        slack = m_vec[idx] - floors[idx]
-        if slack <= 0:
-            break
-        take = min(slack, -deficit)
-        m_vec[idx] -= take
-        deficit += take
-    return m_vec
-
-
 def solve_joint_minmax(scenario: Scenario) -> SolveReport:
     """Max-min margin over powers and integer blocklengths jointly.
 
-    Outer loop: symbol-exchange local search over the blocklength vector
-    inside per-vehicle bounds; inner loop: margin-equalizing power
-    bisection. At the inner optimum all unclamped margins are equal, so
-    the exchange direction is taken from the power ordering: the most
-    expensive vehicle receives alpha symbols from the cheapest one. A
-    single deterministic start (equal split projected into the bounds);
-    the result is a local optimum of that neighborhood.
+    A margin g is reachable exactly when the least energy that gives
+    every link margin g within the symbol budget (_least_energy_split
+    over the _minmax_bounds floors) fits the energy budget. That least
+    energy is nondecreasing in g, so the answer is the largest
+    affordable g, found by the same expand-and-bisect search as the
+    fixed-blocklength solver. The search starts at g = -ln2 * D, where
+    every link needs zero power. Powers are then the closed-form minimum
+    for that g at the split's blocklengths.
     """
     cfg = scenario.config
-    n = scenario.n_vehicles
-    alpha = cfg.alpha
-    floors, ceilings = _minmax_bounds(scenario)
-    m_vec = _project_equal_split(cfg.symbol_budget, floors, ceilings)
+    d = cfg.payload_bits
+    m_total = cfg.symbol_budget
+    floors, _ = _minmax_bounds(scenario)
+    gains = [link.norm_gain for link in scenario.links]
 
-    best_worst = -math.inf
-    best: SolveReport | None = None
-    best_m: tuple[int, ...] | None = None
-    trace: list[tuple[int, float]] = []
-    iterations = 0
-    iteration_cap = max(1, (cfg.symbol_budget * n) // alpha)
-    converged = False
-    while iterations < iteration_cap:
-        iterations += 1
-        inner = solve_power_minmax_fixed_m(
-            scenario, m_vec, margin_floor=_zero_power_floor(cfg.payload_bits, m_vec)
-        )
-        worst = inner.worst_margin.g
-        if best is None or worst > best_worst + _ABS_IMPROVEMENT:
-            best, best_m, best_worst = inner, tuple(m_vec), worst
-            trace.append((iterations, worst))
-        else:
-            # rollback of the unhelpful trial move: best_* is pre-move
-            converged = True
-            break
-        powers = inner.allocation.powers
-        recipient = int(np.argmax(powers))
-        donor = int(np.argmin(powers))
-        if recipient == donor:
-            converged = True
-            break
-        if (
-            m_vec[donor] - alpha < floors[donor]
-            or m_vec[recipient] + alpha > ceilings[recipient]
-        ):
-            converged = True
-            break
-        m_vec[recipient] += alpha
-        m_vec[donor] -= alpha
+    def split_at(margin: float) -> tuple[list[int], float]:
+        table = _energy_gain_table(d, margin, m_total)
+        return _least_energy_split(table, gains, floors, m_total)
 
-    assert best is not None and best_m is not None
+    g, evaluations = _largest_affordable_margin(
+        lambda margin: split_at(margin)[1], -LN2 * d, cfg.energy_budget
+    )
+    m_vec, _ = split_at(g)
+    powers = [min_power_for_target(h, m, d, g) for h, m in zip(gains, m_vec)]
+    clamped = tuple(i for i, p in enumerate(powers) if p == 0.0)
     return _build_report(
         scenario,
-        best.allocation.powers,
-        best_m,
+        powers,
+        m_vec,
         solver_name="joint_minmax",
-        iterations=iterations,
-        trace=trace,
-        converged=converged,
-        clamped=best.clamped,
+        iterations=evaluations,
+        trace=((evaluations, g),),
+        converged=True,
+        clamped=clamped,
         enforce_energy_budget=True,
     )
 

@@ -84,7 +84,6 @@ class SystemConfig:
     energy_budget: joules available per period (min-max constraint and
         blocklength-floor test).
     target_eps: decoder error probability target for energy minimization.
-    alpha: symbols moved per exchange step of the sharing algorithm.
     bandwidth: Hz.
     noise_psd_dbm_hz: noise power spectral density, dBm/Hz.
     road_length: meters of straight road covered by the unit.
@@ -99,7 +98,6 @@ class SystemConfig:
     symbol_budget: int = 200
     energy_budget: float = 10.0
     target_eps: float = 1e-9
-    alpha: int = 1
     bandwidth: float = 1e6
     noise_psd_dbm_hz: float = -180.0
     road_length: float = 397.0
@@ -117,8 +115,6 @@ class SystemConfig:
             raise ValueError(f"energy_budget must be > 0, got {self.energy_budget!r}")
         if not 0.0 < self.target_eps < 1.0:
             raise ValueError(f"target_eps must be in (0, 1), got {self.target_eps!r}")
-        if self.alpha < 1:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
         if not (math.isfinite(self.bandwidth) and self.bandwidth > 0.0):
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth!r}")
         if not math.isfinite(self.noise_psd_dbm_hz):

@@ -33,7 +33,7 @@ from .experiments import (
     write_csv,
 )
 
-_INT_FIELDS = ("payload_bits", "symbol_budget", "alpha", "max_vehicles")
+_INT_FIELDS = ("payload_bits", "symbol_budget", "max_vehicles")
 _FLOAT_FIELDS = (
     "energy_budget",
     "target_eps",
@@ -236,10 +236,7 @@ def cmd_oracle_check(args) -> int:
         shared = symbol_sharing(scenario)
         oracle = brute_force_energy(scenario)
         gap = shared.total_energy / oracle.total_energy - 1.0
-        # the tests hold the exchange to brute force within 1e-9 for
-        # n <= 2 at M=200 and M=1000; n=3 is allowed 2% slack
-        tol = 1e-9 if n <= 2 else 0.02
-        if -1e-12 <= gap <= tol:
+        if -1e-12 <= gap <= 1e-9:
             energy_pass += 1
         else:
             failures.append(

@@ -202,7 +202,7 @@ def _equal_allocation_report(scenario: Scenario) -> SolveReport:
 
 
 def energy_saved_percent(e_equal: float, e_shared: float) -> float:
-    """Relative saving of the exchange allocation over the equal split."""
+    """Relative saving of the least-energy split over the equal split."""
     if not e_equal > 0:
         raise ValueError(f"e_equal must be positive, got {e_equal!r}")
     return 100.0 * (e_equal - e_shared) / e_equal
@@ -378,7 +378,7 @@ def preset_fig6(num_seeds: int = 100) -> SweepSpec:
 
 
 def preset_fig7(num_seeds: int = 100) -> SweepSpec:
-    """Total exchange-allocation energy at a tight and a loose symbol budget."""
+    """Total least-energy-split energy at a tight and a loose symbol budget."""
     return SweepSpec(
         name="fig7",
         base_config=SystemConfig(),
@@ -394,7 +394,7 @@ def preset_fig7(num_seeds: int = 100) -> SweepSpec:
 
 
 def preset_fig8(num_seeds: int = 100) -> SweepSpec:
-    """Energy saved by symbol exchange over the equal split, by budget."""
+    """Energy saved by the least-energy split over the equal split, by budget."""
     return SweepSpec(
         name="fig8",
         base_config=SystemConfig(),

@@ -252,12 +252,12 @@ def test_06_symbol_sharing_matches_brute_force(verdict):
         )
         energies = [e for _, e in shared.trace]
         trace_ok = trace_ok and all(a > b for a, b in zip(energies, energies[1:]))
-        iter_ok = iter_ok and shared.iterations <= cfg.symbol_budget * 2 // cfg.alpha
+        iter_ok = iter_ok and shared.iterations <= cfg.symbol_budget * 2
     elapsed = time.perf_counter() - start
     ok = worst_rel <= 1e-9 and trace_ok and iter_ok and elapsed < 30.0
     verdict(
         6,
-        "exchange allocation reaches brute-force energy within 1e-9",
+        "least-energy split reaches brute-force energy within 1e-9",
         ok,
         f"worst_rel={worst_rel:.3g}, trace_ok={trace_ok}, iter_ok={iter_ok}, "
         f"elapsed={elapsed:.1f}s",

@@ -7,6 +7,7 @@ import pytest
 
 from elid_urllc.allocators import (
     Allocation,
+    _build_report,
     brute_force_energy,
     brute_force_minmax,
     equal_allocation_energy,
@@ -98,7 +99,7 @@ class TestSymbolSharing:
             report = symbol_sharing(scenario)
             energies = [e for _, e in report.trace]
             assert all(a > b for a, b in zip(energies, energies[1:]))
-            assert report.iterations <= cfg.symbol_budget * n // cfg.alpha
+            assert report.iterations <= cfg.symbol_budget * n
             assert report.converged
             assert energies[-1] == pytest.approx(report.total_energy, rel=1e-12)
 
@@ -152,6 +153,44 @@ class TestSymbolSharing:
         explicit = symbol_sharing(scenario, q_inverse(1e-9))
         assert implicit == explicit
 
+    def test_floors_summing_past_budget_are_infeasible(self):
+        # With the whole energy budget each link still needs 150 symbols
+        # to reach margin 0, so two of them cannot share M=200.
+        c150 = 150 * math.expm1(LN2 * 160 / 150)
+        scenario = make_scenario([1.001 * c150 / 10.0] * 2, energy_budget=10.0)
+        with pytest.raises(InfeasibleError, match="minimum blocklengths sum to 300"):
+            symbol_sharing(scenario)
+        with pytest.raises(InfeasibleError):
+            brute_force_energy(scenario)
+
+    def test_leaves_overflow_region(self):
+        # At D=2500 the required SNR overflows for m <= 2, so the first
+        # step of each vehicle goes from inf to inf and must still be taken.
+        scenario = make_scenario([1.0, 2.0], symbol_budget=7, payload_bits=2500)
+        report = symbol_sharing(scenario, G_TARGET_1E9)
+        oracle = brute_force_energy(scenario, G_TARGET_1E9)
+        assert report.allocation.blocklengths == oracle.allocation.blocklengths == (4, 3)
+        assert report.total_energy == pytest.approx(oracle.total_energy, rel=1e-9)
+
+
+class TestEnergyGainConvexity:
+    """The least-energy split is exact only if c_g(m) = m * expm1(ln2 * D
+    / m + g / sqrt(m)) is convex up to its first minimizer m* and does
+    not decrease past it; both are checked here with an independent
+    evaluation of c_g."""
+
+    @pytest.mark.parametrize("payload_bits", [32, 160, 1000])
+    def test_convex_to_minimizer_and_nondecreasing_after(self, payload_bits):
+        ms = np.arange(1, 5001, dtype=float)
+        for g in np.linspace(-5.0, 40.0, 91):
+            with np.errstate(over="ignore"):  # inf at m=1 for D=1000, g > 16
+                cost = ms * np.expm1(LN2 * payload_bits / ms + g / np.sqrt(ms))
+            m_star = int(np.argmin(cost)) + 1
+            head = cost[:m_star]
+            second = head[:-2] - 2.0 * head[1:-1] + head[2:]
+            assert np.all(second >= -1e-12 * head[1:-1]), (g, m_star)
+            assert np.all(np.diff(cost[m_star - 1 :]) >= 0.0), (g, m_star)
+
 
 class TestEqualAllocation:
     def test_remainder_rule(self):
@@ -200,13 +239,16 @@ class TestBruteForceEnergy:
             )
 
     def test_sharing_close_on_three_vehicles(self):
-        cfg = SystemConfig()
         rng = np.random.default_rng(607)
-        for _ in range(30):
-            scenario = sample_scenario(cfg, 3, seed=int(rng.integers(0, 2**63)))
-            shared = symbol_sharing(scenario)
-            oracle = brute_force_energy(scenario)
-            assert shared.total_energy <= oracle.total_energy * 1.02
+        for m_total in (200, 1000):
+            cfg = SystemConfig(symbol_budget=m_total)
+            for _ in range(30):
+                scenario = sample_scenario(cfg, 3, seed=int(rng.integers(0, 2**63)))
+                shared = symbol_sharing(scenario)
+                oracle = brute_force_energy(scenario)
+                assert shared.total_energy == pytest.approx(
+                    oracle.total_energy, rel=1e-9
+                )
 
     def test_sharing_matches_at_loose_budget(self):
         # At M=1000 the energy minimizer m* = 365 caps every share; at the
@@ -410,6 +452,26 @@ class TestJointMinmax:
                 ceiling = cfg.symbol_budget - (total_floor - floor)
                 assert floor <= m <= ceiling
 
+    def test_never_below_power_minmax_on_equal_split(self):
+        # the joint optimum includes the equal split whenever that split
+        # is feasible, for every n, also beyond the brute force's n <= 3
+        rng = np.random.default_rng(517)
+        for m_total in (200, 1000):
+            cfg = SystemConfig(symbol_budget=m_total)
+            for n in range(1, 11):
+                for _ in range(3):
+                    scenario = sample_scenario(
+                        cfg, n, seed=int(rng.integers(0, 2**63))
+                    )
+                    try:
+                        fixed = solve_power_minmax_fixed_m(
+                            scenario, equal_allocation_energy(scenario)[0].blocklengths
+                        )
+                    except InfeasibleError:
+                        continue
+                    joint = solve_joint_minmax(scenario)
+                    assert joint.worst_margin.g >= fixed.worst_margin.g - 1e-9
+
     def test_infeasible_energy_budget(self):
         scenario = make_scenario([1e-9], symbol_budget=40, energy_budget=1e-3)
         with pytest.raises(InfeasibleError, match="vehicle 0"):
@@ -463,6 +525,22 @@ class TestReportInvariants:
             scenario, m_vec = random_feasible_minmax_instance(rng)
             report = solve_power_minmax_fixed_m(scenario, m_vec)
             assert report.total_energy <= scenario.config.energy_budget * (1 + 1e-9)
+
+    def test_budget_breach_raises(self):
+        # explicit checks, not asserts, so they also hold under python -O
+        scenario = make_scenario([1.0, 1.0], symbol_budget=200)
+        with pytest.raises(RuntimeError, match="blocklengths sum to 201"):
+            _build_report(
+                scenario, [0.1, 0.1], [100, 101], solver_name="probe",
+                iterations=1, trace=(), converged=True,
+                enforce_energy_budget=False,
+            )
+        with pytest.raises(RuntimeError, match="exceeds the energy budget"):
+            _build_report(
+                scenario, [1.0, 1.0], [100, 100], solver_name="probe",
+                iterations=1, trace=(), converged=True,
+                enforce_energy_budget=True,
+            )
 
     def test_allocation_validation(self):
         with pytest.raises(ValueError):

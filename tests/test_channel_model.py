@@ -85,7 +85,6 @@ class TestSystemConfig:
         assert cfg.symbol_budget == 200
         assert cfg.energy_budget == 10.0
         assert cfg.target_eps == 1e-9
-        assert cfg.alpha == 1
         assert cfg.bandwidth == 1e6
         assert cfg.noise_psd_dbm_hz == -180.0
         assert cfg.road_length == 397.0
@@ -107,7 +106,7 @@ class TestSystemConfig:
             {"energy_budget": 0.0},
             {"target_eps": 1.5},
             {"target_eps": 0.0},
-            {"alpha": 0},
+            {"rician_k_db": math.inf},
             {"bandwidth": -1.0},
             {"road_length": 0.0},
             {"mount_height": 0.0},

@@ -56,7 +56,7 @@ class TestParseConfig:
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("alpha=1\nalpha=2\n")
+        path.write_text("payload_bits=160\npayload_bits=32\n")
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(path)
 
@@ -103,6 +103,8 @@ class TestExitCodes:
 
     def test_config_errors_are_one(self, tmp_path, capsys):
         assert main(["solve", "--set", "bogus=1", "--out", str(tmp_path / "r")]) == 1
+        # a retired key is rejected, not silently ignored
+        assert main(["solve", "--set", "alpha=2", "--out", str(tmp_path / "r")]) == 1
         assert (
             main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 1
         )
@@ -235,6 +237,12 @@ class TestOracleCheckCommand:
         out = capsys.readouterr().out
         assert "energy oracle: 3/3 passed" in out
         assert "minmax oracle: 3/3 passed" in out
+
+    def test_defaults_pass(self, tmp_path, capsys):
+        assert main(["oracle-check", "--out", str(tmp_path / "dumps")]) == 0
+        out = capsys.readouterr().out
+        assert "energy oracle: 100/100 passed" in out
+        assert "minmax oracle: 100/100 passed" in out
 
     def test_default_instance_count(self):
         args = build_parser().parse_args(["oracle-check"])

@@ -296,7 +296,6 @@ class TestPresets:
     def test_fig7(self):
         spec = preset_fig7()
         assert spec.base_config.payload_bits == 160
-        assert spec.base_config.alpha == 1
         budgets = {parse_metric(m)[1]["symbol_budget"] for m in spec.outputs}
         assert budgets == {"200", "1000"}
 
