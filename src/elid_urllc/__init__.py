@@ -20,7 +20,6 @@ from .channel_model import (
     VehicleLink,
     link_distance,
     noise_power,
-    path_loss_clamp_count,
     path_loss_db,
     rician_power_gain,
     sample_scenario,
@@ -50,14 +49,12 @@ from .fbl_core import (
     achievable_rate,
     channel_dispersion,
     eps_log10_from_margin,
-    latency_budget,
     min_blocklength,
     min_power_for_target,
     q_function,
     q_inverse,
     reliability_margin,
     shannon_capacity,
-    symbols_for_latency,
     upper_blocklength,
 )
 

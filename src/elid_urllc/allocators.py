@@ -22,7 +22,9 @@ minimize the worst decoder error probability). Required energy is
 nondecreasing in g, so the largest g whose least energy fits E is found
 by bisection on g: over the primitive for the joint problem, over the
 closed-form powers at fixed blocklengths for the fixed-m variant. The
-fixed-power variant grants symbols greedily to the worst link.
+fixed-power variant grants each spare symbol to the worst link; margins
+rise strictly with blocklength, so that greedy is one stable sort of the
+margin matrix, the same merge the primitive makes of its savings.
 
 Brute-force enumerations over small instances back both families as
 verification oracles; they share no search code with the fast solvers.
@@ -342,7 +344,7 @@ def brute_force_energy(
         )
     gt = _resolve_g_target(scenario, g_target)
     d = cfg.payload_bits
-    floors = [max(1, f) for f in _blocklength_floors(scenario)]
+    floors = _blocklength_floors(scenario)
 
     required = _energy_gain_table(d, gt, m_total)
     # energy_tables[i][k] = energy for vehicle i at blocklength k+1
@@ -521,11 +523,15 @@ def solve_symbols_minmax_fixed_p(
     """Maximize the worst margin over integer blocklengths at a common
     transmit power.
 
-    Grants the symbol budget one symbol at a time to the currently worst
-    vehicle (ties to the lowest vehicle_id). Margins increase in own
-    blocklength and depend on nothing else, so the greedy allocation is
-    max-min optimal. p_common defaults to the config's common power
-    (energy_budget / symbol_budget unless overridden).
+    Every vehicle starts at one symbol, and each spare symbol goes to
+    the currently worst vehicle (ties to the lowest vehicle_id). A
+    vehicle's margin depends only on its own blocklength, so the greedy
+    is max-min optimal. Each row of the n x (M - n + 1) margin matrix
+    strictly increases, so the greedy takes its entries in merged
+    ascending order: one stable sort gives the grants (its first M - n
+    entries) and the worst margin after each grant. p_common defaults
+    to the config's common power (energy_budget / symbol_budget unless
+    overridden).
     """
     cfg = scenario.config
     n = scenario.n_vehicles
@@ -546,33 +552,30 @@ def solve_symbols_minmax_fixed_p(
             f"{spend:.6g} J, exceeding the energy budget "
             f"{cfg.energy_budget:.6g} J"
         )
-    d = cfg.payload_bits
-    snrs = [p_common * link.norm_gain for link in scenario.links]
-    m_vec = [1] * n
-    margins_g = [reliability_margin(snr, 1, d).g for snr in snrs]
-    trace: list[tuple[int, float]] = [(0, min(margins_g))]
     grants = m_total - n
-    for grant in range(1, grants + 1):
-        worst = min(range(n), key=lambda i: margins_g[i])
-        m_vec[worst] += 1
-        margins_g[worst] = reliability_margin(snrs[worst], m_vec[worst], d).g
-        trace.append((grant, min(margins_g)))
-    powers = [p_common] * n
+    ms = np.arange(1, grants + 2, dtype=float)
+    # math.log1p per vehicle keeps every entry bit-identical to
+    # reliability_margin(p_common * h_i, m, D).g
+    capacity = np.array([math.log1p(p_common * link.norm_gain) for link in scenario.links])
+    margins_g = np.sqrt(ms) * (capacity[:, None] - LN2 * cfg.payload_bits / ms)
+    flat = margins_g.ravel()
+    order = np.argsort(flat, kind="stable")
+    m_vec = 1 + np.bincount(order[:grants] // (grants + 1), minlength=n)
     return _build_report(
         scenario,
-        powers,
+        [p_common] * n,
         m_vec,
         solver_name="symbols_minmax_fixed_p",
         iterations=grants,
-        trace=trace,
+        trace=enumerate(flat[order[: grants + 1]]),
         converged=True,
         enforce_energy_budget=True,
     )
 
 
-def _minmax_bounds(scenario: Scenario) -> tuple[list[int], list[int]]:
-    """Per-vehicle blocklength search bounds for the budgeted min-max
-    problem; raises InfeasibleError naming the binding constraint."""
+def _minmax_floors(scenario: Scenario) -> list[int]:
+    """Per-vehicle blocklength floors for the budgeted min-max problem;
+    raises InfeasibleError naming the binding constraint."""
     cfg = scenario.config
     floors = []
     for link in scenario.links:
@@ -587,11 +590,7 @@ def _minmax_bounds(scenario: Scenario) -> tuple[list[int], list[int]]:
             )
         floors.append(bound)
     _check_floor_sum(floors, cfg.symbol_budget)
-    ceilings = [
-        upper_blocklength(floors, i, cfg.symbol_budget)
-        for i in range(scenario.n_vehicles)
-    ]
-    return floors, ceilings
+    return floors
 
 
 def _zero_power_floor(payload_bits: int, m_vec) -> float:
@@ -605,7 +604,7 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
 
     A margin g is reachable exactly when the least energy that gives
     every link margin g within the symbol budget (_least_energy_split
-    over the _minmax_bounds floors) fits the energy budget. That least
+    over _minmax_floors) fits the energy budget. That least
     energy is nondecreasing in g, so the answer is the largest
     affordable g, found by the same expand-and-bisect search as the
     fixed-blocklength solver. The search starts at g = -ln2 * D, where
@@ -615,7 +614,7 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
     cfg = scenario.config
     d = cfg.payload_bits
     m_total = cfg.symbol_budget
-    floors, _ = _minmax_bounds(scenario)
+    floors = _minmax_floors(scenario)
     gains = [link.norm_gain for link in scenario.links]
 
     def split_at(margin: float) -> tuple[list[int], float]:
@@ -659,7 +658,8 @@ def brute_force_minmax(scenario: Scenario) -> SolveReport:
             f"brute_force_minmax is limited to symbol budgets <= 100, "
             f"got {m_total}"
         )
-    floors, ceilings = _minmax_bounds(scenario)
+    floors = _minmax_floors(scenario)
+    ceilings = [upper_blocklength(floors, i, m_total) for i in range(n)]
 
     def evaluate(m_vec: tuple[int, ...]) -> SolveReport:
         return solve_power_minmax_fixed_m(

@@ -16,28 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 # Log-distance model floor. Below this the near-field expression is not
-# trusted; distances clamp and the event is counted for diagnostics.
+# trusted, so distances clamp to it.
 MIN_PATH_LOSS_DISTANCE_M = 1.0
-
-_clamped_distances = 0
-
-
-def path_loss_clamp_count() -> int:
-    """Number of path_loss_db calls that hit the 1 m model floor."""
-    return _clamped_distances
 
 
 def path_loss_db(distance: float) -> float:
     """Log-distance path loss 35.3 + 37.6 * log10(d) in dB.
 
     Distances below the 1 m model floor are clamped to the floor rather
-    than rejected; a module-level diagnostic counter records how often.
+    than rejected. VehicleLink.distance keeps the unclamped distance, so
+    a clamped link shows as distance < MIN_PATH_LOSS_DISTANCE_M.
     """
-    global _clamped_distances
     if not (math.isfinite(distance) and distance > 0.0):
         raise ValueError(f"distance must be positive, got {distance!r}")
     if distance < MIN_PATH_LOSS_DISTANCE_M:
-        _clamped_distances += 1
         distance = MIN_PATH_LOSS_DISTANCE_M
     return 35.3 + 37.6 * math.log10(distance)
 
@@ -184,9 +176,6 @@ class Scenario:
     @property
     def n_vehicles(self) -> int:
         return len(self.links)
-
-    def norm_gains(self) -> np.ndarray:
-        return np.array([link.norm_gain for link in self.links])
 
 
 def link_distance(position: float, road_length: float, mount_height: float) -> float:

@@ -279,9 +279,6 @@ def cmd_oracle_check(args) -> int:
                 }
             )
 
-    if args.force_fail:
-        failures.append({"suite": "forced", "reason": "--force-fail drill"})
-
     print(f"energy oracle: {energy_pass}/{energy_total} passed")
     print(f"minmax oracle: {minmax_pass}/{minmax_total} passed")
     print(f"checked {energy_total + minmax_total} instances, {len(failures)} failure(s)")
@@ -326,22 +323,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default="sweep.csv")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_fig = sub.add_parser("figure", parents=[common], help="run a preset figure sweep")
+    p_fig = sub.add_parser("figure", help="run a preset figure sweep")
     p_fig.add_argument("figure_id", type=int, choices=sorted(FIGURE_PRESETS))
     p_fig.add_argument("--seeds", type=int, default=None, help="override preset seed count")
     p_fig.add_argument("--out", default=None, help="CSV path (default fig<N>.csv)")
     p_fig.set_defaults(func=cmd_figure)
 
     p_oracle = sub.add_parser(
-        "oracle-check", parents=[common], help="cross-check fast solvers against brute force"
+        "oracle-check", help="cross-check fast solvers against brute force"
     )
     p_oracle.add_argument("--instances", type=int, default=200)
     p_oracle.add_argument("--n-values", type=_int_list, default=(1, 2, 3))
     p_oracle.add_argument("--seed", type=_u64, default=0)
     p_oracle.add_argument("--out", default="oracle_failures", help="dump dir on failure")
-    p_oracle.add_argument(
-        "--force-fail", action="store_true", help=argparse.SUPPRESS
-    )
     p_oracle.set_defaults(func=cmd_oracle_check)
     return parser
 

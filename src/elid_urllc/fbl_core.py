@@ -283,27 +283,3 @@ def upper_blocklength(lower_bounds: list[int], index: int, max_symbols: int) -> 
         )
     return max_symbols - (total - lower_bounds[index])
 
-
-def symbols_for_latency(t_max: float, bandwidth: float) -> int:
-    """Channel uses that fit in t_max seconds at the given bandwidth."""
-    if not (math.isfinite(t_max) and t_max > 0.0):
-        raise ValueError(f"t_max must be positive, got {t_max!r}")
-    if not (math.isfinite(bandwidth) and bandwidth > 0.0):
-        raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
-    return int(math.floor(t_max * bandwidth))
-
-
-def latency_budget(
-    queuing: float,
-    sensing: float,
-    processing: float,
-    transmission: float,
-    reaction: float,
-) -> float:
-    """End-to-end latency: queuing + sensor capture + central processing
-    + downlink transmission + vehicle reaction, all in seconds."""
-    parts = (queuing, sensing, processing, transmission, reaction)
-    for value in parts:
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"latency components must be >= 0, got {value!r}")
-    return math.fsum(parts)

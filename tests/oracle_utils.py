@@ -9,7 +9,7 @@ import dataclasses
 import numpy as np
 
 from elid_urllc.channel_model import Scenario, SystemConfig, VehicleLink, sample_scenario
-from elid_urllc.fbl_core import LN2
+from elid_urllc.fbl_core import LN2, reliability_margin
 
 
 def make_scenario(gains, **config_kwargs) -> Scenario:
@@ -103,3 +103,25 @@ def compositions(total, n):
     for first in range(1, total - n + 2):
         for rest in compositions(total - first, n - 1):
             yield (first,) + rest
+
+
+def reference_symbols_minmax_fixed_p(scenario):
+    """Per-symbol greedy of the fixed-power min-max problem at the
+    config's common power: grant each spare symbol to the currently
+    worst vehicle (ties to the lowest id) with a fresh scalar margin.
+    Returns (blocklengths, trace, iterations) as the solver reports them.
+    """
+    cfg = scenario.config
+    n = scenario.n_vehicles
+    d = cfg.payload_bits
+    snrs = [cfg.common_power_value() * link.norm_gain for link in scenario.links]
+    m_vec = [1] * n
+    margins_g = [reliability_margin(snr, 1, d).g for snr in snrs]
+    trace = [(0, min(margins_g))]
+    grants = cfg.symbol_budget - n
+    for grant in range(1, grants + 1):
+        worst = min(range(n), key=lambda i: margins_g[i])
+        m_vec[worst] += 1
+        margins_g[worst] = reliability_margin(snrs[worst], m_vec[worst], d).g
+        trace.append((grant, min(margins_g)))
+    return tuple(m_vec), tuple(trace), grants

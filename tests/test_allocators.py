@@ -32,6 +32,7 @@ from oracle_utils import (
     grid_oracle_minmax_two_vehicles,
     make_scenario,
     random_feasible_minmax_instance,
+    reference_symbols_minmax_fixed_p,
 )
 
 G_TARGET_1E9 = 5.9978070150076869
@@ -405,6 +406,43 @@ class TestSymbolsMinmaxFixedP:
         scenario = make_scenario([1.0, 1.0], symbol_budget=1)
         with pytest.raises(InfeasibleError):
             solve_symbols_minmax_fixed_p(scenario)
+
+    def test_matches_reference_greedy(self):
+        # the solver takes the greedy's grants from one sort of the margin
+        # matrix, which is exact only while every row strictly increases
+        rng = np.random.default_rng(2_024)
+        for n in range(1, 11):
+            for m_total in (n, n + 1, 37, 200, 1000):
+                for d in (8, 32, 160, 1000):
+                    common = bool(rng.integers(0, 2))
+                    power = float(10.0 ** rng.uniform(-3.0, 0.0)) if common else None
+                    config = dict(
+                        symbol_budget=m_total,
+                        payload_bits=d,
+                        energy_budget=10.0 if power is None else 2.0 * power * m_total,
+                        common_power=power,
+                    )
+                    if rng.integers(0, 2):
+                        scenario = sample_scenario(
+                            SystemConfig(**config), n, int(rng.integers(0, 2**63))
+                        )
+                    else:
+                        # repeated gains force ties between vehicles
+                        gains = rng.choice(10.0 ** rng.uniform(1.0, 5.0, size=2), size=n)
+                        scenario = make_scenario(gains, **config)
+                    report = solve_symbols_minmax_fixed_p(scenario)
+                    m_vec, trace, iterations = reference_symbols_minmax_fixed_p(scenario)
+                    assert report.allocation.blocklengths == m_vec
+                    assert report.trace == trace
+                    assert report.iterations == iterations
+
+                    p = scenario.config.common_power_value()
+                    ms = np.arange(1, m_total - n + 2, dtype=float)
+                    capacity = np.array(
+                        [math.log1p(p * link.norm_gain) for link in scenario.links]
+                    )
+                    rows = np.sqrt(ms) * (capacity[:, None] - LN2 * d / ms)
+                    assert np.all(np.diff(rows, axis=1) > 0.0)
 
 
 class TestJointMinmax:

@@ -1,7 +1,11 @@
 """CLI tests: config parsing, exit codes, file outputs, determinism."""
 
+import dataclasses
+
 import pytest
 
+from elid_urllc import cli
+from elid_urllc.allocators import symbol_sharing
 from elid_urllc.channel_model import SystemConfig
 from elid_urllc.cli import build_parser, main, parse_config
 from elid_urllc.exceptions import ConfigError
@@ -207,6 +211,17 @@ class TestFigureCommand:
         assert "energy_saved_pct" in content
         capsys.readouterr()
 
+    def test_config_flags_rejected(self, tmp_path, capsys):
+        # a preset fixes its own config, so config flags are refused
+        # instead of silently ignored
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("payload_bits=32\n")
+        out = tmp_path / "f.csv"
+        for flags in (["--set", "payload_bits=32"], ["--config", str(cfg)]):
+            assert main(["figure", "8", "--seeds", "1", "--out", str(out), *flags]) == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_custom_sweep(self, tmp_path, capsys):
@@ -254,16 +269,35 @@ class TestOracleCheckCommand:
                      "--seed", "2"]) == 0
         capsys.readouterr()
 
-    def test_force_fail_dumps_and_exits_one(self, tmp_path, capsys):
+    def test_force_fail_dumps_and_exits_one(self, tmp_path, monkeypatch, capsys):
+        def costlier_sharing(scenario):
+            report = symbol_sharing(scenario)
+            return dataclasses.replace(report, total_energy=report.total_energy * 1.01)
+
+        monkeypatch.setattr(cli, "symbol_sharing", costlier_sharing)
         dump_dir = tmp_path / "dumps"
         code = main(
             ["oracle-check", "--instances", "2", "--n-values", "1",
-             "--force-fail", "--out", str(dump_dir)]
+             "--out", str(dump_dir)]
         )
         assert code == 1
         dump = (dump_dir / "failure_0.txt").read_text()
-        assert "suite=forced" in dump
+        assert "suite=energy" in dump
         capsys.readouterr()
+
+    def test_config_flags_rejected(self, tmp_path, capsys):
+        # the self-check runs at its own built-in configs, so config
+        # flags are refused instead of silently ignored
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("symbol_budget=5000\n")
+        dump_dir = tmp_path / "dumps"
+        for flags in (["--set", "symbol_budget=5000"], ["--config", str(cfg)]):
+            code = main(
+                ["oracle-check", "--instances", "2", "--n-values", "1",
+                 "--out", str(dump_dir), *flags]
+            )
+            assert code == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_rejects_oversized_n(self, capsys):
         assert main(["oracle-check", "--n-values", "4", "--instances", "2"]) == 1

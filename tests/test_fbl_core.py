@@ -19,14 +19,12 @@ from elid_urllc.fbl_core import (
     achievable_rate,
     channel_dispersion,
     eps_log10_from_margin,
-    latency_budget,
     min_blocklength,
     min_power_for_target,
     q_function,
     q_inverse,
     reliability_margin,
     shannon_capacity,
-    symbols_for_latency,
     upper_blocklength,
 )
 
@@ -379,25 +377,3 @@ class TestUpperBlocklength:
         with pytest.raises(ValueError):
             upper_blocklength([10, 10], 2, 200)
 
-
-class TestLatencyHelpers:
-    def test_symbols_for_latency(self):
-        assert symbols_for_latency(1e-3, 1e6) == 1000
-        assert symbols_for_latency(0.2e-3, 1e6) == 200
-        assert symbols_for_latency(1.0, 1.0) == 1
-
-    def test_symbols_validation(self):
-        with pytest.raises(ValueError):
-            symbols_for_latency(0.0, 1e6)
-        with pytest.raises(ValueError):
-            symbols_for_latency(1e-3, 0.0)
-
-    def test_latency_budget(self):
-        assert latency_budget(0, 0, 0, 0, 0) == 0.0
-        assert latency_budget(0, 0, 0, 2e-4, 0) == 2e-4
-        total = latency_budget(1e-4, 5e-5, 5e-5, 2e-4, 1e-4)
-        assert total == pytest.approx(5e-4, rel=1e-12)
-
-    def test_latency_budget_rejects_negative(self):
-        with pytest.raises(ValueError):
-            latency_budget(-1e-4, 0, 0, 0, 0)
