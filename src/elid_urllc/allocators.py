@@ -18,18 +18,26 @@ Energy minimization: that primitive at the target margin, with powers in
 closed form per vehicle.
 
 Min-max reliability: maximize the worst per-vehicle margin g (that is,
-minimize the worst decoder error probability). Required energy is
-nondecreasing in g, so the largest g whose least energy fits E is found
-by bisection on g: over the primitive for the joint problem, over the
-closed-form powers at fixed blocklengths for the fixed-m variant. The
-fixed-power variant grants each spare symbol to the worst link; margins
-rise strictly with blocklength, so that greedy is one stable sort of the
-margin matrix, the same merge the primitive makes of its savings.
+minimize the worst decoder error probability): the largest g whose
+least energy fits E. The joint problem alternates two exact steps, as
+Dinkelbach (1967) does for fractional programs: the largest g the
+current split affords, by Newton steps on its closed-form energy (convex
+and nondecreasing in g), then the primitive's least-energy split at that
+g (exact by Fox; Federgruen & Groenevelt). A split that affords g with
+energy to spare affords a strictly larger g, and least energy rises
+strictly in g, so when the split stops saving energy no larger g fits E;
+there are finitely many splits, so this takes a few rounds (about three
+at M=200). The fixed-m variant bisects on g over the closed-form powers
+at its fixed blocklengths. The fixed-power variant grants each spare
+symbol to the worst link; margins rise strictly with blocklength, so
+that greedy is one stable sort of the margin matrix, the same merge the
+primitive makes of its savings.
 
 Brute-force enumerations over small instances back both families as
-verification oracles; they share no search code with the fast solvers.
-Everything runs in margin space; probabilities appear only inside
-reports.
+verification oracles; they share no search code with the solvers they
+check (the min-max oracle bisects each candidate split with the fixed-m
+variant). Everything runs in margin space; probabilities appear only
+inside reports.
 """
 
 from __future__ import annotations
@@ -51,9 +59,13 @@ from .fbl_core import (
     upper_blocklength,
 )
 
-# The margin bisection stops once the energy at its lower end is within
-# this fraction of the budget.
+# The margin searches stop once the energy they settle on is within this
+# fraction of the budget.
 _REL_IMPROVEMENT = 1e-12
+# Safety caps; the joint min-max solve takes about three split rounds of
+# about eight Newton steps each.
+_MAX_SPLIT_ROUNDS = 64
+_MAX_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -599,32 +611,96 @@ def _zero_power_floor(payload_bits: int, m_vec) -> float:
     return min(-LN2 * payload_bits / math.sqrt(m) for m in m_vec)
 
 
+def _split_margin(m_vec, gains, payload_bits: int, budget: float) -> float:
+    """Largest margin g whose closed-form energy at blocklengths m_vec,
+    E(g) = sum(max(0, m_i * expm1(ln2 * D / m_i + g / sqrt(m_i))) / h_i),
+    fits the budget.
+
+    E is convex and nondecreasing in g, so Newton steps started right of
+    the root fall monotonically onto it. They start at the least margin
+    any one vehicle reaches spending the whole budget alone: no term
+    exceeds the budget there, so nothing overflows, and E is at least
+    the budget. Each term is summed exactly as min_power_for_target and
+    _build_report compute it, so the returned g is affordable in the
+    report's own arithmetic, with no slack.
+    """
+    links = [
+        (LN2 * payload_bits / m, math.sqrt(m), m, h)
+        for m, h in zip(map(float, m_vec), gains)
+    ]
+
+    def energy_and_slope(margin: float) -> tuple[float, float]:
+        terms = []
+        slope = 0.0
+        for base, root, m, h in links:
+            snr = math.expm1(base + margin / root)
+            if snr > 0.0:
+                terms.append(snr / h * m)
+                slope += (snr + 1.0) / h * m / root
+        return math.fsum(terms), slope
+
+    g = min(root * (math.log1p(budget * h / m) - base) for base, root, m, h in links)
+    for _ in range(_MAX_NEWTON_STEPS):
+        energy, slope = energy_and_slope(g)
+        if energy <= budget:
+            return g
+        step = (energy - budget) / slope
+        if not g - step < g:
+            break
+        g -= step
+    # rounding stalled the steps a few ulps right of the root
+    step = math.ulp(g)
+    while energy_and_slope(g)[0] > budget:
+        g -= step
+        step *= 2.0
+    return g
+
+
 def solve_joint_minmax(scenario: Scenario) -> SolveReport:
     """Max-min margin over powers and integer blocklengths jointly.
 
     A margin g is reachable exactly when the least energy that gives
     every link margin g within the symbol budget (_least_energy_split
-    over _minmax_floors) fits the energy budget. That least
-    energy is nondecreasing in g, so the answer is the largest
-    affordable g, found by the same expand-and-bisect search as the
-    fixed-blocklength solver. The search starts at g = -ln2 * D, where
-    every link needs zero power. Powers are then the closed-form minimum
-    for that g at the split's blocklengths.
+    over _minmax_floors) fits the energy budget; the answer is the
+    largest such g. Each round takes the least-energy split at the
+    current g, then the largest g that split affords (_split_margin),
+    as Dinkelbach (1967) alternates for fractional programs; both steps
+    are exact, the split by Fox and Federgruen & Groenevelt. The first g
+    is the one the floors afford; the floors are the least-energy split
+    at g = -ln2 * D, where every link needs zero power. A split that
+    affords g with energy to spare affords a strictly larger g, so g
+    rises strictly over the finitely many splits. The rounds stop when
+    the split is unchanged or its least energy is within
+    _REL_IMPROVEMENT of the budget: least energy rises strictly in g
+    where it is positive, so no larger g fits. iterations counts the
+    rounds, trace holds (round, g) after each, and converged is False
+    only if the round cap ended the loop. Powers are the closed-form
+    minimum for g at the last split; their energy fits the budget with
+    no slack.
     """
     cfg = scenario.config
     d = cfg.payload_bits
     m_total = cfg.symbol_budget
+    budget = cfg.energy_budget
     floors = _minmax_floors(scenario)
     gains = [link.norm_gain for link in scenario.links]
 
-    def split_at(margin: float) -> tuple[list[int], float]:
-        table = _energy_gain_table(d, margin, m_total)
-        return _least_energy_split(table, gains, floors, m_total)
-
-    g, evaluations = _largest_affordable_margin(
-        lambda margin: split_at(margin)[1], -LN2 * d, cfg.energy_budget
-    )
-    m_vec, _ = split_at(g)
+    m_vec = floors
+    g = _split_margin(m_vec, gains, d, budget)
+    trace = []
+    converged = False
+    for round_ in range(1, _MAX_SPLIT_ROUNDS + 1):
+        next_m, least = _least_energy_split(
+            _energy_gain_table(d, g, m_total), gains, floors, m_total
+        )
+        unchanged = next_m == m_vec
+        if not unchanged:
+            m_vec = next_m
+            g = _split_margin(m_vec, gains, d, budget)
+        trace.append((round_, g))
+        if unchanged or not least < budget * (1.0 - _REL_IMPROVEMENT):
+            converged = True
+            break
     powers = [min_power_for_target(h, m, d, g) for h, m in zip(gains, m_vec)]
     clamped = tuple(i for i, p in enumerate(powers) if p == 0.0)
     return _build_report(
@@ -632,9 +708,9 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
         powers,
         m_vec,
         solver_name="joint_minmax",
-        iterations=evaluations,
-        trace=((evaluations, g),),
-        converged=True,
+        iterations=len(trace),
+        trace=trace,
+        converged=converged,
         clamped=clamped,
         enforce_energy_budget=True,
     )
@@ -674,7 +750,11 @@ def brute_force_minmax(scenario: Scenario) -> SolveReport:
         report = evaluate(m_vec)
         if best is None or report.worst_margin.g > best.worst_margin.g:
             best, best_m = report, m_vec
-    assert best is not None and best_m is not None
+    if best is None or best_m is None:
+        raise RuntimeError(
+            "brute_force_minmax: no blocklength vector lies between the "
+            "floors and ceilings"
+        )
     return _build_report(
         scenario,
         best.allocation.powers,

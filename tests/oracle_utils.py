@@ -8,6 +8,12 @@ import dataclasses
 
 import numpy as np
 
+from elid_urllc.allocators import (
+    _energy_gain_table,
+    _largest_affordable_margin,
+    _least_energy_split,
+    _minmax_floors,
+)
 from elid_urllc.channel_model import Scenario, SystemConfig, VehicleLink, sample_scenario
 from elid_urllc.fbl_core import LN2, reliability_margin
 
@@ -125,3 +131,26 @@ def reference_symbols_minmax_fixed_p(scenario):
         margins_g[worst] = reliability_margin(snrs[worst], m_vec[worst], d).g
         trace.append((grant, min(margins_g)))
     return tuple(m_vec), tuple(trace), grants
+
+
+def reference_joint_minmax(scenario):
+    """Expand-and-bisect search of the joint min-max problem: the largest
+    margin g whose least-energy split (_least_energy_split over
+    _minmax_floors) fits the energy budget, bisected on g from
+    g = -ln2 * D, where every link needs zero power. Returns
+    (blocklengths, g) with the blocklengths of the split at that g.
+    """
+    cfg = scenario.config
+    d = cfg.payload_bits
+    m_total = cfg.symbol_budget
+    floors = _minmax_floors(scenario)
+    gains = [link.norm_gain for link in scenario.links]
+
+    def split_at(margin):
+        table = _energy_gain_table(d, margin, m_total)
+        return _least_energy_split(table, gains, floors, m_total)
+
+    g, _ = _largest_affordable_margin(
+        lambda margin: split_at(margin)[1], -LN2 * d, cfg.energy_budget
+    )
+    return tuple(split_at(g)[0]), g

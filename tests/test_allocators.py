@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from elid_urllc import allocators
 from elid_urllc.allocators import (
     Allocation,
     _build_report,
@@ -32,6 +33,7 @@ from oracle_utils import (
     grid_oracle_minmax_two_vehicles,
     make_scenario,
     random_feasible_minmax_instance,
+    reference_joint_minmax,
     reference_symbols_minmax_fixed_p,
 )
 
@@ -445,6 +447,21 @@ class TestSymbolsMinmaxFixedP:
                     assert np.all(np.diff(rows, axis=1) > 0.0)
 
 
+def _joint_minmax_sweep():
+    """Two instances per n = 1..10, M in {40, 200, 1000} and D in {32, 160}:
+    one sampled, one whose vehicles repeat two gains, so ties occur."""
+    rng = np.random.default_rng(518)
+    for m_total in (40, 200, 1000):
+        for d in (32, 160):
+            config = dict(symbol_budget=m_total, payload_bits=d)
+            for n in range(1, 11):
+                yield sample_scenario(
+                    SystemConfig(**config), n, int(rng.integers(0, 2**63))
+                )
+                gains = rng.choice(10.0 ** rng.uniform(2.5, 8.0, size=2), size=n)
+                yield make_scenario(gains, **config)
+
+
 class TestJointMinmax:
     def test_single_vehicle(self):
         scenario = make_scenario([1.0], symbol_budget=64, energy_budget=1000.0)
@@ -510,6 +527,42 @@ class TestJointMinmax:
                     joint = solve_joint_minmax(scenario)
                     assert joint.worst_margin.g >= fixed.worst_margin.g - 1e-9
 
+    def test_matches_reference_bisection(self):
+        feasible = 0
+        for scenario in _joint_minmax_sweep():
+            try:
+                m_vec, g = reference_joint_minmax(scenario)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    solve_joint_minmax(scenario)
+                continue
+            feasible += 1
+            report = solve_joint_minmax(scenario)
+            assert report.converged
+            assert report.allocation.blocklengths == m_vec
+            assert abs(report.worst_margin.g - g) <= 1e-9
+        assert feasible >= 100
+
+    def test_within_budget_in_few_split_rounds(self, monkeypatch):
+        calls = []
+        split = allocators._least_energy_split
+
+        def counted(*args):
+            calls.append(1)
+            return split(*args)
+
+        monkeypatch.setattr(allocators, "_least_energy_split", counted)
+        for scenario in _joint_minmax_sweep():
+            calls.clear()
+            try:
+                report = solve_joint_minmax(scenario)
+            except InfeasibleError:
+                continue
+            assert report.total_energy <= scenario.config.energy_budget
+            assert len(calls) <= 8
+            assert report.iterations == len(report.trace) == len(calls)
+            assert [g for _, g in report.trace] == sorted(g for _, g in report.trace)
+
     def test_infeasible_energy_budget(self):
         scenario = make_scenario([1e-9], symbol_budget=40, energy_budget=1e-3)
         with pytest.raises(InfeasibleError, match="vehicle 0"):
@@ -534,6 +587,13 @@ class TestBruteForceMinmaxGuards:
     def test_budget_guard(self):
         with pytest.raises(ValueError):
             brute_force_minmax(make_scenario([1.0], symbol_budget=101))
+
+    def test_empty_enumeration_raises(self, monkeypatch):
+        # an explicit check, so it also holds under python -O
+        monkeypatch.setattr(allocators, "_bounded_vectors", lambda *args: iter(()))
+        scenario = make_scenario([1e3], symbol_budget=40, payload_bits=32)
+        with pytest.raises(RuntimeError, match="no blocklength vector"):
+            brute_force_minmax(scenario)
 
 
 class TestReportInvariants:
