@@ -27,17 +27,17 @@ g (exact by Fox; Federgruen & Groenevelt). A split that affords g with
 energy to spare affords a strictly larger g, and least energy rises
 strictly in g, so when the split stops saving energy no larger g fits E;
 there are finitely many splits, so this takes a few rounds (about three
-at M=200). The fixed-m variant bisects on g over the closed-form powers
-at its fixed blocklengths. The fixed-power variant grants each spare
-symbol to the worst link; margins rise strictly with blocklength, so
-that greedy is one stable sort of the margin matrix, the same merge the
-primitive makes of its savings.
+at M=200). The fixed-m variant is one such Newton margin solve at its
+fixed blocklengths. The fixed-power variant grants each spare symbol to
+the worst link; margins rise strictly with blocklength, so that greedy
+is one stable sort of the margin matrix, the same merge the primitive
+makes of its savings.
 
 Brute-force enumerations over small instances back both families as
 verification oracles; they share no search code with the solvers they
-check (the min-max oracle bisects each candidate split with the fixed-m
-variant). Everything runs in margin space; probabilities appear only
-inside reports.
+check (the min-max oracle scores each candidate split by its own
+expand-and-bisect on g, not by the Newton margin solve). Everything runs
+in margin space; probabilities appear only inside reports.
 """
 
 from __future__ import annotations
@@ -437,6 +437,8 @@ def _largest_affordable_margin(energy_at, margin_floor: float, budget: float):
     by expanding upward from margin_floor and then bisecting; returns
     (g, number of energy_at calls).
 
+    The min-max oracle's own margin search, kept apart from the solvers'
+    Newton steps (_split_margin) so the oracle checks them independently.
     energy_at must be nondecreasing in g, and the caller has checked that
     the budget covers margin_floor.
     """
@@ -476,11 +478,13 @@ def solve_power_minmax_fixed_m(
 
     The min-max problem restricted to fixed blocklengths: the worst
     margin is maximized by spending the whole energy budget on a common
-    margin, the largest g whose closed-form powers fit the budget
-    (_largest_affordable_margin). Vehicles whose constraint is slack at
-    zero power (possible only for negative margin floors) are clamped
-    and flagged; infeasibility means the budget cannot even fund
-    margin_floor (default 0, i.e. eps 0.5).
+    margin, the largest g whose closed-form powers fit the budget, found
+    by Newton steps on their energy (_split_margin, the joint solver's
+    per-split step). iterations counts its energy evaluations. The
+    powers fit the budget with no slack. Vehicles whose constraint is
+    slack at zero power (possible only for negative margin floors) are
+    clamped and flagged. Raises InfeasibleError, giving that largest g,
+    when it is below margin_floor (default 0, i.e. eps 0.5).
     """
     cfg = scenario.config
     n = scenario.n_vehicles
@@ -499,22 +503,13 @@ def solve_power_minmax_fixed_m(
     d = cfg.payload_bits
     budget = cfg.energy_budget
     gains = [link.norm_gain for link in scenario.links]
-
-    def energy_at(margin: float) -> float:
-        return math.fsum(
-            min_power_for_target(h, m, d, margin) * m for h, m in zip(gains, m_vec)
-        )
-
-    energy_lo = energy_at(margin_floor)
-    if energy_lo > budget:
+    g, evaluations = _split_margin(m_vec, gains, d, budget)
+    if g < margin_floor:
         raise InfeasibleError(
-            f"energy budget {budget:.6g} J cannot reach the margin search "
-            f"floor {margin_floor:.6g} at these blocklengths "
-            f"(needs {energy_lo:.6g} J)"
+            f"energy budget {budget:.6g} J affords at most margin g = {g:.6g} "
+            f"at these blocklengths, below the margin floor {margin_floor:.6g}"
         )
-    lo, evaluations = _largest_affordable_margin(energy_at, margin_floor, budget)
-    evaluations += 1  # the floor check above
-    powers = [min_power_for_target(h, m, d, lo) for h, m in zip(gains, m_vec)]
+    powers = [min_power_for_target(h, m, d, g) for h, m in zip(gains, m_vec)]
     clamped = tuple(i for i, p in enumerate(powers) if p == 0.0)
     return _build_report(
         scenario,
@@ -522,7 +517,7 @@ def solve_power_minmax_fixed_m(
         m_vec,
         solver_name="power_minmax_fixed_m",
         iterations=evaluations,
-        trace=((evaluations, lo),),
+        trace=((evaluations, g),),
         converged=True,
         clamped=clamped,
         enforce_energy_budget=True,
@@ -579,7 +574,7 @@ def solve_symbols_minmax_fixed_p(
         m_vec,
         solver_name="symbols_minmax_fixed_p",
         iterations=grants,
-        trace=enumerate(flat[order[: grants + 1]]),
+        trace=enumerate(flat[order[: grants + 1]].tolist()),
         converged=True,
         enforce_energy_budget=True,
     )
@@ -611,10 +606,12 @@ def _zero_power_floor(payload_bits: int, m_vec) -> float:
     return min(-LN2 * payload_bits / math.sqrt(m) for m in m_vec)
 
 
-def _split_margin(m_vec, gains, payload_bits: int, budget: float) -> float:
+def _split_margin(
+    m_vec, gains, payload_bits: int, budget: float
+) -> tuple[float, int]:
     """Largest margin g whose closed-form energy at blocklengths m_vec,
     E(g) = sum(max(0, m_i * expm1(ln2 * D / m_i + g / sqrt(m_i))) / h_i),
-    fits the budget.
+    fits the budget; returns (g, number of evaluations of E).
 
     E is convex and nondecreasing in g, so Newton steps started right of
     the root fall monotonically onto it. They start at the least margin
@@ -640,20 +637,24 @@ def _split_margin(m_vec, gains, payload_bits: int, budget: float) -> float:
         return math.fsum(terms), slope
 
     g = min(root * (math.log1p(budget * h / m) - base) for base, root, m, h in links)
+    evaluations = 0
     for _ in range(_MAX_NEWTON_STEPS):
         energy, slope = energy_and_slope(g)
+        evaluations += 1
         if energy <= budget:
-            return g
+            return g, evaluations
         step = (energy - budget) / slope
         if not g - step < g:
             break
         g -= step
     # rounding stalled the steps a few ulps right of the root
     step = math.ulp(g)
-    while energy_and_slope(g)[0] > budget:
+    while True:
+        evaluations += 1
+        if energy_and_slope(g)[0] <= budget:
+            return g, evaluations
         g -= step
         step *= 2.0
-    return g
 
 
 def solve_joint_minmax(scenario: Scenario) -> SolveReport:
@@ -686,7 +687,7 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
     gains = [link.norm_gain for link in scenario.links]
 
     m_vec = floors
-    g = _split_margin(m_vec, gains, d, budget)
+    g, _ = _split_margin(m_vec, gains, d, budget)
     trace = []
     converged = False
     for round_ in range(1, _MAX_SPLIT_ROUNDS + 1):
@@ -696,7 +697,7 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
         unchanged = next_m == m_vec
         if not unchanged:
             m_vec = next_m
-            g = _split_margin(m_vec, gains, d, budget)
+            g, _ = _split_margin(m_vec, gains, d, budget)
         trace.append((round_, g))
         if unchanged or not least < budget * (1.0 - _REL_IMPROVEMENT):
             converged = True
@@ -721,8 +722,10 @@ def brute_force_minmax(scenario: Scenario) -> SolveReport:
 
     Verification oracle for solve_joint_minmax: enumerates every m
     vector inside the per-vehicle bounds with sum(m) <= symbol_budget
-    and runs the exact power bisection on each. Guarded to n <= 3 and
-    M <= 100.
+    and scores each by the largest common margin its closed-form powers
+    afford, bisected on g from the margin at which every power is zero
+    (_largest_affordable_margin, not the solvers' Newton steps). Guarded
+    to n <= 3 and M <= 100.
     """
     cfg = scenario.config
     n = scenario.n_vehicles
@@ -734,36 +737,47 @@ def brute_force_minmax(scenario: Scenario) -> SolveReport:
             f"brute_force_minmax is limited to symbol budgets <= 100, "
             f"got {m_total}"
         )
+    d = cfg.payload_bits
+    budget = cfg.energy_budget
     floors = _minmax_floors(scenario)
     ceilings = [upper_blocklength(floors, i, m_total) for i in range(n)]
+    gains = [link.norm_gain for link in scenario.links]
 
-    def evaluate(m_vec: tuple[int, ...]) -> SolveReport:
-        return solve_power_minmax_fixed_m(
-            scenario, m_vec, margin_floor=_zero_power_floor(cfg.payload_bits, m_vec)
+    def best_margin(m_vec: tuple[int, ...]) -> float:
+        def energy_at(margin: float) -> float:
+            return math.fsum(
+                min_power_for_target(h, m, d, margin) * m for h, m in zip(gains, m_vec)
+            )
+
+        g, _ = _largest_affordable_margin(
+            energy_at, _zero_power_floor(d, m_vec), budget
         )
+        return g
 
-    best: SolveReport | None = None
+    best_g = -math.inf
     best_m: tuple[int, ...] | None = None
     candidates = 0
     for m_vec in _bounded_vectors(floors, ceilings, m_total):
         candidates += 1
-        report = evaluate(m_vec)
-        if best is None or report.worst_margin.g > best.worst_margin.g:
-            best, best_m = report, m_vec
-    if best is None or best_m is None:
+        g = best_margin(m_vec)
+        if best_m is None or g > best_g:
+            best_g, best_m = g, m_vec
+    if best_m is None:
         raise RuntimeError(
             "brute_force_minmax: no blocklength vector lies between the "
             "floors and ceilings"
         )
+    powers = [min_power_for_target(h, m, d, best_g) for h, m in zip(gains, best_m)]
+    clamped = tuple(i for i, p in enumerate(powers) if p == 0.0)
     return _build_report(
         scenario,
-        best.allocation.powers,
+        powers,
         best_m,
         solver_name="brute_force_minmax",
         iterations=candidates,
-        trace=((candidates, best.worst_margin.g),),
+        trace=((candidates, best_g),),
         converged=True,
-        clamped=best.clamped,
+        clamped=clamped,
         enforce_energy_budget=True,
     )
 

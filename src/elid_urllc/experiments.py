@@ -208,20 +208,12 @@ def energy_saved_percent(e_equal: float, e_shared: float) -> float:
     return 100.0 * (e_equal - e_shared) / e_equal
 
 
-def _metric_value(
-    base: str,
-    solver: str,
-    config: SystemConfig,
-    n_vehicles: int,
-    seed: int,
-    cache: dict,
-) -> float:
-    scenario = sample_scenario(config, n_vehicles, seed)
+def _metric_value(base: str, solver: str, scenario: Scenario, cache: dict) -> float:
     if base == "energy_saved_pct":
         shared = symbol_sharing(scenario)
         _, e_equal = equal_allocation_energy(scenario)
         return energy_saved_percent(e_equal, shared.total_energy)
-    key = (solver, config)
+    key = (solver, scenario.config)
     if key not in cache:
         cache[key] = run_solver(solver, scenario)
     report = cache[key]
@@ -243,32 +235,45 @@ def _metric_value(
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Evaluate every (swept value, seed, metric) cell of the sweep.
 
-    Infeasible cells are recorded with a None value rather than aborting
-    the sweep.  Rows come back sorted by (swept_value, seed, metric) so
-    serialization never depends on evaluation order.
+    Each (swept value, seed) draws its scenario once. A metric with a
+    symbol_budget modifier gets the same links under its own config: the
+    channel draws do not depend on the budgets. Metrics that share a
+    solver and config share one solve. Infeasible cells are recorded
+    with a None value rather than aborting the sweep. Rows come back
+    sorted by (swept_value, seed, metric) so serialization never depends
+    on evaluation order.
     """
+    parsed = [(metric, *parse_metric(metric)) for metric in spec.outputs]
     rows = []
     for value in spec.values:
+        if spec.swept_variable == "n_vehicles":
+            n_vehicles = value
+            cell_config = spec.base_config
+        else:
+            n_vehicles = spec.n_vehicles
+            cell_config = dataclasses.replace(spec.base_config, symbol_budget=value)
+        metrics = []
+        for metric, base, mods in parsed:
+            config = cell_config
+            if "symbol_budget" in mods:
+                config = dataclasses.replace(
+                    config, symbol_budget=int(mods["symbol_budget"])
+                )
+            metrics.append(
+                (metric, base, mods.get("solver", spec.solver), config, METRIC_UNITS[base])
+            )
         for seed_index in range(spec.num_seeds):
             seed = cell_seed(spec.name, value, seed_index)
+            drawn = sample_scenario(cell_config, n_vehicles, seed)
             cache: dict = {}
-            for metric in spec.outputs:
-                base, mods = parse_metric(metric)
-                config = spec.base_config
-                if spec.swept_variable == "n_vehicles":
-                    n_vehicles = value
-                else:
-                    n_vehicles = spec.n_vehicles
-                    config = dataclasses.replace(config, symbol_budget=value)
-                if "symbol_budget" in mods:
-                    config = dataclasses.replace(
-                        config, symbol_budget=int(mods["symbol_budget"])
-                    )
-                solver = mods.get("solver", spec.solver)
+            for metric, base, solver, config, units in metrics:
+                scenario = (
+                    drawn
+                    if config is cell_config
+                    else dataclasses.replace(drawn, config=config)
+                )
                 try:
-                    metric_value = _metric_value(
-                        base, solver, config, n_vehicles, seed, cache
-                    )
+                    metric_value = _metric_value(base, solver, scenario, cache)
                 except InfeasibleError:
                     metric_value = None
                 rows.append(
@@ -278,7 +283,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
                         seed=seed_index,
                         metric_name=metric,
                         metric_value=metric_value,
-                        units=METRIC_UNITS[base],
+                        units=units,
                     )
                 )
     rows.sort(key=lambda r: (r.swept_value, r.seed, r.metric_name))

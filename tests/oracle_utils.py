@@ -5,6 +5,7 @@ shares no code path with the scalar solvers it checks.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -15,7 +16,8 @@ from elid_urllc.allocators import (
     _minmax_floors,
 )
 from elid_urllc.channel_model import Scenario, SystemConfig, VehicleLink, sample_scenario
-from elid_urllc.fbl_core import LN2, reliability_margin
+from elid_urllc.exceptions import InfeasibleError
+from elid_urllc.fbl_core import LN2, min_power_for_target, reliability_margin
 
 
 def make_scenario(gains, **config_kwargs) -> Scenario:
@@ -154,3 +156,28 @@ def reference_joint_minmax(scenario):
         lambda margin: split_at(margin)[1], -LN2 * d, cfg.energy_budget
     )
     return tuple(split_at(g)[0]), g
+
+
+def reference_power_minmax_fixed_m(scenario, m_vec, margin_floor=0.0):
+    """Expand-and-bisect search of the fixed-blocklength min-max problem:
+    the largest common margin g >= margin_floor whose closed-form powers
+    (min_power_for_target) fit the energy budget, bisected on g from
+    margin_floor. Raises InfeasibleError when the budget cannot fund
+    margin_floor. Returns (g, clamped) with clamped the vehicles whose
+    power is zero at g.
+    """
+    cfg = scenario.config
+    d = cfg.payload_bits
+    budget = cfg.energy_budget
+    gains = [link.norm_gain for link in scenario.links]
+
+    def energy_at(margin):
+        return math.fsum(
+            min_power_for_target(h, m, d, margin) * m for h, m in zip(gains, m_vec)
+        )
+
+    if energy_at(margin_floor) > budget:
+        raise InfeasibleError("the budget cannot fund the margin floor")
+    g, _ = _largest_affordable_margin(energy_at, margin_floor, budget)
+    powers = [min_power_for_target(h, m, d, g) for h, m in zip(gains, m_vec)]
+    return g, tuple(i for i, p in enumerate(powers) if p == 0.0)

@@ -34,6 +34,7 @@ from oracle_utils import (
     make_scenario,
     random_feasible_minmax_instance,
     reference_joint_minmax,
+    reference_power_minmax_fixed_m,
     reference_symbols_minmax_fixed_p,
 )
 
@@ -317,6 +318,36 @@ class TestPowerMinmaxFixedM:
         with pytest.raises(InfeasibleError):
             solve_power_minmax_fixed_m(scenario, [100])
 
+    def test_infeasible_message_gives_largest_margin(self):
+        # one vehicle spending the whole budget reaches this margin exactly
+        scenario = make_scenario([1e-6], symbol_budget=100, energy_budget=1e-3)
+        g = 10.0 * (math.log1p(1e-3 / 100 * 1e-6) - LN2 * 160 / 100)
+        with pytest.raises(InfeasibleError, match=f"margin g = {g:.6g} "):
+            solve_power_minmax_fixed_m(scenario, [100])
+
+    def test_matches_reference_bisection(self):
+        feasible = infeasible = clamped = 0
+        for scenario, m_vec, margin_floor in _fixed_m_sweep():
+            try:
+                g, ref_clamped = reference_power_minmax_fixed_m(
+                    scenario, m_vec, margin_floor
+                )
+            except InfeasibleError:
+                infeasible += 1
+                with pytest.raises(InfeasibleError):
+                    solve_power_minmax_fixed_m(scenario, m_vec, margin_floor)
+                continue
+            feasible += 1
+            clamped += bool(ref_clamped)
+            report = solve_power_minmax_fixed_m(scenario, m_vec, margin_floor)
+            assert abs(report.trace[-1][1] - g) <= 1e-9
+            assert abs(report.worst_margin.g - g) <= 1e-9
+            assert report.clamped == ref_clamped
+            assert report.total_energy <= scenario.config.energy_budget
+            assert report.iterations == report.trace[-1][0] >= 1
+        assert feasible + infeasible >= 100
+        assert feasible >= 80 and infeasible >= 10 and clamped >= 5
+
     def test_negative_floor_clamps_and_flags(self):
         # Vehicle 1 has so many symbols that its zero-power margin sits
         # above the optimum: it is clamped at p = 0 and equalization is
@@ -338,6 +369,36 @@ class TestPowerMinmaxFixedM:
             solve_power_minmax_fixed_m(scenario, [60, 60])
         with pytest.raises(ValueError):
             solve_power_minmax_fixed_m(scenario, [0, 50])
+
+
+def _fixed_m_sweep():
+    """Four instances per n = 1..10 and M in {40, 200, 1000}, with D in
+    {32, 160}: two at margin floor 0 on near-even splits, two at a
+    negative floor on uneven splits, where long blocklengths are clamped.
+    Each budget funds a random margin around the floor, so some
+    instances cannot fund the floor; at every fourth n it lies within
+    4e-6 of the floor."""
+    rng = np.random.default_rng(519)
+    for m_total in (40, 200, 1000):
+        for n in range(1, 11):
+            for k in range(4):
+                d = (32, 160)[k % 2]
+                seed = int(rng.integers(0, 2**63))
+                config = SystemConfig(symbol_budget=m_total, payload_bits=d)
+                links = sample_scenario(config, n, seed).links
+                weights = rng.dirichlet(np.full(n, 5.0 if k < 2 else 0.3))
+                m_vec = [1 + int(s) for s in rng.multinomial(m_total - n, weights)]
+                margin_floor = 0.0 if k < 2 else -float(rng.uniform(1.0, 6.0))
+                offset = float(rng.uniform(-1.0, 4.0)) * (1e-6 if n % 4 == 0 else 1.0)
+                funded = margin_floor + offset
+                energy = math.fsum(
+                    min_power_for_target(link.norm_gain, m, d, funded) * m
+                    for link, m in zip(links, m_vec)
+                )
+                config = SystemConfig(
+                    symbol_budget=m_total, payload_bits=d, energy_budget=max(energy, 1e-12)
+                )
+                yield sample_scenario(config, n, seed), m_vec, margin_floor
 
 
 class TestSymbolsMinmaxFixedP:
@@ -587,6 +648,20 @@ class TestBruteForceMinmaxGuards:
     def test_budget_guard(self):
         with pytest.raises(ValueError):
             brute_force_minmax(make_scenario([1.0], symbol_budget=101))
+
+    def test_independent_of_the_newton_margin_solve(self, monkeypatch):
+        # the oracle must not share the margin solve of the solvers it checks
+        rng = np.random.default_rng(520)
+        instances = [feasible_joint_instance(rng, n=n) for n in (1, 2, 3) for _ in range(2)]
+        expected = [solve_joint_minmax(scenario) for scenario in instances]
+
+        def forbidden(*args):
+            raise AssertionError("brute_force_minmax called _split_margin")
+
+        monkeypatch.setattr(allocators, "_split_margin", forbidden)
+        for scenario, local in zip(instances, expected):
+            oracle = brute_force_minmax(scenario)
+            assert oracle.worst_margin.g == pytest.approx(local.worst_margin.g, abs=1e-6)
 
     def test_empty_enumeration_raises(self, monkeypatch):
         # an explicit check, so it also holds under python -O
