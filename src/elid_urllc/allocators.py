@@ -35,9 +35,10 @@ makes of its savings.
 
 Brute-force enumerations over small instances back both families as
 verification oracles; they share no search code with the solvers they
-check (the min-max oracle scores each candidate split by its own
-expand-and-bisect on g, not by the Newton margin solve). Everything runs
-in margin space; probabilities appear only inside reports.
+check (the min-max oracle scores every candidate split by its own
+expand-and-bisect on g, run over all candidates at once, not by the
+Newton margin solve). Everything runs in margin space; probabilities
+appear only inside reports.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import numpy as np
 from .channel_model import Scenario
 from .exceptions import InfeasibleError
 from .fbl_core import (
+    _EXP_OVERFLOW,
     LN2,
     ReliabilityMargin,
     min_blocklength,
@@ -166,7 +168,7 @@ def _build_report(
         worst_margin=worst,
         total_energy=total_energy,
         iterations=iterations,
-        trace=tuple((int(i), float(v)) for i, v in trace),
+        trace=tuple(trace),
         converged=converged,
         solver_name=solver_name,
         clamped=clamped,
@@ -432,43 +434,47 @@ def brute_force_energy(
 # min-max reliability under the energy budget
 
 
-def _largest_affordable_margin(energy_at, margin_floor: float, budget: float):
-    """Largest margin g >= margin_floor with energy_at(g) <= budget, found
-    by expanding upward from margin_floor and then bisecting; returns
-    (g, number of energy_at calls).
+def _largest_affordable_margins(energy_at, margin_floors, budget: float):
+    """For each k, the largest margin g >= margin_floors[k] with
+    energy_at(g)[k] <= budget, found by expanding upward from the floor
+    and then bisecting, with every entry stepped at once.
 
     The min-max oracle's own margin search, kept apart from the solvers'
     Newton steps (_split_margin) so the oracle checks them independently.
-    energy_at must be nondecreasing in g, and the caller has checked that
-    the budget covers margin_floor.
+    energy_at maps an array of margins to the array of energies, each
+    nondecreasing in its margin, and the budget covers every floor. An
+    entry stops bisecting when its floats are exhausted or its energy is
+    within _REL_IMPROVEMENT of the budget, as a scalar search would.
     """
+    floors = np.asarray(margin_floors, dtype=float)
+    lo = floors.copy()
+    hi = np.empty_like(lo)
     # expand upward until the budget no longer covers the margin; the
     # closed-form power overflows to inf well before float limits, so
     # this always terminates
-    evaluations = 0
-    lo = margin_floor
+    expanding = np.ones(lo.shape, dtype=bool)
     step = 1.0
-    while True:
-        hi = margin_floor + step
-        evaluations += 1
-        if energy_at(hi) > budget:
-            break
-        lo = hi
+    while expanding.any():
+        trial = floors + step
+        over = energy_at(trial) > budget
+        hi = np.where(expanding & over, trial, hi)
+        expanding &= ~over
+        lo = np.where(expanding, trial, lo)
         step *= 2.0
 
+    active = np.ones(lo.shape, dtype=bool)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # floats exhausted
-        evaluations += 1
-        energy_mid = energy_at(mid)
-        if energy_mid > budget:
-            hi = mid
-        else:
-            lo = mid
-            if budget - energy_mid <= _REL_IMPROVEMENT * budget:
-                break
-    return lo, evaluations
+        active &= (lo < mid) & (mid < hi)  # else floats exhausted
+        if not active.any():
+            break
+        energy = energy_at(mid)
+        over = energy > budget
+        hi = np.where(active & over, mid, hi)
+        under = active & ~over
+        lo = np.where(under, mid, lo)
+        active &= ~(under & (budget - energy <= _REL_IMPROVEMENT * budget))
+    return lo
 
 
 def solve_power_minmax_fixed_m(
@@ -600,12 +606,6 @@ def _minmax_floors(scenario: Scenario) -> list[int]:
     return floors
 
 
-def _zero_power_floor(payload_bits: int, m_vec) -> float:
-    # common margin at which every required power is zero: the inner
-    # search is always feasible from here
-    return min(-LN2 * payload_bits / math.sqrt(m) for m in m_vec)
-
-
 def _split_margin(
     m_vec, gains, payload_bits: int, budget: float
 ) -> tuple[float, int]:
@@ -724,8 +724,8 @@ def brute_force_minmax(scenario: Scenario) -> SolveReport:
     vector inside the per-vehicle bounds with sum(m) <= symbol_budget
     and scores each by the largest common margin its closed-form powers
     afford, bisected on g from the margin at which every power is zero
-    (_largest_affordable_margin, not the solvers' Newton steps). Guarded
-    to n <= 3 and M <= 100.
+    with all vectors stepped at once (_largest_affordable_margins, not
+    the solvers' Newton steps). Guarded to n <= 3 and M <= 100.
     """
     cfg = scenario.config
     n = scenario.n_vehicles
@@ -743,30 +743,34 @@ def brute_force_minmax(scenario: Scenario) -> SolveReport:
     ceilings = [upper_blocklength(floors, i, m_total) for i in range(n)]
     gains = [link.norm_gain for link in scenario.links]
 
-    def best_margin(m_vec: tuple[int, ...]) -> float:
-        def energy_at(margin: float) -> float:
-            return math.fsum(
-                min_power_for_target(h, m, d, margin) * m for h, m in zip(gains, m_vec)
-            )
-
-        g, _ = _largest_affordable_margin(
-            energy_at, _zero_power_floor(d, m_vec), budget
-        )
-        return g
-
-    best_g = -math.inf
-    best_m: tuple[int, ...] | None = None
-    candidates = 0
-    for m_vec in _bounded_vectors(floors, ceilings, m_total):
-        candidates += 1
-        g = best_margin(m_vec)
-        if best_m is None or g > best_g:
-            best_g, best_m = g, m_vec
-    if best_m is None:
+    vectors = list(_bounded_vectors(floors, ceilings, m_total))
+    if not vectors:
         raise RuntimeError(
             "brute_force_minmax: no blocklength vector lies between the "
             "floors and ceilings"
         )
+    ms = np.array(vectors, dtype=float)
+    base = LN2 * d / ms
+    roots = np.sqrt(ms)
+    gain_row = np.array(gains)
+
+    def energy_at(margins: np.ndarray) -> np.ndarray:
+        # sum of min_power_for_target(h_i, m_i, D, g) * m_i per vector
+        exponent = base + margins[:, None] / roots
+        with np.errstate(over="ignore"):
+            snr = np.maximum(np.expm1(exponent), 0.0)
+            powers = np.where(exponent > _EXP_OVERFLOW, np.inf, snr / gain_row)
+            return np.sum(powers * ms, axis=1)
+
+    # from the margin at which every power is zero, so the search starts
+    # affordable
+    margins = _largest_affordable_margins(
+        energy_at, np.min(-LN2 * d / roots, axis=1), budget
+    )
+    best = int(np.argmax(margins))  # the first of equal best margins
+    best_g = float(margins[best])
+    best_m = vectors[best]
+    candidates = len(vectors)
     powers = [min_power_for_target(h, m, d, best_g) for h, m in zip(gains, best_m)]
     clamped = tuple(i for i, p in enumerate(powers) if p == 0.0)
     return _build_report(

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Log-distance model floor. Below this the near-field expression is not
 # trusted, so distances clamp to it.
@@ -184,23 +185,141 @@ def link_distance(position: float, road_length: float, mount_height: float) -> f
     return math.hypot(position - road_length / 2.0, mount_height)
 
 
-def sample_scenario(config: SystemConfig, n_vehicles: int, seed: int) -> Scenario:
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) with its
+# default pool of four 32-bit words
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """(xor, multiplier) of each successive hash: the hash constant
+    starts at init and is multiplied by mult before every use as the
+    multiplier, so the sequence does not depend on the data."""
+    pairs = []
+    const = init
+    for _ in range(count):
+        nxt = const * mult & _MASK32
+        pairs.append((const, nxt))
+        const = nxt
+    return pairs
+
+
+# mix_entropy hashes each pool word once, then each pool word once more
+# per other pool word; generate_state(4, uint64) hashes 8 pool words
+_ENTROPY_HASHES = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_STATE_HASHES = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hash(value: np.ndarray, xor: int, mult: int) -> np.ndarray:
+    value = (value ^ np.uint32(xor)) * np.uint32(mult)
+    return value ^ (value >> np.uint32(_XSHIFT))
+
+
+def _check_seed(seed) -> None:
+    if not isinstance(seed, int) or seed < 0 or seed >= 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+
+
+def stream_words(seeds, n_vehicles: int) -> np.ndarray:
+    """PCG64 seed words of every (seed, vehicle_id) substream at once.
+
+    Returns a (len(seeds), n_vehicles, 4) uint64 array whose [s, v] row
+    equals np.random.SeedSequence([seeds[s], v]).generate_state(4,
+    np.uint64): the words default_rng([seeds[s], v]) seeds PCG64 with.
+    It is numpy's SeedSequence hash run over uint32 arrays. The entropy
+    is laid out as numpy coerces [seed, v]: [seed, v] for a seed below
+    2^32 (zero included) and [low word, high word, v] above, then padded
+    with zeros to the pool size, as the hash itself pads short entropy.
+    """
+    seeds = list(seeds)
+    for seed in seeds:
+        _check_seed(seed)
+    if n_vehicles < 0:
+        raise ValueError(f"n_vehicles must be >= 0, got {n_vehicles}")
+    seed64 = np.array(seeds, dtype=np.uint64).reshape(-1, 1)
+    wide = seed64 > np.uint64(_MASK32)
+    vids = np.arange(n_vehicles, dtype=np.uint32)
+    shape = (len(seeds), n_vehicles)
+    entropy = [
+        np.broadcast_to(seed64 & np.uint64(_MASK32), shape).astype(np.uint32),
+        np.where(wide, seed64 >> np.uint64(32), vids).astype(np.uint32),
+        np.where(wide, vids, 0).astype(np.uint32),
+        np.zeros(shape, dtype=np.uint32),
+    ]
+    # mix_entropy
+    constants = iter(_ENTROPY_HASHES)
+    pool = [_hash(word, *next(constants)) for word in entropy]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                hashed = _hash(pool[i_src], *next(constants))
+                mixed = (
+                    np.uint32(_MIX_MULT_L) * pool[i_dst]
+                    - np.uint32(_MIX_MULT_R) * hashed
+                )
+                pool[i_dst] = mixed ^ (mixed >> np.uint32(_XSHIFT))
+    # generate_state: cycle the pool; pairs of 32-bit outputs form each
+    # uint64 word, low half first
+    halves = [
+        _hash(pool[i % _POOL_SIZE], xor, mult).astype(np.uint64)
+        for i, (xor, mult) in enumerate(_STATE_HASHES)
+    ]
+    return np.stack(
+        [halves[2 * k] | (halves[2 * k + 1] << np.uint64(32)) for k in range(4)],
+        axis=-1,
+    )
+
+
+class _Words(ISeedSequence):
+    """Hands a bit generator seed words that stream_words computed, so
+    numpy still does the generator's own seeding from them."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.words) or np.dtype(dtype) != self.words.dtype:
+            raise ValueError(
+                f"holds {len(self.words)} {self.words.dtype} words, "
+                f"asked for {n_words} {np.dtype(dtype)}"
+            )
+        return self.words
+
+
+def sample_scenario(
+    config: SystemConfig, n_vehicles: int, seed: int, *, streams=None
+) -> Scenario:
     """Draw one scenario: uniform vehicle positions plus Rician fading.
 
     Each vehicle consumes its own substream keyed by (seed, vehicle_id),
-    so a scenario is reproducible link by link and raising n_vehicles
-    leaves the existing links' draws untouched.
+    the generator default_rng([seed, vehicle_id]), so a scenario is
+    reproducible link by link and raising n_vehicles leaves the existing
+    links' draws untouched. A caller drawing many seeds can pass
+    streams=stream_words([seed], n_vehicles)[0], the same substreams'
+    seed words hashed in one batch; the scenario is then identical.
     """
     if not 1 <= n_vehicles <= config.max_vehicles:
         raise ValueError(
             f"n_vehicles must be in 1..{config.max_vehicles}, got {n_vehicles}"
         )
-    if not isinstance(seed, int) or seed < 0 or seed >= 2**64:
-        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    _check_seed(seed)
+    if streams is None:
+        rngs = (np.random.default_rng([seed, vid]) for vid in range(n_vehicles))
+    else:
+        words = np.ascontiguousarray(streams)
+        if words.shape != (n_vehicles, 4) or words.dtype != np.uint64:
+            raise ValueError(
+                f"streams must be a ({n_vehicles}, 4) uint64 array, got "
+                f"{words.shape} {words.dtype}"
+            )
+        rngs = (np.random.Generator(np.random.PCG64(_Words(row))) for row in words)
     sigma2 = noise_power(config.noise_psd_dbm_hz, config.bandwidth)
     links = []
-    for vehicle_id in range(n_vehicles):
-        rng = np.random.default_rng([seed, vehicle_id])
+    for vehicle_id, rng in enumerate(rngs):
         position = float(rng.uniform(0.0, config.road_length))
         distance = link_distance(position, config.road_length, config.mount_height)
         loss_db = path_loss_db(distance)

@@ -16,6 +16,7 @@ import re
 import statistics
 from dataclasses import dataclass
 
+from . import channel_model
 from .allocators import (
     SolveReport,
     _equal_split,
@@ -25,7 +26,7 @@ from .allocators import (
     solve_symbols_minmax_fixed_p,
     symbol_sharing,
 )
-from .channel_model import Scenario, SystemConfig, sample_scenario
+from .channel_model import Scenario, SystemConfig
 from .exceptions import InfeasibleError
 from .fbl_core import reliability_margin
 
@@ -235,13 +236,14 @@ def _metric_value(base: str, solver: str, scenario: Scenario, cache: dict) -> fl
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Evaluate every (swept value, seed, metric) cell of the sweep.
 
-    Each (swept value, seed) draws its scenario once. A metric with a
-    symbol_budget modifier gets the same links under its own config: the
-    channel draws do not depend on the budgets. Metrics that share a
-    solver and config share one solve. Infeasible cells are recorded
-    with a None value rather than aborting the sweep. Rows come back
-    sorted by (swept_value, seed, metric) so serialization never depends
-    on evaluation order.
+    Each (swept value, seed) draws its scenario once; the seed words of
+    a swept value's substreams are hashed in one batch
+    (channel_model.stream_words). A metric with a symbol_budget modifier
+    gets the same links under its own config: the channel draws do not
+    depend on the budgets. Metrics that share a solver and config share
+    one solve. Infeasible cells are recorded with a None value rather
+    than aborting the sweep. Rows come back sorted by (swept_value,
+    seed, metric) so serialization never depends on evaluation order.
     """
     parsed = [(metric, *parse_metric(metric)) for metric in spec.outputs]
     rows = []
@@ -262,9 +264,12 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
             metrics.append(
                 (metric, base, mods.get("solver", spec.solver), config, METRIC_UNITS[base])
             )
-        for seed_index in range(spec.num_seeds):
-            seed = cell_seed(spec.name, value, seed_index)
-            drawn = sample_scenario(cell_config, n_vehicles, seed)
+        seeds = [cell_seed(spec.name, value, i) for i in range(spec.num_seeds)]
+        words = channel_model.stream_words(seeds, n_vehicles)
+        for seed_index, seed in enumerate(seeds):
+            drawn = channel_model.sample_scenario(
+                cell_config, n_vehicles, seed, streams=words[seed_index]
+            )
             cache: dict = {}
             for metric, base, solver, config, units in metrics:
                 scenario = (

@@ -10,14 +10,55 @@ import math
 import numpy as np
 
 from elid_urllc.allocators import (
+    _REL_IMPROVEMENT,
+    _bounded_vectors,
     _energy_gain_table,
-    _largest_affordable_margin,
     _least_energy_split,
     _minmax_floors,
 )
 from elid_urllc.channel_model import Scenario, SystemConfig, VehicleLink, sample_scenario
 from elid_urllc.exceptions import InfeasibleError
-from elid_urllc.fbl_core import LN2, min_power_for_target, reliability_margin
+from elid_urllc.fbl_core import (
+    LN2,
+    min_power_for_target,
+    reliability_margin,
+    upper_blocklength,
+)
+
+
+def largest_affordable_margin(energy_at, margin_floor, budget):
+    """Largest margin g >= margin_floor with energy_at(g) <= budget, found
+    by expanding upward from margin_floor and then bisecting; returns
+    (g, number of energy_at calls).
+
+    The scalar form of allocators._largest_affordable_margins, which the
+    reference searches below use. energy_at must be nondecreasing in g,
+    and the caller has checked that the budget covers margin_floor.
+    """
+    evaluations = 0
+    lo = margin_floor
+    step = 1.0
+    while True:
+        hi = margin_floor + step
+        evaluations += 1
+        if energy_at(hi) > budget:
+            break
+        lo = hi
+        step *= 2.0
+
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # floats exhausted
+        evaluations += 1
+        energy_mid = energy_at(mid)
+        if energy_mid > budget:
+            hi = mid
+        else:
+            lo = mid
+            if budget - energy_mid <= _REL_IMPROVEMENT * budget:
+                break
+    return lo, evaluations
 
 
 def make_scenario(gains, **config_kwargs) -> Scenario:
@@ -152,7 +193,7 @@ def reference_joint_minmax(scenario):
         table = _energy_gain_table(d, margin, m_total)
         return _least_energy_split(table, gains, floors, m_total)
 
-    g, _ = _largest_affordable_margin(
+    g, _ = largest_affordable_margin(
         lambda margin: split_at(margin)[1], -LN2 * d, cfg.energy_budget
     )
     return tuple(split_at(g)[0]), g
@@ -178,6 +219,34 @@ def reference_power_minmax_fixed_m(scenario, m_vec, margin_floor=0.0):
 
     if energy_at(margin_floor) > budget:
         raise InfeasibleError("the budget cannot fund the margin floor")
-    g, _ = _largest_affordable_margin(energy_at, margin_floor, budget)
+    g, _ = largest_affordable_margin(energy_at, margin_floor, budget)
     powers = [min_power_for_target(h, m, d, g) for h, m in zip(gains, m_vec)]
     return g, tuple(i for i, p in enumerate(powers) if p == 0.0)
+
+
+def reference_brute_force_minmax(scenario):
+    """Scalar form of brute_force_minmax: every blocklength vector inside
+    the same bounds, each scored on its own by largest_affordable_margin
+    over math.fsum of min_power_for_target energies, from the margin at
+    which every power is zero. Returns (blocklengths, g) of the first
+    vector with the largest margin.
+    """
+    cfg = scenario.config
+    d = cfg.payload_bits
+    m_total = cfg.symbol_budget
+    floors = _minmax_floors(scenario)
+    ceilings = [upper_blocklength(floors, i, m_total) for i in range(len(floors))]
+    gains = [link.norm_gain for link in scenario.links]
+    best_m, best_g = None, -math.inf
+    for m_vec in _bounded_vectors(floors, ceilings, m_total):
+
+        def energy_at(margin):
+            return math.fsum(
+                min_power_for_target(h, m, d, margin) * m for h, m in zip(gains, m_vec)
+            )
+
+        zero_power = min(-LN2 * d / math.sqrt(m) for m in m_vec)
+        g, _ = largest_affordable_margin(energy_at, zero_power, cfg.energy_budget)
+        if best_m is None or g > best_g:
+            best_m, best_g = m_vec, g
+    return best_m, best_g

@@ -1,5 +1,6 @@
 """Tests for the allocation solvers and their brute-force oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -33,6 +34,7 @@ from oracle_utils import (
     grid_oracle_minmax_two_vehicles,
     make_scenario,
     random_feasible_minmax_instance,
+    reference_brute_force_minmax,
     reference_joint_minmax,
     reference_power_minmax_fixed_m,
     reference_symbols_minmax_fixed_p,
@@ -663,6 +665,20 @@ class TestBruteForceMinmaxGuards:
             oracle = brute_force_minmax(scenario)
             assert oracle.worst_margin.g == pytest.approx(local.worst_margin.g, abs=1e-6)
 
+    def test_matches_scalar_bisection(self):
+        # every candidate stepped at once must pick the split and margin
+        # that bisecting each candidate on its own picks
+        rng = np.random.default_rng(521)
+        for n in (1, 2, 3):
+            for m_total, d in ((24, 16), (40, 32)):
+                scenario = feasible_joint_instance(
+                    rng, n=n, m_total=m_total, payload_bits=d
+                )
+                oracle = brute_force_minmax(scenario)
+                best_m, best_g = reference_brute_force_minmax(scenario)
+                assert oracle.allocation.blocklengths == best_m
+                assert oracle.trace[0][1] == pytest.approx(best_g, abs=1e-9)
+
     def test_empty_enumeration_raises(self, monkeypatch):
         # an explicit check, so it also holds under python -O
         monkeypatch.setattr(allocators, "_bounded_vectors", lambda *args: iter(()))
@@ -691,6 +707,31 @@ class TestReportInvariants:
                 assert report.total_energy == recomputed
                 assert report.worst_margin.g == min(m.g for m in report.margins)
                 assert sum(report.allocation.blocklengths) <= cfg.symbol_budget
+
+    def test_trace_holds_int_float_pairs(self):
+        # _build_report stores the solvers' trace as given, so each solver
+        # must hand it (int, float) pairs: the report is then what
+        # re-boxing every entry would have made of it
+        rng = np.random.default_rng(9_002)
+        reports = []
+        for n in (1, 2, 3):
+            scenario = feasible_joint_instance(rng, n=n)
+            m_vec = allocators._equal_split(scenario.config.symbol_budget, n)
+            reports += [
+                symbol_sharing(scenario),
+                solve_symbols_minmax_fixed_p(scenario),
+                solve_power_minmax_fixed_m(scenario, m_vec, margin_floor=-50.0),
+                solve_joint_minmax(scenario),
+                brute_force_energy(scenario),
+                brute_force_minmax(scenario),
+            ]
+        for report in reports:
+            assert type(report.trace) is tuple and report.trace
+            for entry in report.trace:
+                assert type(entry) is tuple and len(entry) == 2
+                assert type(entry[0]) is int and type(entry[1]) is float
+            reboxed = tuple((int(i), float(v)) for i, v in report.trace)
+            assert report == dataclasses.replace(report, trace=reboxed)
 
     def test_minmax_respects_energy_budget(self):
         rng = np.random.default_rng(9_001)

@@ -14,6 +14,7 @@ from elid_urllc.channel_model import (
     path_loss_db,
     rician_power_gain,
     sample_scenario,
+    stream_words,
 )
 
 
@@ -190,6 +191,56 @@ class TestSampleScenario:
         )
         with pytest.raises(ValueError):
             Scenario(config=cfg, links=(shuffled,), seed=5)
+
+
+class TestStreamWords:
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+    def test_matches_seed_sequence(self):
+        rng = np.random.default_rng(2718)
+        seeds = [int(s) for s in rng.integers(0, 2**64, size=1000, dtype=np.uint64)]
+        seeds += self.EDGE_SEEDS
+        words = stream_words(seeds, 10)
+        assert words.shape == (len(seeds), 10, 4)
+        assert words.dtype == np.uint64
+        for row, seed in zip(words, seeds):
+            for vid in range(10):
+                expected = np.random.SeedSequence([seed, vid]).generate_state(
+                    4, np.uint64
+                )
+                assert np.array_equal(row[vid], expected), (seed, vid)
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS + [987654321, 2**40 + 7])
+    def test_streams_give_the_same_scenario(self, seed):
+        cfg = SystemConfig()
+        n = 7
+        batched = sample_scenario(cfg, n, seed, streams=stream_words([seed], n)[0])
+        assert batched == sample_scenario(cfg, n, seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 3.0, 2.5, "7", None])
+    def test_rejects_what_sample_scenario_rejects(self, seed):
+        with pytest.raises(ValueError):
+            sample_scenario(SystemConfig(), 1, seed)
+        with pytest.raises(ValueError):
+            stream_words([seed], 1)
+        with pytest.raises(ValueError):
+            stream_words([5, seed], 1)
+
+    @pytest.mark.parametrize(
+        "streams",
+        [
+            np.zeros((2, 4), dtype=np.uint64),
+            np.zeros((4, 4), dtype=np.uint64),
+            np.zeros((3, 2), dtype=np.uint64),
+            np.zeros((3, 4, 1), dtype=np.uint64),
+            np.zeros(12, dtype=np.uint64),
+            np.zeros((3, 4), dtype=np.int64),
+            np.zeros((3, 4), dtype=float),
+        ],
+    )
+    def test_rejects_misshapen_streams(self, streams):
+        with pytest.raises(ValueError):
+            sample_scenario(SystemConfig(), 3, 11, streams=streams)
 
 
 class TestLinkDistance:

@@ -8,7 +8,7 @@ import hashlib
 
 import pytest
 
-from elid_urllc import experiments
+from elid_urllc import channel_model
 from elid_urllc.experiments import FIGURE_PRESETS, format_csv, run_sweep
 
 FIGURE_SHA256 = {
@@ -30,13 +30,13 @@ def test_preset_csv_hash(figure_id):
 @pytest.mark.parametrize("figure_id", sorted(FIGURE_PRESETS))
 def test_one_draw_per_swept_value_and_seed(figure_id, monkeypatch):
     draws = []
-    sample = experiments.sample_scenario
+    sample = channel_model.sample_scenario
 
-    def counted(config, n_vehicles, seed):
+    def counted(config, n_vehicles, seed, *, streams=None):
         draws.append((n_vehicles, seed))
-        return sample(config, n_vehicles, seed)
+        return sample(config, n_vehicles, seed, streams=streams)
 
-    monkeypatch.setattr(experiments, "sample_scenario", counted)
+    monkeypatch.setattr(channel_model, "sample_scenario", counted)
     spec = FIGURE_PRESETS[figure_id](num_seeds=3)
     run_sweep(spec)
     assert len(draws) == len(spec.values) * spec.num_seeds
