@@ -43,6 +43,7 @@ appear only inside reports.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,6 +123,10 @@ def _resolve_g_target(scenario: Scenario, g_target: float | None) -> float:
 
 def _equal_split(total: int, n: int) -> list[int]:
     # floor(total/n) each, remainder to the lowest vehicle ids
+    if total < n:
+        raise InfeasibleError(
+            f"symbol budget {total} cannot cover {n} vehicles at one symbol each"
+        )
     base, remainder = divmod(total, n)
     return [base + 1 if i < remainder else base for i in range(n)]
 
@@ -244,35 +249,63 @@ def _energy_gain_table(payload_bits: int, g_target: float, m_total: int) -> np.n
     return np.maximum(table, 0.0)
 
 
-def _least_energy_split(
-    table: np.ndarray, gains, floors, m_total: int
-) -> tuple[list[int], float]:
-    """Blocklengths m >= floors with sum(m) <= m_total that minimize
-    sum(table[m_i - 1] / gains[i]), and that least energy.
+def _build_split_tables(
+    payload_bits: int, g_target: float, m_total: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The gain-free tables of the least-energy split at margin g_target
+    over m_total symbols: (table, steps, m_star), arrays read-only.
 
-    Every vehicle starts at its floor, and each spare symbol goes to the
-    largest positive marginal saving (table[m - 1] - table[m]) / h_i,
-    ties to the lowest vehicle id. table is convex and decreasing up to
-    its first minimizer, so each vehicle's savings only fall as it gains
-    symbols and the greedy is exact; past the minimizer no saving is
-    positive, so the greedy stops there by itself. Granting one symbol at
-    a time to the largest saving takes the same steps as taking the
-    largest spare entries of the n x (m_total - 1) saving matrix at once,
-    which is one stable sort.
+    table is c_g (_energy_gain_table), steps[k] = table[k] - table[k + 1]
+    is the saving of symbol k + 2, and m_star is the first minimizer of
+    table. inf - inf is taken as inf: a step that stays inside the
+    overflow region must still be taken to leave it. A table that is inf
+    everywhere therefore takes every step, and its m_star is m_total.
     """
-    gains = np.asarray(gains, dtype=float)
-    floors = np.asarray(floors)
-    spare = m_total - int(floors.sum())
+    table = _energy_gain_table(payload_bits, g_target, m_total)
     with np.errstate(invalid="ignore"):
         steps = table[:-1] - table[1:]
-    # inf - inf: a step that stays inside the overflow region must still
-    # be taken to leave it
     steps[np.isnan(steps)] = np.inf
-    savings = steps / gains[:, None]
-    savings[np.arange(m_total - 1) < floors[:, None] - 1] = 0.0
-    order = np.argsort(-savings, axis=None, kind="stable")[:spare]
-    granted = order[savings.ravel()[order] > 0.0] // (m_total - 1)
-    m_vec = floors + np.bincount(granted, minlength=len(floors))
+    first = int(np.argmin(table))
+    m_star = first + 1 if math.isfinite(table[first]) else m_total
+    table.flags.writeable = False
+    steps.flags.writeable = False
+    return table, steps, m_star
+
+
+# symbol_sharing asks for the same (D, g, M) tables on every solve of a
+# configuration; the joint solver's per-round g never repeats, so it
+# calls _build_split_tables directly and evicts nothing here.
+_split_tables = functools.lru_cache(maxsize=16)(_build_split_tables)
+
+
+def _least_energy_split(tables, gains, floors) -> tuple[list[int], float]:
+    """Blocklengths m >= floors with sum(m) <= M that minimize
+    sum(table[m_i - 1] / gains[i]), and that least energy, for tables =
+    (table, steps, m_star) of length M from _build_split_tables.
+
+    Every vehicle starts at its floor, and each spare symbol goes to the
+    largest positive marginal saving steps[m - 1] / h_i, ties to the
+    lowest vehicle id. table is convex and decreasing up to m_star, so
+    each vehicle's savings only fall as it gains symbols and the greedy
+    is exact; past m_star no saving is positive. Granting one symbol at a
+    time to the largest saving takes the same steps as taking the
+    largest spare entries of the savings at once, which is one stable
+    sort, ties to the lowest id and then the lowest m. A vehicle takes
+    at most w = min(spare, m_star - 1) symbols, so only its window
+    steps[f_i - 1 : f_i - 1 + w] is sorted; no window passes index M - 2,
+    because spare <= M - sum(floors).
+    """
+    table, steps, m_star = tables
+    gains = np.asarray(gains, dtype=float)
+    floors = np.asarray(floors)
+    spare = table.size - int(floors.sum())
+    width = min(spare, m_star - 1)
+    m_vec = floors
+    if width > 0:
+        savings = steps[(floors - 1)[:, None] + np.arange(width)] / gains[:, None]
+        order = np.argsort(-savings, axis=None, kind="stable")[:spare]
+        granted = order[savings.ravel()[order] > 0.0] // width
+        m_vec = floors + np.bincount(granted, minlength=len(floors))
     return m_vec.tolist(), float(np.sum(table[m_vec - 1] / gains))
 
 
@@ -283,7 +316,9 @@ def symbol_sharing(scenario: Scenario, g_target: float | None = None) -> SolveRe
     energy-budget floors (see _least_energy_split): exact, and it stops
     each vehicle at max(m*, its floor), where m* minimizes c_g (365 at
     D=160, eps=1e-9 when M >= 365), so fewer than M symbols may be spent.
-    The powers are the closed-form minimum at those blocklengths. Raises
+    The split reads the (D, g_target, M) tables from a bounded cache, so
+    repeated solves of one configuration build them once. The powers are
+    the closed-form minimum at those blocklengths. Raises
     InfeasibleError when the floors sum past the symbol budget or no
     split has finite energy.
     """
@@ -292,10 +327,9 @@ def symbol_sharing(scenario: Scenario, g_target: float | None = None) -> SolveRe
     floors = _blocklength_floors(scenario)
     _check_floor_sum(floors, cfg.symbol_budget)
     m_vec, _ = _least_energy_split(
-        _energy_gain_table(cfg.payload_bits, gt, cfg.symbol_budget),
+        _split_tables(cfg.payload_bits, gt, cfg.symbol_budget),
         [link.norm_gain for link in scenario.links],
         floors,
-        cfg.symbol_budget,
     )
     powers, energy = min_energy_fixed_m(scenario, m_vec, gt)
     if not math.isfinite(energy):
@@ -319,14 +353,7 @@ def equal_allocation_energy(
     scenario: Scenario, g_target: float | None = None
 ) -> tuple[Allocation, float]:
     """Baseline: equal symbol split, closed-form powers."""
-    cfg = scenario.config
-    n = scenario.n_vehicles
-    if cfg.symbol_budget < n:
-        raise InfeasibleError(
-            f"symbol budget {cfg.symbol_budget} cannot cover {n} vehicles "
-            f"at one symbol each"
-        )
-    m_vec = _equal_split(cfg.symbol_budget, n)
+    m_vec = _equal_split(scenario.config.symbol_budget, scenario.n_vehicles)
     powers, total = min_energy_fixed_m(scenario, m_vec, g_target)
     allocation = Allocation(powers=powers, blocklengths=tuple(m_vec))
     return allocation, total
@@ -692,7 +719,7 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
     converged = False
     for round_ in range(1, _MAX_SPLIT_ROUNDS + 1):
         next_m, least = _least_energy_split(
-            _energy_gain_table(d, g, m_total), gains, floors, m_total
+            _build_split_tables(d, g, m_total), gains, floors
         )
         unchanged = next_m == m_vec
         if not unchanged:

@@ -220,6 +220,8 @@ def _dump_failures(failures, out_dir: str) -> None:
 def cmd_oracle_check(args) -> int:
     """Randomized equivalence drills of the fast solvers against the
     exhaustive ones; any disagreement is dumped for replay."""
+    if args.instances < 1:
+        raise ConfigError(f"--instances must be >= 1, got {args.instances}")
     for n in args.n_values:
         if not 1 <= n <= 3:
             raise ConfigError(f"--n-values entries must be in 1..3, got {n}")

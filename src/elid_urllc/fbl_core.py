@@ -19,7 +19,9 @@ reporting and only through the log domain.
 
 from __future__ import annotations
 
+import bisect
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -237,6 +239,24 @@ def _min_energy_gain(blocklength: int, payload_bits: int) -> float:
     return m * math.expm1(x)
 
 
+# Longest cached -c_0 table, about 0.5 MB; longer symbol budgets compute
+# c_0 at the bisection's probes only, so memory stays bounded.
+_C0_TABLE_MAX = 1 << 14
+
+
+@functools.lru_cache(maxsize=16)
+def _neg_min_energy_gains(payload_bits: int, max_symbols: int) -> tuple[float, ...]:
+    """-_min_energy_gain(m, D) for m = 1..max_symbols: c_0, the table
+    c_g at g = 0, negated so that it ascends (-inf where c_0 overflows).
+
+    Built once per (D, M) from _min_energy_gain itself, so every entry is
+    the scalar's own value; a tuple, so the cached table cannot change.
+    """
+    return tuple(
+        -_min_energy_gain(m, payload_bits) for m in range(1, max_symbols + 1)
+    )
+
+
 def min_blocklength(
     energy_budget_gain: float,
     payload_bits: int,
@@ -246,9 +266,12 @@ def min_blocklength(
 
     energy_budget_gain is the dimensionless product |h|^2 * E / sigma^2.
     Feasibility at m requires energy_budget_gain > m * (2^(D/m) - 1);
-    the right side is strictly decreasing in m, so the answer is found
-    by bisection on that predicate. Returns None when even m =
-    max_symbols fails.
+    the right side, c_0(m), is strictly decreasing in m, so the answer
+    is one bisection of the cached ascending table -c_0 for (D,
+    max_symbols): the first m with -c_0(m) > -energy_budget_gain.
+    Budgets past _C0_TABLE_MAX symbols bisect on the predicate itself,
+    computing c_0 at each probe. Returns None when even m = max_symbols
+    fails.
     """
     if not (math.isfinite(energy_budget_gain) and energy_budget_gain > 0.0):
         raise ValueError(
@@ -258,6 +281,11 @@ def min_blocklength(
         raise ValueError(f"payload_bits must be >= 1, got {payload_bits}")
     if max_symbols < 1:
         raise ValueError(f"max_symbols must be >= 1, got {max_symbols}")
+    if max_symbols <= _C0_TABLE_MAX:
+        m = bisect.bisect_right(
+            _neg_min_energy_gains(payload_bits, max_symbols), -energy_budget_gain
+        ) + 1
+        return m if m <= max_symbols else None
     if not energy_budget_gain > _min_energy_gain(max_symbols, payload_bits):
         return None
     lo, hi = 1, max_symbols  # hi is always feasible here

@@ -12,7 +12,7 @@ import numpy as np
 from elid_urllc.allocators import (
     _REL_IMPROVEMENT,
     _bounded_vectors,
-    _energy_gain_table,
+    _build_split_tables,
     _least_energy_split,
     _minmax_floors,
 )
@@ -20,6 +20,7 @@ from elid_urllc.channel_model import Scenario, SystemConfig, VehicleLink, sample
 from elid_urllc.exceptions import InfeasibleError
 from elid_urllc.fbl_core import (
     LN2,
+    _min_energy_gain,
     min_power_for_target,
     reliability_margin,
     upper_blocklength,
@@ -154,6 +155,42 @@ def compositions(total, n):
             yield (first,) + rest
 
 
+def reference_least_energy_split(table, gains, floors, m_total):
+    """Masked form of allocators._least_energy_split over the raw c_g
+    table: every vehicle's whole row of the n x (m_total - 1) saving
+    matrix, with the steps below its floor set to zero, in one stable
+    sort. Returns (blocklengths, least energy) as the split does.
+    """
+    gains = np.asarray(gains, dtype=float)
+    floors = np.asarray(floors)
+    spare = m_total - int(floors.sum())
+    with np.errstate(invalid="ignore"):
+        steps = table[:-1] - table[1:]
+    steps[np.isnan(steps)] = np.inf
+    savings = steps / gains[:, None]
+    savings[np.arange(m_total - 1) < floors[:, None] - 1] = 0.0
+    order = np.argsort(-savings, axis=None, kind="stable")[:spare]
+    granted = order[savings.ravel()[order] > 0.0] // (m_total - 1)
+    m_vec = floors + np.bincount(granted, minlength=len(floors))
+    return m_vec.tolist(), float(np.sum(table[m_vec - 1] / gains))
+
+
+def reference_min_blocklength(energy_budget_gain, payload_bits, max_symbols):
+    """Scalar form of fbl_core.min_blocklength: bisection on the
+    predicate energy_budget_gain > _min_energy_gain(m, D), evaluated
+    afresh at every probe, after checking m = max_symbols."""
+    if not energy_budget_gain > _min_energy_gain(max_symbols, payload_bits):
+        return None
+    lo, hi = 1, max_symbols
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if energy_budget_gain > _min_energy_gain(mid, payload_bits):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def reference_symbols_minmax_fixed_p(scenario):
     """Per-symbol greedy of the fixed-power min-max problem at the
     config's common power: grant each spare symbol to the currently
@@ -190,8 +227,7 @@ def reference_joint_minmax(scenario):
     gains = [link.norm_gain for link in scenario.links]
 
     def split_at(margin):
-        table = _energy_gain_table(d, margin, m_total)
-        return _least_energy_split(table, gains, floors, m_total)
+        return _least_energy_split(_build_split_tables(d, margin, m_total), gains, floors)
 
     g, _ = largest_affordable_margin(
         lambda margin: split_at(margin)[1], -LN2 * d, cfg.energy_budget

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from elid_urllc import allocators
+from elid_urllc import allocators, fbl_core
 from elid_urllc.allocators import (
     Allocation,
     _build_report,
@@ -36,6 +36,7 @@ from oracle_utils import (
     random_feasible_minmax_instance,
     reference_brute_force_minmax,
     reference_joint_minmax,
+    reference_least_energy_split,
     reference_power_minmax_fixed_m,
     reference_symbols_minmax_fixed_p,
 )
@@ -196,6 +197,96 @@ class TestEnergyGainConvexity:
             second = head[:-2] - 2.0 * head[1:-1] + head[2:]
             assert np.all(second >= -1e-12 * head[1:-1]), (g, m_star)
             assert np.all(np.diff(cost[m_star - 1 :]) >= 0.0), (g, m_star)
+
+
+def _random_split_instance(rng):
+    """(D, g, M, gains, floors) for the split tests: n 1..10, M from the
+    edge budgets n and n + 1 up to 2000, gains log-uniform with repeats,
+    and floors that fill the budget exactly one time in five."""
+    n = int(rng.integers(1, 11))
+    m_total = int(rng.choice([n, n + 1, 40, 200, 400, 1000, 2000]))
+    if m_total < n:
+        m_total = n
+    payload_bits = int(rng.choice([1, 8, 32, 160, 1000, 2500]))
+    g = G_TARGET_1E9 if rng.random() < 0.2 else float(rng.uniform(-20.0, 40.0))
+    gains = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+    if n > 1 and rng.random() < 0.3:
+        gains[rng.integers(0, n, size=n // 2 + 1)] = gains[0]
+    if rng.random() < 0.2:
+        floor_sum = m_total
+    else:
+        floor_sum = int(rng.integers(n, m_total + 1))
+    floors = 1 + rng.multinomial(floor_sum - n, np.full(n, 1.0 / n))
+    return payload_bits, g, m_total, gains.tolist(), floors.tolist()
+
+
+class TestLeastEnergySplitTables:
+    """The windowed split over the cached gain-free tables against the
+    masked split over the whole saving matrix it replaced."""
+
+    def _assert_matches(self, payload_bits, g, m_total, gains, floors):
+        tables = allocators._build_split_tables(payload_bits, g, m_total)
+        expected = reference_least_energy_split(
+            allocators._energy_gain_table(payload_bits, g, m_total),
+            gains,
+            floors,
+            m_total,
+        )
+        got = allocators._least_energy_split(tables, gains, floors)
+        assert got == expected, (payload_bits, g, m_total, gains, floors)
+        return got
+
+    def test_matches_masked_split(self):
+        rng = np.random.default_rng(8_008)
+        spent_all = stopped_early = 0
+        for _ in range(3000):
+            payload_bits, g, m_total, gains, floors = _random_split_instance(rng)
+            with np.errstate(over="ignore"):  # huge steps over tiny gains
+                m_vec, _ = self._assert_matches(
+                    payload_bits, g, m_total, gains, floors
+                )
+            if sum(m_vec) == m_total:
+                spent_all += 1
+            else:
+                stopped_early += 1
+        # both the budget and the minimizer stop enough instances
+        assert spent_all >= 300 and stopped_early >= 300
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_all_inf_table_takes_every_step(self, n):
+        # ln2 * D / m > 709 at every m <= M, so c_g overflows everywhere
+        for m_total in (n, n + 1, 40, 2000):
+            payload_bits = 1024 * m_total
+            table, _, m_star = allocators._build_split_tables(payload_bits, 6.0, m_total)
+            assert np.all(np.isinf(table)) and m_star == m_total
+            floors = [1] * n
+            m_vec, energy = self._assert_matches(
+                payload_bits, 6.0, m_total, [2.0] * n, floors
+            )
+            assert m_vec[0] == m_total - (n - 1) and math.isinf(energy)
+
+    def test_symbol_sharing_builds_its_tables_once(self):
+        allocators._split_tables.cache_clear()
+        scenario = sample_scenario(SystemConfig(), 4, seed=3)
+        first = symbol_sharing(scenario)
+        other = sample_scenario(SystemConfig(), 4, seed=4)
+        symbol_sharing(other)
+        info = allocators._split_tables.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert symbol_sharing(scenario) == first
+        # the joint solver's rounds leave the cache alone
+        solve_joint_minmax(feasible_joint_instance(np.random.default_rng(5)))
+        assert allocators._split_tables.cache_info().currsize == 1
+
+    def test_cached_tables_reject_writes(self):
+        table, steps, _ = allocators._split_tables(160, G_TARGET_1E9, 200)
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+        with pytest.raises(ValueError):
+            steps[:] = 0.0
+        neg_c0 = fbl_core._neg_min_energy_gains(160, 200)
+        with pytest.raises(TypeError):
+            neg_c0[0] = 0.0
 
 
 class TestEqualAllocation:

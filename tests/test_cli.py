@@ -96,6 +96,15 @@ class TestExitCodes:
         assert code == 2
         assert "infeasible" in capsys.readouterr().err
 
+    def test_fixed_m_budget_below_vehicle_count_is_two(self, tmp_path, capsys):
+        code = main(
+            ["solve", "--n", "3", "--solver", "power_minmax_fixed_m",
+             "--set", "symbol_budget=2", "--out", str(tmp_path / "r.txt")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "infeasible: symbol budget 2 cannot cover 3 vehicles" in err
+
     def test_usage_errors_are_one(self, capsys):
         assert main(["solve", "--no-such-flag"]) == 1
         assert main(["figure", "9"]) == 1
@@ -237,6 +246,22 @@ class TestSweepCommand:
         assert all(line.startswith("mini,") for line in lines[1:])
         capsys.readouterr()
 
+    def test_fixed_m_budget_below_vehicle_count_is_infeasible(self, tmp_path, capsys):
+        # the equal split cannot give five vehicles a symbol each at
+        # M = 3: those rows are infeasible, as for every other solver
+        out = tmp_path / "s.csv"
+        code = main(
+            ["sweep", "--swept", "symbol_budget", "--values", "3,200", "--n", "5",
+             "--solver", "power_minmax_fixed_m", "--metrics", "total_energy",
+             "--seeds", "3", "--out", str(out)]
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 6
+        assert all(row[4] == "infeasible" for row in rows if row[1] == "3")
+        assert all(row[4] != "infeasible" for row in rows if row[1] == "200")
+        capsys.readouterr()
+
     def test_unknown_metric_is_usage_error(self, tmp_path, capsys):
         code = main(
             ["sweep", "--metrics", "nonsense", "--out", str(tmp_path / "s.csv")]
@@ -302,3 +327,10 @@ class TestOracleCheckCommand:
     def test_rejects_oversized_n(self, capsys):
         assert main(["oracle-check", "--n-values", "4", "--instances", "2"]) == 1
         capsys.readouterr()
+
+    def test_rejects_fewer_than_one_instance(self, capsys):
+        for count in ("-5", "0"):
+            assert main(["oracle-check", "--instances", count]) == 1
+            captured = capsys.readouterr()
+            assert "--instances must be >= 1" in captured.err
+            assert "passed" not in captured.out

@@ -10,12 +10,14 @@ import math
 import numpy as np
 import pytest
 
+from elid_urllc import fbl_core
 from elid_urllc.exceptions import InfeasibleError
 from elid_urllc.fbl_core import (
     LN2,
     DispersionMode,
     ReliabilityMargin,
     ShortPacketParams,
+    _min_energy_gain,
     achievable_rate,
     channel_dispersion,
     eps_log10_from_margin,
@@ -27,6 +29,7 @@ from elid_urllc.fbl_core import (
     shannon_capacity,
     upper_blocklength,
 )
+from oracle_utils import reference_min_blocklength
 
 # Q(x) to 17 significant digits, mpmath erfc oracle.
 Q_TABLE = [
@@ -349,6 +352,38 @@ class TestMinBlocklength:
             feasible = np.nonzero(budget > required)[0]
             expected = int(feasible[0]) + 1 if feasible.size else None
             assert min_blocklength(budget, d, max_symbols) == expected
+
+    @pytest.mark.parametrize("payload_bits", [1, 8, 32, 160, 1000, 2500])
+    def test_matches_scalar_bisection_at_every_bar(self, payload_bits):
+        # every c_0(m) and both float neighbours, where the strict
+        # inequality flips, against the bisection the table replaced
+        for max_symbols in (1, 2, 3, 40, 200, 365, 1000, 2000):
+            for m in range(1, max_symbols + 1):
+                bar = _min_energy_gain(m, payload_bits)
+                if not math.isfinite(bar):
+                    continue
+                below, above = math.nextafter(bar, 0.0), math.nextafter(bar, math.inf)
+                for budget in (below, bar, above):
+                    args = (budget, payload_bits, max_symbols)
+                    assert min_blocklength(*args) == reference_min_blocklength(*args)
+
+    def test_budgets_past_the_cached_table(self):
+        # no table is built past _C0_TABLE_MAX symbols; the probes give
+        # the same answers
+        cap = fbl_core._C0_TABLE_MAX
+        for max_symbols in (cap + 1, 10**9):
+            for payload_bits in (1, 160, 2500):
+                for m in (1, 2, 45, cap, cap + 1, max_symbols):
+                    bar = _min_energy_gain(m, payload_bits)
+                    for budget in (math.nextafter(bar, 0.0), math.nextafter(bar, math.inf)):
+                        if not (math.isfinite(budget) and budget > 0.0):
+                            continue
+                        args = (budget, payload_bits, max_symbols)
+                        assert min_blocklength(*args) == reference_min_blocklength(*args)
+        assert fbl_core._neg_min_energy_gains.cache_info().currsize <= 16
+        assert all(
+            len(fbl_core._neg_min_energy_gains(d, cap)) == cap for d in (1, 160)
+        )
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
