@@ -48,24 +48,43 @@ def noise_power(psd_dbm_hz: float, bandwidth: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
+# standard deviation of each quadrature of CN(0, 1)
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _rician_amplitudes(k_db: float) -> tuple[float, float]:
+    """Line-of-sight amplitude sqrt(K/(K+1)) and scatter scale
+    sqrt(1/(K+1)) for K = 10^(k_db/10)."""
+    if not math.isfinite(k_db):
+        raise ValueError(f"k_db must be finite, got {k_db!r}")
+    k = 10.0 ** (k_db / 10.0)
+    return math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0))
+
+
+def _fading_gain(los, scatter, re, im):
+    """|los + scatter * (re + j im) / sqrt(2)|^2 for standard normal
+    re, im: floats or arrays."""
+    return (los + scatter * (_SQRT_HALF * re)) ** 2 + (scatter * (_SQRT_HALF * im)) ** 2
+
+
 def rician_power_gain(k_db: float, rng: np.random.Generator, size=None):
     """Unit-mean Rician fading power gain(s).
 
     Draws |g|^2 with g = sqrt(K/(K+1)) + sqrt(1/(K+1)) * CN(0, 1) and
     K = 10^(k_db/10), so E[|g|^2] = 1 for every K. Pass size to draw a
     vectorized batch; the scalar form returns a float.
+
+    One standard_normal call draws every real part, then every imaginary
+    part, each scaled by sqrt(1/2): the same numbers as two
+    normal(0, sqrt(1/2), size) calls, real parts first.
     """
-    if not math.isfinite(k_db):
-        raise ValueError(f"k_db must be finite, got {k_db!r}")
-    k = 10.0 ** (k_db / 10.0)
-    los = math.sqrt(k / (k + 1.0))
-    scatter_scale = math.sqrt(1.0 / (k + 1.0))
-    re = rng.normal(0.0, math.sqrt(0.5), size=size)
-    im = rng.normal(0.0, math.sqrt(0.5), size=size)
-    gain = (los + scatter_scale * re) ** 2 + (scatter_scale * im) ** 2
+    los, scatter = _rician_amplitudes(k_db)
     if size is None:
-        return float(gain)
-    return gain
+        re, im = rng.standard_normal(2).tolist()
+    else:
+        shape = (size,) if np.ndim(size) == 0 else tuple(size)
+        re, im = rng.standard_normal((2, *shape))
+    return _fading_gain(los, scatter, re, im)
 
 
 @dataclass(frozen=True)
@@ -148,10 +167,17 @@ class VehicleLink:
     def __post_init__(self) -> None:
         if self.vehicle_id < 0:
             raise ValueError(f"vehicle_id must be >= 0, got {self.vehicle_id}")
-        for name in ("distance", "fading_power_gain", "noise_power", "norm_gain"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive, got {value!r}")
+        # one chained test for the common case; the loop names the field
+        if not (
+            0.0 < self.distance < math.inf
+            and 0.0 < self.fading_power_gain < math.inf
+            and 0.0 < self.noise_power < math.inf
+            and 0.0 < self.norm_gain < math.inf
+        ):
+            for name in ("distance", "fading_power_gain", "noise_power", "norm_gain"):
+                value = getattr(self, name)
+                if not (math.isfinite(value) and value > 0.0):
+                    raise ValueError(f"{name} must be positive, got {value!r}")
         if not (math.isfinite(self.path_loss_db) and self.path_loss_db >= 0.0):
             raise ValueError(f"path_loss_db must be >= 0, got {self.path_loss_db!r}")
 
@@ -318,12 +344,20 @@ def sample_scenario(
             )
         rngs = (np.random.Generator(np.random.PCG64(_Words(row))) for row in words)
     sigma2 = noise_power(config.noise_psd_dbm_hz, config.bandwidth)
+    road_length = config.road_length
+    midpoint = road_length / 2.0
+    mount_height = config.mount_height
+    los, scatter = _rician_amplitudes(config.rician_k_db)
     links = []
     for vehicle_id, rng in enumerate(rngs):
-        position = float(rng.uniform(0.0, config.road_length))
-        distance = link_distance(position, config.road_length, config.mount_height)
+        # uniform(0, L) is 0.0 + L * random(); the two normals are
+        # rician_power_gain's scalar draw and the distance is
+        # link_distance, both with the constants hoisted
+        position = road_length * rng.random()
+        distance = math.hypot(position - midpoint, mount_height)
         loss_db = path_loss_db(distance)
-        fading = rician_power_gain(config.rician_k_db, rng)
+        re, im = rng.standard_normal(2).tolist()
+        fading = _fading_gain(los, scatter, re, im)
         norm_gain = 10.0 ** (-loss_db / 10.0) * fading / sigma2
         links.append(
             VehicleLink(

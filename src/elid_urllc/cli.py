@@ -180,6 +180,9 @@ def _print_summary(rows) -> None:
 
 
 def cmd_sweep(args) -> int:
+    if args.n is not None and args.swept == "n_vehicles":
+        raise ConfigError("--n sets the vehicle count of symbol_budget sweeps; "
+                          "with --swept n_vehicles the count comes from --values")
     spec = SweepSpec(
         name=args.name,
         base_config=_load_config(args),
@@ -188,7 +191,7 @@ def cmd_sweep(args) -> int:
         solver=args.solver,
         outputs=tuple(args.metrics.split(",")),
         num_seeds=args.seeds,
-        n_vehicles=args.n,
+        n_vehicles=5 if args.n is None else args.n,
     )
     rows = run_sweep(spec)
     write_csv(rows, args.out)
@@ -320,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--metrics", default="total_energy", metavar="M1,M2,...")
     p_sweep.add_argument("--seeds", type=int, default=100, help="seeds per swept value")
     p_sweep.add_argument(
-        "--n", type=int, default=5, help="vehicle count for symbol_budget sweeps"
+        "--n", type=int, default=None,
+        help="vehicle count for symbol_budget sweeps (default 5); "
+        "rejected with --swept n_vehicles",
     )
     p_sweep.add_argument("--out", default="sweep.csv")
     p_sweep.set_defaults(func=cmd_sweep)

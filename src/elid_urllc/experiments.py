@@ -64,6 +64,8 @@ def parse_metric(name: str) -> tuple[str, dict[str, str]]:
     ``total_energy[symbol_budget=1000]`` evaluates total_energy on a
     copy of the cell's config with that budget; ``worst_eps_log10
     [solver=...]`` overrides the sweep's solver for this metric only.
+    energy_saved_pct always compares symbol_sharing with the equal
+    split, so it rejects a solver modifier.
     """
     match = _METRIC_RE.match(name)
     if match is None:
@@ -77,6 +79,11 @@ def parse_metric(name: str) -> tuple[str, dict[str, str]]:
         raise ValueError(f"unknown metric modifier {key!r} in {name!r}")
     if key == "solver" and value not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {value!r} in metric {name!r}")
+    if key == "solver" and base == "energy_saved_pct":
+        raise ValueError(
+            f"energy_saved_pct compares symbol_sharing with the equal split "
+            f"and takes no solver modifier, got {name!r}"
+        )
     if key == "symbol_budget" and (not value.isdigit() or int(value) < 1):
         raise ValueError(f"bad symbol_budget modifier in metric {name!r}")
     return base, {key: value}

@@ -229,8 +229,13 @@ def min_power_for_target(
 def _min_energy_gain(blocklength: int, payload_bits: int) -> float:
     """m * (2^(D/m) - 1): received energy-gain product needed at eps = 0.5.
 
-    Strictly decreasing in m for fixed D. Returns inf once the exponent
-    would overflow, which keeps the feasibility predicate monotone.
+    Strictly decreasing in m for fixed D in exact arithmetic. In floats
+    the fall per step drops below an ulp for large m (around m = 5e7
+    for D = 1), so computed values can tie or rise there. Up to
+    _C0_TABLE_MAX symbols the computed values still strictly decrease
+    (tests check D from 1 to 2500), which the cached table path of
+    min_blocklength relies on. Returns inf once the exponent would
+    overflow, which keeps the feasibility predicate monotone.
     """
     m = float(blocklength)
     x = LN2 * payload_bits / m
@@ -265,13 +270,16 @@ def min_blocklength(
     """Smallest m in [1, max_symbols] supportable by the energy budget.
 
     energy_budget_gain is the dimensionless product |h|^2 * E / sigma^2.
-    Feasibility at m requires energy_budget_gain > m * (2^(D/m) - 1);
-    the right side, c_0(m), is strictly decreasing in m, so the answer
-    is one bisection of the cached ascending table -c_0 for (D,
+    Feasibility at m requires energy_budget_gain > m * (2^(D/m) - 1).
+    The right side, c_0(m), strictly decreases in m up to _C0_TABLE_MAX
+    symbols even in floats (see _min_energy_gain), so up to there the
+    answer is one bisection of the cached ascending table -c_0 for (D,
     max_symbols): the first m with -c_0(m) > -energy_budget_gain.
     Budgets past _C0_TABLE_MAX symbols bisect on the predicate itself,
-    computing c_0 at each probe. Returns None when even m = max_symbols
-    fails.
+    computing c_0 at each probe. Where the computed c_0 stops being
+    strictly decreasing (m around 5e7 for D = 1) that bisection returns
+    a feasible m, not necessarily the first one. Returns None when even
+    m = max_symbols fails.
     """
     if not (math.isfinite(energy_budget_gain) and energy_budget_gain > 0.0):
         raise ValueError(

@@ -16,7 +16,16 @@ from elid_urllc.allocators import (
     _least_energy_split,
     _minmax_floors,
 )
-from elid_urllc.channel_model import Scenario, SystemConfig, VehicleLink, sample_scenario
+from elid_urllc.channel_model import (
+    Scenario,
+    SystemConfig,
+    VehicleLink,
+    _Words,
+    link_distance,
+    noise_power,
+    path_loss_db,
+    sample_scenario,
+)
 from elid_urllc.exceptions import InfeasibleError
 from elid_urllc.fbl_core import (
     LN2,
@@ -286,3 +295,49 @@ def reference_brute_force_minmax(scenario):
         if best_m is None or g > best_g:
             best_m, best_g = m_vec, g
     return best_m, best_g
+
+
+def reference_rician_power_gain(k_db, rng, size=None):
+    """The two-normal form channel_model.rician_power_gain replaced:
+    one normal(0, sqrt(1/2), size) call for the real parts, then one for
+    the imaginary parts."""
+    if not math.isfinite(k_db):
+        raise ValueError(f"k_db must be finite, got {k_db!r}")
+    k = 10.0 ** (k_db / 10.0)
+    los = math.sqrt(k / (k + 1.0))
+    scatter_scale = math.sqrt(1.0 / (k + 1.0))
+    re = rng.normal(0.0, math.sqrt(0.5), size=size)
+    im = rng.normal(0.0, math.sqrt(0.5), size=size)
+    gain = (los + scatter_scale * re) ** 2 + (scatter_scale * im) ** 2
+    if size is None:
+        return float(gain)
+    return gain
+
+
+def reference_sample_scenario(config, n_vehicles, seed, *, streams=None):
+    """The per-link loop channel_model.sample_scenario replaced: a
+    uniform(0, L) position and the two-normal fading draw on each
+    link's own generator, with every constant recomputed per link."""
+    if streams is None:
+        rngs = (np.random.default_rng([seed, vid]) for vid in range(n_vehicles))
+    else:
+        rngs = (np.random.Generator(np.random.PCG64(_Words(row))) for row in streams)
+    sigma2 = noise_power(config.noise_psd_dbm_hz, config.bandwidth)
+    links = []
+    for vehicle_id, rng in enumerate(rngs):
+        position = float(rng.uniform(0.0, config.road_length))
+        distance = link_distance(position, config.road_length, config.mount_height)
+        loss_db = path_loss_db(distance)
+        fading = reference_rician_power_gain(config.rician_k_db, rng)
+        norm_gain = 10.0 ** (-loss_db / 10.0) * fading / sigma2
+        links.append(
+            VehicleLink(
+                vehicle_id=vehicle_id,
+                distance=distance,
+                path_loss_db=loss_db,
+                fading_power_gain=fading,
+                noise_power=sigma2,
+                norm_gain=norm_gain,
+            )
+        )
+    return Scenario(config=config, links=tuple(links), seed=seed)

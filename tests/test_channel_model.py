@@ -16,6 +16,7 @@ from elid_urllc.channel_model import (
     sample_scenario,
     stream_words,
 )
+from oracle_utils import reference_rician_power_gain, reference_sample_scenario
 
 
 class TestPathLoss:
@@ -74,6 +75,25 @@ class TestRicianFading:
         rng = np.random.default_rng(3)
         value = rician_power_gain(10.0, rng)
         assert isinstance(value, float) and value > 0.0
+
+
+    @pytest.mark.parametrize("k_db", [-600.0, -3.0, 0.0, 10.0, 600.0])
+    @pytest.mark.parametrize("size", [None, 1, 5, (3, 7), (2, 1, 4), np.int64(6)])
+    def test_matches_two_normal_draws(self, k_db, size):
+        for seed in range(20):
+            got = rician_power_gain(k_db, np.random.default_rng(seed), size=size)
+            want = reference_rician_power_gain(
+                k_db, np.random.default_rng(seed), size=size
+            )
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+
+    def test_leaves_the_stream_where_two_normal_draws_do(self):
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        rician_power_gain(10.0, a, size=(3, 7))
+        reference_rician_power_gain(10.0, b, size=(3, 7))
+        assert a.random() == b.random()
 
 
 class TestSystemConfig:
@@ -191,6 +211,71 @@ class TestSampleScenario:
         )
         with pytest.raises(ValueError):
             Scenario(config=cfg, links=(shuffled,), seed=5)
+
+
+    def test_matches_the_per_link_reference(self):
+        # the two-call draw is the uniform + two-normal draw, bit for bit,
+        # on both generator paths and away from the default config
+        rng = np.random.default_rng(4_096)
+        edge_seeds = [0, 2**32 - 1, 2**32, 2**64 - 1]
+        configs = [SystemConfig()] + [
+            SystemConfig(
+                rician_k_db=k_db,
+                road_length=road,
+                mount_height=height,
+                noise_psd_dbm_hz=psd,
+            )
+            for k_db, road, height, psd in [
+                (-600.0, 397.0, 10.0, -180.0),
+                (-3.0, 50.0, 1.5, -174.0),
+                (0.0, 1000.0, 0.25, -200.0),
+                (10.0, 1.0, 30.0, -150.0),
+                (600.0, 2.5, 10.0, -180.0),
+            ]
+        ]
+        checked = 0
+        for k in range(1040):
+            seed = edge_seeds[k % 4] if k < 40 else int(
+                rng.integers(0, 2**64, dtype=np.uint64)
+            )
+            n = k % 10 + 1
+            cfg = configs[k // 10 % len(configs)]
+            want = reference_sample_scenario(cfg, n, seed)
+            assert sample_scenario(cfg, n, seed) == want, (seed, n, cfg)
+            words = stream_words([seed], n)[0]
+            assert sample_scenario(cfg, n, seed, streams=words) == want
+            assert reference_sample_scenario(cfg, n, seed, streams=words) == want
+            checked += 2
+        assert checked >= 2000
+
+    @pytest.mark.parametrize(
+        "field", ["distance", "fading_power_gain", "noise_power", "norm_gain"]
+    )
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -2.5, -1, math.nan, math.inf, -math.inf])
+    def test_bad_link_field_message(self, field, bad):
+        fields = dict(
+            vehicle_id=0,
+            distance=12.0,
+            path_loss_db=75.9,
+            fading_power_gain=0.8,
+            noise_power=1e-15,
+            norm_gain=2e7,
+        )
+        fields[field] = bad
+        with pytest.raises(ValueError) as info:
+            VehicleLink(**fields)
+        assert str(info.value) == f"{field} must be positive, got {bad!r}"
+
+    def test_first_bad_link_field_is_named(self):
+        with pytest.raises(ValueError, match=r"^fading_power_gain must be positive"):
+            VehicleLink(
+                vehicle_id=0,
+                distance=12.0,
+                path_loss_db=75.9,
+                fading_power_gain=math.nan,
+                noise_power=0.0,
+                norm_gain=-1.0,
+            )
 
 
 class TestStreamWords:

@@ -262,6 +262,45 @@ class TestSweepCommand:
         assert all(row[4] != "infeasible" for row in rows if row[1] == "200")
         capsys.readouterr()
 
+    def test_energy_saved_takes_no_solver_modifier(self, tmp_path, capsys):
+        # energy_saved_pct always compares symbol_sharing with the equal
+        # split; a solver modifier on it would be silently ignored
+        out = tmp_path / "s.csv"
+        code = main(
+            ["sweep", "--metrics", "energy_saved_pct[solver=joint_minmax]",
+             "--values", "2", "--seeds", "1", "--out", str(out)]
+        )
+        assert code == 1
+        assert "energy_saved_pct" in capsys.readouterr().err
+        assert not out.exists()
+        code = main(
+            ["sweep", "--metrics", "energy_saved_pct[symbol_budget=1000]",
+             "--values", "2", "--seeds", "1", "--out", str(out)]
+        )
+        assert code == 0
+        capsys.readouterr()
+
+    def test_vehicle_count_flag_rejected_when_sweeping_vehicle_counts(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "s.csv"
+        code = main(
+            ["sweep", "--swept", "n_vehicles", "--n", "3", "--values", "2",
+             "--seeds", "1", "--out", str(out)]
+        )
+        assert code == 1
+        assert "--n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_budget_sweep_defaults_to_five_vehicles(self, tmp_path, capsys):
+        default, explicit = tmp_path / "d.csv", tmp_path / "e.csv"
+        args = ["sweep", "--swept", "symbol_budget", "--values", "200",
+                "--seeds", "2", "--metrics", "max_blocklength"]
+        assert main(args + ["--out", str(default)]) == 0
+        assert main(args + ["--n", "5", "--out", str(explicit)]) == 0
+        assert default.read_bytes() == explicit.read_bytes()
+        capsys.readouterr()
+
     def test_unknown_metric_is_usage_error(self, tmp_path, capsys):
         code = main(
             ["sweep", "--metrics", "nonsense", "--out", str(tmp_path / "s.csv")]

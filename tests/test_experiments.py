@@ -9,6 +9,7 @@ from elid_urllc.allocators import symbol_sharing
 from elid_urllc.channel_model import SystemConfig, sample_scenario
 from elid_urllc.experiments import (
     METRIC_UNITS,
+    SOLVER_NAMES,
     ResultRow,
     SweepSpec,
     cell_seed,
@@ -70,6 +71,18 @@ class TestParseMetric:
     def test_rejects(self, name):
         with pytest.raises(ValueError):
             parse_metric(name)
+
+    @pytest.mark.parametrize("solver", SOLVER_NAMES)
+    def test_energy_saved_rejects_a_solver(self, solver):
+        # the saving always compares symbol_sharing with the equal split
+        with pytest.raises(ValueError, match="no solver modifier"):
+            parse_metric(f"energy_saved_pct[solver={solver}]")
+
+    def test_energy_saved_takes_a_budget(self):
+        assert parse_metric("energy_saved_pct[symbol_budget=1000]") == (
+            "energy_saved_pct",
+            {"symbol_budget": "1000"},
+        )
 
 
 class TestSweepSpecValidation:

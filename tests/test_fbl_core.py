@@ -367,6 +367,16 @@ class TestMinBlocklength:
                     args = (budget, payload_bits, max_symbols)
                     assert min_blocklength(*args) == reference_min_blocklength(*args)
 
+    @pytest.mark.parametrize("payload_bits", [1, 2, 8, 32, 160, 1000, 2500])
+    def test_cached_table_strictly_ascends(self, payload_bits):
+        # bisecting the table finds the first feasible m only if the
+        # computed -c_0 strictly ascends; overflowed entries (-inf) lead
+        table = fbl_core._neg_min_energy_gains(payload_bits, fbl_core._C0_TABLE_MAX)
+        finite = [x for x in table if math.isfinite(x)]
+        assert len(finite) >= len(table) - 2
+        assert table[len(table) - len(finite):] == tuple(finite)
+        assert all(a < b for a, b in zip(finite, finite[1:]))
+
     def test_budgets_past_the_cached_table(self):
         # no table is built past _C0_TABLE_MAX symbols; the probes give
         # the same answers
