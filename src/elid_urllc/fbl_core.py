@@ -272,9 +272,10 @@ def min_blocklength(
     energy_budget_gain is the dimensionless product |h|^2 * E / sigma^2.
     Feasibility at m requires energy_budget_gain > m * (2^(D/m) - 1).
     The right side, c_0(m), strictly decreases in m up to _C0_TABLE_MAX
-    symbols even in floats (see _min_energy_gain), so up to there the
-    answer is one bisection of the cached ascending table -c_0 for (D,
-    max_symbols): the first m with -c_0(m) > -energy_budget_gain.
+    symbols even in floats, for the payloads tested (see
+    _min_energy_gain), so up to there the answer is one bisection of
+    the cached ascending table -c_0 for (D, max_symbols): the first m
+    with -c_0(m) > -energy_budget_gain.
     Budgets past _C0_TABLE_MAX symbols bisect on the predicate itself,
     computing c_0 at each probe. Where the computed c_0 stops being
     strictly decreasing (m around 5e7 for D = 1) that bisection returns

@@ -20,7 +20,6 @@ from elid_urllc.channel_model import (
     Scenario,
     SystemConfig,
     VehicleLink,
-    _Words,
     link_distance,
     noise_power,
     path_loss_db,
@@ -314,14 +313,12 @@ def reference_rician_power_gain(k_db, rng, size=None):
     return gain
 
 
-def reference_sample_scenario(config, n_vehicles, seed, *, streams=None):
+def reference_sample_scenario(config, n_vehicles, seed):
     """The per-link loop channel_model.sample_scenario replaced: a
     uniform(0, L) position and the two-normal fading draw on each
-    link's own generator, with every constant recomputed per link."""
-    if streams is None:
-        rngs = (np.random.default_rng([seed, vid]) for vid in range(n_vehicles))
-    else:
-        rngs = (np.random.Generator(np.random.PCG64(_Words(row))) for row in streams)
+    vehicle's default_rng([seed, vehicle_id]), with every constant
+    recomputed per link."""
+    rngs = (np.random.default_rng([seed, vid]) for vid in range(n_vehicles))
     sigma2 = noise_power(config.noise_psd_dbm_hz, config.bandwidth)
     links = []
     for vehicle_id, rng in enumerate(rngs):

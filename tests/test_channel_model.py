@@ -76,7 +76,6 @@ class TestRicianFading:
         value = rician_power_gain(10.0, rng)
         assert isinstance(value, float) and value > 0.0
 
-
     @pytest.mark.parametrize("k_db", [-600.0, -3.0, 0.0, 10.0, 600.0])
     @pytest.mark.parametrize("size", [None, 1, 5, (3, 7), (2, 1, 4), np.int64(6)])
     def test_matches_two_normal_draws(self, k_db, size):
@@ -212,10 +211,9 @@ class TestSampleScenario:
         with pytest.raises(ValueError):
             Scenario(config=cfg, links=(shuffled,), seed=5)
 
-
     def test_matches_the_per_link_reference(self):
         # the two-call draw is the uniform + two-normal draw, bit for bit,
-        # on both generator paths and away from the default config
+        # on both generator paths, every n and away from the default config
         rng = np.random.default_rng(4_096)
         edge_seeds = [0, 2**32 - 1, 2**32, 2**64 - 1]
         configs = [SystemConfig()] + [
@@ -233,8 +231,7 @@ class TestSampleScenario:
                 (600.0, 2.5, 10.0, -180.0),
             ]
         ]
-        checked = 0
-        for k in range(1040):
+        for k in range(2000):
             seed = edge_seeds[k % 4] if k < 40 else int(
                 rng.integers(0, 2**64, dtype=np.uint64)
             )
@@ -244,9 +241,6 @@ class TestSampleScenario:
             assert sample_scenario(cfg, n, seed) == want, (seed, n, cfg)
             words = stream_words([seed], n)[0]
             assert sample_scenario(cfg, n, seed, streams=words) == want
-            assert reference_sample_scenario(cfg, n, seed, streams=words) == want
-            checked += 2
-        assert checked >= 2000
 
     @pytest.mark.parametrize(
         "field", ["distance", "fading_power_gain", "noise_power", "norm_gain"]
