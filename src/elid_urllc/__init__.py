@@ -5,8 +5,6 @@ energy-minimizing allocators, and a Monte Carlo sweep harness."""
 from .allocators import (
     Allocation,
     SolveReport,
-    brute_force_energy,
-    brute_force_minmax,
     equal_allocation_energy,
     min_energy_fixed_m,
     solve_joint_minmax,
@@ -18,10 +16,8 @@ from .channel_model import (
     Scenario,
     SystemConfig,
     VehicleLink,
-    link_distance,
     noise_power,
     path_loss_db,
-    rician_power_gain,
     sample_scenario,
 )
 from .exceptions import ConfigError, InfeasibleError
@@ -55,7 +51,6 @@ from .fbl_core import (
     q_inverse,
     reliability_margin,
     shannon_capacity,
-    upper_blocklength,
 )
 
 __version__ = "0.1.0"

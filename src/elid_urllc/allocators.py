@@ -33,12 +33,11 @@ the worst link; margins rise strictly with blocklength, so that greedy
 is one stable sort of the margin matrix, the same merge the primitive
 makes of its savings.
 
-Brute-force enumerations over small instances back both families as
-verification oracles; they share no search code with the solvers they
-check (the min-max oracle scores every candidate split by its own
-expand-and-bisect on g, run over all candidates at once, not by the
-Newton margin solve). Everything runs in margin space; probabilities
-appear only inside reports.
+Every solver reads its targets from the scenario's config: the energy
+solvers meet margin q_inverse(target_eps), and the fixed-power solver
+transmits at common_power_value(). The brute-force oracles that check
+both families live in oracles. Everything runs in margin space;
+probabilities appear only inside reports.
 """
 
 from __future__ import annotations
@@ -52,14 +51,12 @@ import numpy as np
 from .channel_model import Scenario
 from .exceptions import InfeasibleError
 from .fbl_core import (
-    _EXP_OVERFLOW,
     LN2,
     ReliabilityMargin,
     min_blocklength,
     min_power_for_target,
     q_inverse,
     reliability_margin,
-    upper_blocklength,
 )
 
 # The margin searches stop once the energy they settle on is within this
@@ -113,20 +110,16 @@ class SolveReport:
     clamped: tuple[int, ...] = ()
 
 
-def _resolve_g_target(scenario: Scenario, g_target: float | None) -> float:
-    if g_target is None:
-        return q_inverse(scenario.config.target_eps)
-    if not math.isfinite(g_target):
-        raise ValueError(f"g_target must be finite, got {g_target!r}")
-    return float(g_target)
+def _check_symbol_cover(m_total: int, n: int) -> None:
+    if m_total < n:
+        raise InfeasibleError(
+            f"symbol budget {m_total} cannot cover {n} vehicles at one symbol each"
+        )
 
 
 def _equal_split(total: int, n: int) -> list[int]:
     # floor(total/n) each, remainder to the lowest vehicle ids
-    if total < n:
-        raise InfeasibleError(
-            f"symbol budget {total} cannot cover {n} vehicles at one symbol each"
-        )
+    _check_symbol_cover(total, n)
     base, remainder = divmod(total, n)
     return [base + 1 if i < remainder else base for i in range(n)]
 
@@ -185,15 +178,16 @@ def _build_report(
 
 
 def min_energy_fixed_m(
-    scenario: Scenario, blocklengths, g_target: float | None = None
+    scenario: Scenario, blocklengths
 ) -> tuple[tuple[float, ...], float]:
-    """Cheapest powers meeting margin g_target at fixed blocklengths.
+    """Cheapest powers meeting the config's target margin
+    q_inverse(target_eps) at fixed blocklengths.
 
     Per vehicle the binding constraint is solved in closed form, so the
     result is exact (clamped at zero where the target is already met).
     Returns (powers, total_energy).
     """
-    gt = _resolve_g_target(scenario, g_target)
+    gt = q_inverse(scenario.config.target_eps)
     m_vec = [int(m) for m in blocklengths]
     if len(m_vec) != scenario.n_vehicles:
         raise ValueError(
@@ -309,21 +303,22 @@ def _least_energy_split(tables, gains, floors) -> tuple[list[int], float]:
     return m_vec.tolist(), float(np.sum(table[m_vec - 1] / gains))
 
 
-def symbol_sharing(scenario: Scenario, g_target: float | None = None) -> SolveReport:
-    """Minimize total energy at margin g_target on every link.
+def symbol_sharing(scenario: Scenario) -> SolveReport:
+    """Minimize total energy at the target margin g = q_inverse(target_eps)
+    on every link.
 
-    The blocklengths are the least-energy split at g_target over the
+    The blocklengths are the least-energy split at g over the
     energy-budget floors (see _least_energy_split): exact, and it stops
     each vehicle at max(m*, its floor), where m* minimizes c_g (365 at
     D=160, eps=1e-9 when M >= 365), so fewer than M symbols may be spent.
-    The split reads the (D, g_target, M) tables from a bounded cache, so
+    The split reads the (D, g, M) tables from a bounded cache, so
     repeated solves of one configuration build them once. The powers are
     the closed-form minimum at those blocklengths. Raises
     InfeasibleError when the floors sum past the symbol budget or no
     split has finite energy.
     """
     cfg = scenario.config
-    gt = _resolve_g_target(scenario, g_target)
+    gt = q_inverse(cfg.target_eps)
     floors = _blocklength_floors(scenario)
     _check_floor_sum(floors, cfg.symbol_budget)
     m_vec, _ = _least_energy_split(
@@ -331,7 +326,7 @@ def symbol_sharing(scenario: Scenario, g_target: float | None = None) -> SolveRe
         [link.norm_gain for link in scenario.links],
         floors,
     )
-    powers, energy = min_energy_fixed_m(scenario, m_vec, gt)
+    powers, energy = min_energy_fixed_m(scenario, m_vec)
     if not math.isfinite(energy):
         raise InfeasibleError(
             "no finite-energy allocation exists within the symbol budget "
@@ -349,159 +344,45 @@ def symbol_sharing(scenario: Scenario, g_target: float | None = None) -> SolveRe
     )
 
 
-def equal_allocation_energy(
-    scenario: Scenario, g_target: float | None = None
-) -> tuple[Allocation, float]:
-    """Baseline: equal symbol split, closed-form powers."""
+def equal_allocation_energy(scenario: Scenario) -> tuple[Allocation, float]:
+    """Baseline: equal symbol split, closed-form powers at the target margin."""
     m_vec = _equal_split(scenario.config.symbol_budget, scenario.n_vehicles)
-    powers, total = min_energy_fixed_m(scenario, m_vec, g_target)
+    powers, total = min_energy_fixed_m(scenario, m_vec)
     allocation = Allocation(powers=powers, blocklengths=tuple(m_vec))
     return allocation, total
-
-
-def brute_force_energy(
-    scenario: Scenario, g_target: float | None = None
-) -> SolveReport:
-    """Exhaustive minimum of total energy over integer blocklength splits.
-
-    Verification oracle for symbol_sharing: searches every m vector with
-    sum(m) <= symbol_budget and m_i at or above the same floors
-    symbol_sharing respects. Guarded to n <= 3 and M <= 1000.
-    """
-    cfg = scenario.config
-    n = scenario.n_vehicles
-    m_total = cfg.symbol_budget
-    if n > 3:
-        raise ValueError(f"brute_force_energy is limited to n <= 3, got n={n}")
-    if m_total > 1000:
-        raise ValueError(
-            f"brute_force_energy is limited to symbol budgets <= 1000, "
-            f"got {m_total}"
-        )
-    if m_total < n:
-        raise InfeasibleError(
-            f"symbol budget {m_total} cannot cover {n} vehicles at one "
-            f"symbol each"
-        )
-    gt = _resolve_g_target(scenario, g_target)
-    d = cfg.payload_bits
-    floors = _blocklength_floors(scenario)
-
-    required = _energy_gain_table(d, gt, m_total)
-    # energy_tables[i][k] = energy for vehicle i at blocklength k+1
-    energy_tables = [required / link.norm_gain for link in scenario.links]
-    for i, floor in enumerate(floors):
-        energy_tables[i][: floor - 1] = np.inf
-
-    candidates = 0
-    best_energy = np.inf
-    best_m: tuple[int, ...] | None = None
-
-    if n == 1:
-        table = energy_tables[0]
-        candidates = m_total
-        idx = int(np.argmin(table))
-        best_energy = float(table[idx])
-        best_m = (idx + 1,)
-    elif n == 2:
-        e1, e2 = energy_tables
-        # prefix_min2[k] = min energy of vehicle 1 over blocklengths 1..k+1
-        prefix_min2 = np.minimum.accumulate(e2)
-        for m1 in range(floors[0], m_total):
-            cap2 = m_total - m1
-            if cap2 < floors[1]:
-                break
-            candidates += cap2 - floors[1] + 1
-            total = e1[m1 - 1] + prefix_min2[cap2 - 1]
-            if total < best_energy:
-                segment = e2[floors[1] - 1 : cap2]
-                m2 = floors[1] + int(np.argmin(segment))
-                best_energy = float(total)
-                best_m = (m1, m2)
-    else:
-        e1, e2, e3 = energy_tables
-        prefix_min3 = np.minimum.accumulate(e3)
-        for m1 in range(floors[0], m_total - 1):
-            cap23 = m_total - m1
-            if cap23 < floors[1] + floors[2]:
-                break
-            m2_values = np.arange(floors[1], cap23 - floors[2] + 1)
-            candidates += m2_values.size
-            totals = e1[m1 - 1] + e2[m2_values - 1] + prefix_min3[cap23 - m2_values - 1]
-            k = int(np.argmin(totals))
-            if totals[k] < best_energy:
-                m2 = int(m2_values[k])
-                segment = e3[floors[2] - 1 : cap23 - m2]
-                m3 = floors[2] + int(np.argmin(segment))
-                best_energy = float(totals[k])
-                best_m = (m1, m2, m3)
-
-    if best_m is None or not math.isfinite(best_energy):
-        raise InfeasibleError(
-            "no finite-energy allocation exists within the symbol budget "
-            "for this reliability target"
-        )
-    powers = [
-        min_power_for_target(link.norm_gain, m, d, gt)
-        for link, m in zip(scenario.links, best_m)
-    ]
-    return _build_report(
-        scenario,
-        powers,
-        best_m,
-        solver_name="brute_force_energy",
-        iterations=candidates,
-        trace=((candidates, best_energy),),
-        converged=True,
-        enforce_energy_budget=False,
-    )
 
 
 # ---------------------------------------------------------------------------
 # min-max reliability under the energy budget
 
 
-def _largest_affordable_margins(energy_at, margin_floors, budget: float):
-    """For each k, the largest margin g >= margin_floors[k] with
-    energy_at(g)[k] <= budget, found by expanding upward from the floor
-    and then bisecting, with every entry stepped at once.
-
-    The min-max oracle's own margin search, kept apart from the solvers'
-    Newton steps (_split_margin) so the oracle checks them independently.
-    energy_at maps an array of margins to the array of energies, each
-    nondecreasing in its margin, and the budget covers every floor. An
-    entry stops bisecting when its floats are exhausted or its energy is
-    within _REL_IMPROVEMENT of the budget, as a scalar search would.
-    """
-    floors = np.asarray(margin_floors, dtype=float)
-    lo = floors.copy()
-    hi = np.empty_like(lo)
-    # expand upward until the budget no longer covers the margin; the
-    # closed-form power overflows to inf well before float limits, so
-    # this always terminates
-    expanding = np.ones(lo.shape, dtype=bool)
-    step = 1.0
-    while expanding.any():
-        trial = floors + step
-        over = energy_at(trial) > budget
-        hi = np.where(expanding & over, trial, hi)
-        expanding &= ~over
-        lo = np.where(expanding, trial, lo)
-        step *= 2.0
-
-    active = np.ones(lo.shape, dtype=bool)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        active &= (lo < mid) & (mid < hi)  # else floats exhausted
-        if not active.any():
-            break
-        energy = energy_at(mid)
-        over = energy > budget
-        hi = np.where(active & over, mid, hi)
-        under = active & ~over
-        lo = np.where(under, mid, lo)
-        active &= ~(under & (budget - energy <= _REL_IMPROVEMENT * budget))
-    return lo
+def _minmax_report(
+    scenario: Scenario,
+    gains,
+    blocklengths,
+    g: float,
+    *,
+    solver_name: str,
+    iterations: int,
+    trace,
+    converged: bool = True,
+) -> SolveReport:
+    """Report of a min-max answer: the closed-form powers for margin g at
+    these blocklengths, with the zero-power vehicles flagged as clamped,
+    held to the energy budget."""
+    d = scenario.config.payload_bits
+    powers = [min_power_for_target(h, m, d, g) for h, m in zip(gains, blocklengths)]
+    return _build_report(
+        scenario,
+        powers,
+        blocklengths,
+        solver_name=solver_name,
+        iterations=iterations,
+        trace=trace,
+        converged=converged,
+        clamped=tuple(i for i, p in enumerate(powers) if p == 0.0),
+        enforce_energy_budget=True,
+    )
 
 
 def solve_power_minmax_fixed_m(
@@ -542,26 +423,20 @@ def solve_power_minmax_fixed_m(
             f"energy budget {budget:.6g} J affords at most margin g = {g:.6g} "
             f"at these blocklengths, below the margin floor {margin_floor:.6g}"
         )
-    powers = [min_power_for_target(h, m, d, g) for h, m in zip(gains, m_vec)]
-    clamped = tuple(i for i, p in enumerate(powers) if p == 0.0)
-    return _build_report(
+    return _minmax_report(
         scenario,
-        powers,
+        gains,
         m_vec,
+        g,
         solver_name="power_minmax_fixed_m",
         iterations=evaluations,
         trace=((evaluations, g),),
-        converged=True,
-        clamped=clamped,
-        enforce_energy_budget=True,
     )
 
 
-def solve_symbols_minmax_fixed_p(
-    scenario: Scenario, p_common: float | None = None
-) -> SolveReport:
-    """Maximize the worst margin over integer blocklengths at a common
-    transmit power.
+def solve_symbols_minmax_fixed_p(scenario: Scenario) -> SolveReport:
+    """Maximize the worst margin over integer blocklengths at the config's
+    common transmit power (common_power_value()).
 
     Every vehicle starts at one symbol, and each spare symbol goes to
     the currently worst vehicle (ties to the lowest vehicle_id). A
@@ -569,22 +444,15 @@ def solve_symbols_minmax_fixed_p(
     is max-min optimal. Each row of the n x (M - n + 1) margin matrix
     strictly increases, so the greedy takes its entries in merged
     ascending order: one stable sort gives the grants (its first M - n
-    entries) and the worst margin after each grant. p_common defaults
-    to the config's common power (energy_budget / symbol_budget unless
-    overridden).
+    entries) and the worst margin after each grant. Raises
+    InfeasibleError when that power across all M symbols costs more than
+    the energy budget.
     """
     cfg = scenario.config
     n = scenario.n_vehicles
     m_total = cfg.symbol_budget
-    if m_total < n:
-        raise InfeasibleError(
-            f"symbol budget {m_total} cannot cover {n} vehicles at one "
-            f"symbol each"
-        )
-    if p_common is None:
-        p_common = cfg.common_power_value()
-    if not (math.isfinite(p_common) and p_common > 0.0):
-        raise ValueError(f"p_common must be positive, got {p_common!r}")
+    _check_symbol_cover(m_total, n)
+    p_common = cfg.common_power_value()
     spend = p_common * m_total
     if spend > cfg.energy_budget * (1.0 + 1e-9):
         raise InfeasibleError(
@@ -729,109 +597,13 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
         if unchanged or not least < budget * (1.0 - _REL_IMPROVEMENT):
             converged = True
             break
-    powers = [min_power_for_target(h, m, d, g) for h, m in zip(gains, m_vec)]
-    clamped = tuple(i for i, p in enumerate(powers) if p == 0.0)
-    return _build_report(
+    return _minmax_report(
         scenario,
-        powers,
+        gains,
         m_vec,
+        g,
         solver_name="joint_minmax",
         iterations=len(trace),
         trace=trace,
         converged=converged,
-        clamped=clamped,
-        enforce_energy_budget=True,
     )
-
-
-def brute_force_minmax(scenario: Scenario) -> SolveReport:
-    """Exhaustive max-min margin over integer blocklength vectors.
-
-    Verification oracle for solve_joint_minmax: enumerates every m
-    vector inside the per-vehicle bounds with sum(m) <= symbol_budget
-    and scores each by the largest common margin its closed-form powers
-    afford, bisected on g from the margin at which every power is zero
-    with all vectors stepped at once (_largest_affordable_margins, not
-    the solvers' Newton steps). Guarded to n <= 3 and M <= 100.
-    """
-    cfg = scenario.config
-    n = scenario.n_vehicles
-    m_total = cfg.symbol_budget
-    if n > 3:
-        raise ValueError(f"brute_force_minmax is limited to n <= 3, got n={n}")
-    if m_total > 100:
-        raise ValueError(
-            f"brute_force_minmax is limited to symbol budgets <= 100, "
-            f"got {m_total}"
-        )
-    d = cfg.payload_bits
-    budget = cfg.energy_budget
-    floors = _minmax_floors(scenario)
-    ceilings = [upper_blocklength(floors, i, m_total) for i in range(n)]
-    gains = [link.norm_gain for link in scenario.links]
-
-    vectors = list(_bounded_vectors(floors, ceilings, m_total))
-    if not vectors:
-        raise RuntimeError(
-            "brute_force_minmax: no blocklength vector lies between the "
-            "floors and ceilings"
-        )
-    ms = np.array(vectors, dtype=float)
-    base = LN2 * d / ms
-    roots = np.sqrt(ms)
-    gain_row = np.array(gains)
-
-    def energy_at(margins: np.ndarray) -> np.ndarray:
-        # sum of min_power_for_target(h_i, m_i, D, g) * m_i per vector
-        exponent = base + margins[:, None] / roots
-        with np.errstate(over="ignore"):
-            snr = np.maximum(np.expm1(exponent), 0.0)
-            powers = np.where(exponent > _EXP_OVERFLOW, np.inf, snr / gain_row)
-            return np.sum(powers * ms, axis=1)
-
-    # from the margin at which every power is zero, so the search starts
-    # affordable
-    margins = _largest_affordable_margins(
-        energy_at, np.min(-LN2 * d / roots, axis=1), budget
-    )
-    best = int(np.argmax(margins))  # the first of equal best margins
-    best_g = float(margins[best])
-    best_m = vectors[best]
-    candidates = len(vectors)
-    powers = [min_power_for_target(h, m, d, best_g) for h, m in zip(gains, best_m)]
-    clamped = tuple(i for i, p in enumerate(powers) if p == 0.0)
-    return _build_report(
-        scenario,
-        powers,
-        best_m,
-        solver_name="brute_force_minmax",
-        iterations=candidates,
-        trace=((candidates, best_g),),
-        converged=True,
-        clamped=clamped,
-        enforce_energy_budget=True,
-    )
-
-
-def _bounded_vectors(floors: list[int], ceilings: list[int], m_total: int):
-    """Yield every integer vector with floors <= m <= ceilings and
-    sum(m) <= m_total, in lexicographic order."""
-    n = len(floors)
-    if n == 1:
-        for m1 in range(floors[0], min(ceilings[0], m_total) + 1):
-            yield (m1,)
-    elif n == 2:
-        for m1 in range(floors[0], min(ceilings[0], m_total - floors[1]) + 1):
-            for m2 in range(floors[1], min(ceilings[1], m_total - m1) + 1):
-                yield (m1, m2)
-    else:
-        for m1 in range(
-            floors[0], min(ceilings[0], m_total - floors[1] - floors[2]) + 1
-        ):
-            for m2 in range(
-                floors[1], min(ceilings[1], m_total - m1 - floors[2]) + 1
-            ):
-                for m3 in range(
-                    floors[2], min(ceilings[2], m_total - m1 - m2) + 1
-                ):
-                    yield (m1, m2, m3)

@@ -63,28 +63,9 @@ def _rician_amplitudes(k_db: float) -> tuple[float, float]:
 
 def _fading_gain(los, scatter, re, im):
     """|los + scatter * (re + j im) / sqrt(2)|^2 for standard normal
-    re, im: floats or arrays."""
+    re, im: floats or arrays. With the amplitudes of _rician_amplitudes
+    this is the Rician power gain, unit-mean for every K."""
     return (los + scatter * (_SQRT_HALF * re)) ** 2 + (scatter * (_SQRT_HALF * im)) ** 2
-
-
-def rician_power_gain(k_db: float, rng: np.random.Generator, size=None):
-    """Unit-mean Rician fading power gain(s).
-
-    Draws |g|^2 with g = sqrt(K/(K+1)) + sqrt(1/(K+1)) * CN(0, 1) and
-    K = 10^(k_db/10), so E[|g|^2] = 1 for every K. Pass size to draw a
-    vectorized batch; the scalar form returns a float.
-
-    One standard_normal call draws every real part, then every imaginary
-    part, each scaled by sqrt(1/2): the same numbers as two
-    normal(0, sqrt(1/2), size) calls, real parts first.
-    """
-    los, scatter = _rician_amplitudes(k_db)
-    if size is None:
-        re, im = rng.standard_normal(2).tolist()
-    else:
-        shape = (size,) if np.ndim(size) == 0 else tuple(size)
-        re, im = rng.standard_normal((2, *shape))
-    return _fading_gain(los, scatter, re, im)
 
 
 @dataclass(frozen=True)
@@ -203,12 +184,6 @@ class Scenario:
     @property
     def n_vehicles(self) -> int:
         return len(self.links)
-
-
-def link_distance(position: float, road_length: float, mount_height: float) -> float:
-    """Euclidean distance from the elevated unit (road midpoint, raised
-    by mount_height) to a vehicle at the given position along the road."""
-    return math.hypot(position - road_length / 2.0, mount_height)
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) with its
@@ -354,9 +329,8 @@ def sample_scenario(
     los, scatter = _rician_amplitudes(config.rician_k_db)
     links = []
     for vehicle_id, rng in enumerate(rngs):
-        # uniform(0, L) is 0.0 + L * random(); the two normals are
-        # rician_power_gain's scalar draw and the distance is
-        # link_distance, both with the constants hoisted
+        # uniform(0, L) is 0.0 + L * random(); the distance is from the
+        # unit, raised mount_height above the road midpoint
         position = road_length * rng.random()
         distance = math.hypot(position - midpoint, mount_height)
         loss_db = path_loss_db(distance)

@@ -13,13 +13,7 @@ import sys
 
 import numpy as np
 
-from .allocators import (
-    SolveReport,
-    brute_force_energy,
-    brute_force_minmax,
-    solve_joint_minmax,
-    symbol_sharing,
-)
+from .allocators import SolveReport, solve_joint_minmax, symbol_sharing
 from .channel_model import Scenario, SystemConfig, sample_scenario
 from .exceptions import ConfigError, InfeasibleError
 from .experiments import (
@@ -223,6 +217,9 @@ def _dump_failures(failures, out_dir: str) -> None:
 def cmd_oracle_check(args) -> int:
     """Randomized equivalence drills of the fast solvers against the
     exhaustive ones; any disagreement is dumped for replay."""
+    # no solve or sweep needs the oracles, so only this command loads them
+    from .oracles import brute_force_energy, brute_force_minmax
+
     if args.instances < 1:
         raise ConfigError(f"--instances must be >= 1, got {args.instances}")
     for n in args.n_values:

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 from scipy.special import log_ndtr, ndtri
 
-from .exceptions import InfeasibleError
-
 LN2 = math.log(2.0)
 LN10 = math.log(10.0)
 
@@ -305,18 +303,3 @@ def min_blocklength(
         else:
             lo = mid + 1
     return lo
-
-
-def upper_blocklength(lower_bounds: list[int], index: int, max_symbols: int) -> int:
-    """Largest blocklength vehicle `index` can take: the symbol budget
-    minus every other vehicle's minimum."""
-    if not 0 <= index < len(lower_bounds):
-        raise ValueError(f"index {index} out of range for {len(lower_bounds)} bounds")
-    total = sum(lower_bounds)
-    if total > max_symbols:
-        raise InfeasibleError(
-            f"minimum blocklengths sum to {total}, exceeding the symbol "
-            f"budget {max_symbols}"
-        )
-    return max_symbols - (total - lower_bounds[index])
-

@@ -11,7 +11,6 @@ import numpy as np
 
 from elid_urllc.allocators import (
     _REL_IMPROVEMENT,
-    _bounded_vectors,
     _build_split_tables,
     _least_energy_split,
     _minmax_floors,
@@ -20,7 +19,6 @@ from elid_urllc.channel_model import (
     Scenario,
     SystemConfig,
     VehicleLink,
-    link_distance,
     noise_power,
     path_loss_db,
     sample_scenario,
@@ -31,8 +29,8 @@ from elid_urllc.fbl_core import (
     _min_energy_gain,
     min_power_for_target,
     reliability_margin,
-    upper_blocklength,
 )
+from elid_urllc.oracles import _bounded_vectors
 
 
 def largest_affordable_margin(energy_at, margin_floor, budget):
@@ -40,7 +38,7 @@ def largest_affordable_margin(energy_at, margin_floor, budget):
     by expanding upward from margin_floor and then bisecting; returns
     (g, number of energy_at calls).
 
-    The scalar form of allocators._largest_affordable_margins, which the
+    The scalar form of oracles._largest_affordable_margins, which the
     reference searches below use. energy_at must be nondecreasing in g,
     and the caller has checked that the budget covers margin_floor.
     """
@@ -279,7 +277,7 @@ def reference_brute_force_minmax(scenario):
     d = cfg.payload_bits
     m_total = cfg.symbol_budget
     floors = _minmax_floors(scenario)
-    ceilings = [upper_blocklength(floors, i, m_total) for i in range(len(floors))]
+    ceilings = [m_total - (sum(floors) - f) for f in floors]
     gains = [link.norm_gain for link in scenario.links]
     best_m, best_g = None, -math.inf
     for m_vec in _bounded_vectors(floors, ceilings, m_total):
@@ -296,10 +294,16 @@ def reference_brute_force_minmax(scenario):
     return best_m, best_g
 
 
+def reference_link_distance(position, road_length, mount_height):
+    """Euclidean distance from the elevated unit (road midpoint, raised
+    by mount_height) to a vehicle at the given position along the road."""
+    return math.hypot(position - road_length / 2.0, mount_height)
+
+
 def reference_rician_power_gain(k_db, rng, size=None):
-    """The two-normal form channel_model.rician_power_gain replaced:
-    one normal(0, sqrt(1/2), size) call for the real parts, then one for
-    the imaginary parts."""
+    """The two-normal Rician fading draw channel_model once made: one
+    normal(0, sqrt(1/2), size) call for the real parts, then one for the
+    imaginary parts."""
     if not math.isfinite(k_db):
         raise ValueError(f"k_db must be finite, got {k_db!r}")
     k = 10.0 ** (k_db / 10.0)
@@ -323,7 +327,9 @@ def reference_sample_scenario(config, n_vehicles, seed):
     links = []
     for vehicle_id, rng in enumerate(rngs):
         position = float(rng.uniform(0.0, config.road_length))
-        distance = link_distance(position, config.road_length, config.mount_height)
+        distance = reference_link_distance(
+            position, config.road_length, config.mount_height
+        )
         loss_db = path_loss_db(distance)
         fading = reference_rician_power_gain(config.rician_k_db, rng)
         norm_gain = 10.0 ** (-loss_db / 10.0) * fading / sigma2

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from elid_urllc.allocators import (
-    brute_force_energy,
     solve_power_minmax_fixed_m,
     solve_symbols_minmax_fixed_p,
     symbol_sharing,
@@ -37,6 +36,7 @@ from elid_urllc.fbl_core import (
     reliability_margin,
     shannon_capacity,
 )
+from elid_urllc.oracles import brute_force_energy
 from oracle_utils import (
     grid_oracle_minmax_two_vehicles,
     make_scenario,

@@ -2,16 +2,17 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from elid_urllc import allocators, fbl_core
+from elid_urllc import allocators, fbl_core, oracles
 from elid_urllc.allocators import (
     Allocation,
     _build_report,
-    brute_force_energy,
-    brute_force_minmax,
     equal_allocation_energy,
     min_energy_fixed_m,
     solve_joint_minmax,
@@ -28,6 +29,7 @@ from elid_urllc.fbl_core import (
     q_inverse,
     reliability_margin,
 )
+from elid_urllc.oracles import brute_force_energy, brute_force_minmax
 from oracle_utils import (
     compositions,
     feasible_joint_instance,
@@ -47,31 +49,34 @@ G_TARGET_1E9 = 5.9978070150076869
 class TestMinEnergyFixedM:
     def test_worked_value(self):
         scenario = make_scenario([1.0])
-        powers, total = min_energy_fixed_m(scenario, [100], G_TARGET_1E9)
+        powers, total = min_energy_fixed_m(scenario, [100])
         assert powers[0] == pytest.approx(4.5224201125597291, rel=1e-12)
         assert total == pytest.approx(452.24201125597291, rel=1e-12)
 
     def test_unity_snr_point(self):
-        scenario = make_scenario([4.0, 0.5], payload_bits=160)
-        powers, _ = min_energy_fixed_m(scenario, [160, 160], 0.0)
+        # eps = 0.5 is margin 0
+        scenario = make_scenario([4.0, 0.5], payload_bits=160, target_eps=0.5)
+        powers, _ = min_energy_fixed_m(scenario, [160, 160])
         assert powers[0] == pytest.approx(0.25, abs=1e-12)
         assert powers[1] == pytest.approx(2.0, abs=1e-12)
 
     def test_symmetry(self):
         scenario = make_scenario([0.7, 0.7])
-        powers, _ = min_energy_fixed_m(scenario, [80, 80], G_TARGET_1E9)
+        powers, _ = min_energy_fixed_m(scenario, [80, 80])
         assert powers[0] == powers[1]
 
     def test_default_target_from_config(self):
-        scenario = make_scenario([2.0], target_eps=1e-9)
-        explicit = min_energy_fixed_m(scenario, [64], q_inverse(1e-9))
-        implicit = min_energy_fixed_m(scenario, [64])
-        assert implicit == explicit
+        # the target margin is the config's q_inverse(target_eps)
+        for eps in (1e-9, 1e-5, 0.5):
+            scenario = make_scenario([2.0], target_eps=eps)
+            powers, total = min_energy_fixed_m(scenario, [64])
+            assert powers == (min_power_for_target(2.0, 64, 160, q_inverse(eps)),)
+            assert total == powers[0] * 64
 
     def test_length_mismatch(self):
         scenario = make_scenario([1.0, 1.0])
         with pytest.raises(ValueError):
-            min_energy_fixed_m(scenario, [100], 0.0)
+            min_energy_fixed_m(scenario, [100])
 
 
 class TestSymbolSharing:
@@ -92,8 +97,8 @@ class TestSymbolSharing:
 
     def test_ten_to_one_gain_ratio_matches_brute_force(self):
         scenario = make_scenario([1.0, 0.1], symbol_budget=200, payload_bits=160)
-        report = symbol_sharing(scenario, G_TARGET_1E9)
-        oracle = brute_force_energy(scenario, G_TARGET_1E9)
+        report = symbol_sharing(scenario)
+        oracle = brute_force_energy(scenario)
         assert report.total_energy == pytest.approx(oracle.total_energy, rel=1e-9)
         assert report.allocation.blocklengths == oracle.allocation.blocklengths
 
@@ -143,8 +148,8 @@ class TestSymbolSharing:
         scaled = make_scenario(
             [g * scale for g in gains], symbol_budget=300, energy_budget=10.0 / scale
         )
-        a = symbol_sharing(base, G_TARGET_1E9)
-        b = symbol_sharing(scaled, G_TARGET_1E9)
+        a = symbol_sharing(base)
+        b = symbol_sharing(scaled)
         assert a.allocation.blocklengths == b.allocation.blocklengths
         for pa, pb in zip(a.allocation.powers, b.allocation.powers):
             assert pb == pytest.approx(pa / scale, rel=1e-12)
@@ -155,10 +160,18 @@ class TestSymbolSharing:
             symbol_sharing(scenario)
 
     def test_default_target_matches_explicit(self):
-        scenario = sample_scenario(SystemConfig(), 3, seed=5)
-        implicit = symbol_sharing(scenario)
-        explicit = symbol_sharing(scenario, q_inverse(1e-9))
-        assert implicit == explicit
+        # every link meets the config's target margin q_inverse(target_eps)
+        # with the closed-form power at its blocklength
+        for eps in (1e-9, 1e-3):
+            scenario = sample_scenario(SystemConfig(target_eps=eps), 3, seed=5)
+            report = symbol_sharing(scenario)
+            g = q_inverse(eps)
+            assert report.allocation.powers == tuple(
+                min_power_for_target(link.norm_gain, m, 160, g)
+                for link, m in zip(scenario.links, report.allocation.blocklengths)
+            )
+            for margin in report.margins:
+                assert margin.g == pytest.approx(g, rel=1e-9)
 
     def test_floors_summing_past_budget_are_infeasible(self):
         # With the whole energy budget each link still needs 150 symbols
@@ -174,8 +187,8 @@ class TestSymbolSharing:
         # At D=2500 the required SNR overflows for m <= 2, so the first
         # step of each vehicle goes from inf to inf and must still be taken.
         scenario = make_scenario([1.0, 2.0], symbol_budget=7, payload_bits=2500)
-        report = symbol_sharing(scenario, G_TARGET_1E9)
-        oracle = brute_force_energy(scenario, G_TARGET_1E9)
+        report = symbol_sharing(scenario)
+        oracle = brute_force_energy(scenario)
         assert report.allocation.blocklengths == oracle.allocation.blocklengths == (4, 3)
         assert report.total_energy == pytest.approx(oracle.total_energy, rel=1e-9)
 
@@ -308,7 +321,7 @@ class TestEqualAllocation:
 class TestBruteForceEnergy:
     def test_single_vehicle_scan(self):
         scenario = make_scenario([0.05], symbol_budget=400, payload_bits=160)
-        report = brute_force_energy(scenario, G_TARGET_1E9)
+        report = brute_force_energy(scenario)
         # independent scan with the closed-form power
         best_m, best_e = None, math.inf
         for m in range(1, 401):
@@ -548,9 +561,9 @@ class TestSymbolsMinmaxFixedP:
         assert report.total_energy == pytest.approx(10.0, rel=1e-12)
 
     def test_power_above_budget_refused(self):
-        scenario = sample_scenario(SystemConfig(), 2, seed=3)
+        scenario = sample_scenario(SystemConfig(common_power=1.0), 2, seed=3)
         with pytest.raises(InfeasibleError):
-            solve_symbols_minmax_fixed_p(scenario, p_common=1.0)
+            solve_symbols_minmax_fixed_p(scenario)
 
     def test_trace_worst_margin_nondecreasing(self):
         scenario = sample_scenario(SystemConfig(), 5, seed=12)
@@ -755,6 +768,9 @@ class TestBruteForceMinmaxGuards:
         for scenario, local in zip(instances, expected):
             oracle = brute_force_minmax(scenario)
             assert oracle.worst_margin.g == pytest.approx(local.worst_margin.g, abs=1e-6)
+        # a name the oracles bound themselves would escape the patch above
+        for name in ("_split_margin", "_least_energy_split"):
+            assert not hasattr(oracles, name), name
 
     def test_matches_scalar_bisection(self):
         # every candidate stepped at once must pick the split and margin
@@ -772,10 +788,27 @@ class TestBruteForceMinmaxGuards:
 
     def test_empty_enumeration_raises(self, monkeypatch):
         # an explicit check, so it also holds under python -O
-        monkeypatch.setattr(allocators, "_bounded_vectors", lambda *args: iter(()))
+        monkeypatch.setattr(oracles, "_bounded_vectors", lambda *args: iter(()))
         scenario = make_scenario([1e3], symbol_budget=40, payload_bits=32)
         with pytest.raises(RuntimeError, match="no blocklength vector"):
             brute_force_minmax(scenario)
+
+
+class TestOraclesStayOutOfTheProduct:
+    def test_package_import_leaves_oracles_unloaded(self):
+        # solves and sweeps never load the oracles; only oracle-check does
+        code = (
+            "import sys, elid_urllc, elid_urllc.experiments, elid_urllc.cli; "
+            "print('elid_urllc.oracles' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestReportInvariants:

