@@ -6,6 +6,9 @@ tests never depend on the implementation under test for ground truth.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -68,6 +71,23 @@ QINV_TABLE = [
     (0.25, 0.67448975019608174),
 ]
 
+# log10(Q(g)) on each branch of fbl_core._log_q and at its seams: g < 0
+# (log1p), 0 <= g < 30 (erfc) and g >= 30 (asymptotic series).
+LOG10Q_BRANCH_TABLE = [
+    (-37.0, -2.4865839876864793e-300),
+    (-8.0, -2.7017288495439213e-16),
+    (-6.0, -4.2846957036515783e-10),
+    (-1.0, -0.075026012957818023),
+    (-1e-3, -0.30068361702647339),
+    (0.0, -0.3010299956639812),
+    (1e-3, -0.30137665078193906),
+    (29.99, -197.17879816294032),
+    (30.0, -197.30920926166095),
+    (30.01, -197.43966374189358),
+    (37.0, -299.24218117860992),
+    (1e4, -21714728.49425253),
+]
+
 G_TARGET_1E9 = 5.9978070150076869
 
 
@@ -103,6 +123,11 @@ class TestQInverse:
     def test_median(self):
         assert q_inverse(0.5) == 0.0
 
+    def test_default_target_is_bit_exact(self):
+        # every figure CSV and default report keeps its margins only if
+        # the default target margin is this exact double
+        assert q_inverse(1e-9) == G_TARGET_1E9
+
     def test_round_trip(self):
         rng = np.random.default_rng(20260304)
         eps_grid = np.concatenate(
@@ -132,6 +157,24 @@ class TestEpsLog10:
         for x, q in Q_TABLE:
             assert eps_log10_from_margin(x) == pytest.approx(math.log10(q), rel=1e-12)
 
+    def test_branch_and_seam_oracle_table(self):
+        # abs=0: the g < 0 values are tiny, so approx's default 1e-12
+        # absolute tolerance would accept any of them
+        for g, log10q in LOG10Q_BRANCH_TABLE:
+            assert eps_log10_from_margin(g) == pytest.approx(log10q, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("seam", [0.0, 30.0])
+    def test_strictly_decreasing_across_branch_seams(self, seam):
+        gs = np.linspace(seam - 1.0, seam + 1.0, 4001)
+        values = [eps_log10_from_margin(float(g)) for g in gs]
+        assert all(a > b for a, b in zip(values, values[1:]))
+
+    def test_series_seam_has_no_step(self):
+        below = eps_log10_from_margin(math.nextafter(30.0, 0.0))
+        at = eps_log10_from_margin(30.0)
+        assert below >= at
+        assert below == pytest.approx(at, rel=1e-13, abs=0.0)
+
     def test_finite_for_extreme_margins(self):
         assert math.isfinite(eps_log10_from_margin(1e6))
         assert math.isfinite(eps_log10_from_margin(-1e6))
@@ -139,6 +182,25 @@ class TestEpsLog10:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             eps_log10_from_margin(math.inf)
+
+
+class TestScipyStaysOutOfTheProduct:
+    def test_package_import_leaves_scipy_unloaded(self):
+        # the package's Gaussian tail math is standard library only
+        code = (
+            "import sys, elid_urllc, elid_urllc.experiments, elid_urllc.cli, "
+            "elid_urllc.oracles; "
+            "print(sorted(name for name in sys.modules "
+            "if name == 'scipy' or name.startswith('scipy.')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.stdout.strip() == "[]"
 
 
 class TestCapacityAndDispersion:
