@@ -1,0 +1,49 @@
+"""Behaviour gate: every solver's answers on a fixed block of requests.
+
+No figure preset runs the joint min-max solver, so the figure hashes do
+not cover it. This pins the answers of all five solvers instead: the
+blocklengths, the exact powers (float.hex) and the worst margin of each
+report, or "infeasible". iterations and trace are left out, because a
+faster solve may take fewer rounds to the same answer.
+"""
+
+import hashlib
+
+from elid_urllc.channel_model import SystemConfig, sample_scenario
+from elid_urllc.exceptions import InfeasibleError
+from elid_urllc.experiments import SOLVER_NAMES, run_solver
+
+SOLVER_ANSWERS_SHA256 = "6aa5282a14a82599e93a7015fc86b0187d5b3150b0d121a6d4ea8ccb59048c3a"
+
+
+def _block():
+    """100 requests at M=200 and 20 at M=1000, n = 1..10 in turn."""
+    for m_total, count in ((200, 100), (1000, 20)):
+        config = SystemConfig(symbol_budget=m_total)
+        for i in range(count):
+            yield sample_scenario(config, i % 10 + 1, seed=i)
+
+
+def _answer(solver, scenario) -> str:
+    try:
+        report = run_solver(solver, scenario)
+    except InfeasibleError:
+        return f"{solver} infeasible"
+    allocation = report.allocation
+    return " ".join(
+        [solver, repr(allocation.blocklengths)]
+        + [p.hex() for p in allocation.powers]
+        + [report.worst_margin.g.hex()]
+    )
+
+
+def solver_answers_digest() -> str:
+    digest = hashlib.sha256()
+    for scenario in _block():
+        for solver in SOLVER_NAMES:
+            digest.update(_answer(solver, scenario).encode("utf-8") + b"\n")
+    return digest.hexdigest()
+
+
+def test_solver_answers_hash():
+    assert solver_answers_digest() == SOLVER_ANSWERS_SHA256
