@@ -287,9 +287,40 @@ class TestLeastEnergySplitTables:
         info = allocators._split_tables.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert symbol_sharing(scenario) == first
-        # the joint solver's rounds leave the cache alone
-        solve_joint_minmax(feasible_joint_instance(np.random.default_rng(5)))
-        assert allocators._split_tables.cache_info().currsize == 1
+        # the joint solver adds only its start split's (D, q_inverse(eps), M)
+        # tables; its later rounds build theirs outside the cache
+        joint = feasible_joint_instance(np.random.default_rng(5))
+        cfg = joint.config
+        solve_joint_minmax(joint)
+        info = allocators._split_tables.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (2, 2, 2)
+        solve_joint_minmax(joint)
+        info = allocators._split_tables.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (2, 2, 3)
+        for key in (
+            (160, G_TARGET_1E9, 200),
+            (cfg.payload_bits, q_inverse(cfg.target_eps), cfg.symbol_budget),
+        ):
+            allocators._split_tables(*key)
+        assert allocators._split_tables.cache_info().misses == 2
+
+    @pytest.mark.parametrize("m_total", [1, 2, 200, 1000, 5000])
+    def test_table_from_cached_axes_matches_inline_formula(self, m_total):
+        ms = np.arange(1, m_total + 1, dtype=float)
+        for payload_bits in (1, 32, 160, 1024 * m_total):
+            for g in (-40.0, 0.0, 6.0, 26.0, 600.0):
+                exponent = LN2 * payload_bits / ms + g / np.sqrt(ms)
+                with np.errstate(over="ignore"):
+                    inline = np.where(exponent > 709.0, np.inf, ms * np.expm1(exponent))
+                inline = np.maximum(inline, 0.0)
+                table = allocators._energy_gain_table(payload_bits, g, m_total)
+                assert np.array_equal(table, inline), (payload_bits, g, m_total)
+        # the overflow region is covered: D = 1024 * M overflows at every m
+        assert np.all(np.isinf(allocators._energy_gain_table(1024 * m_total, 6.0, m_total)))
+        for axis in allocators._table_axes(160, m_total):
+            assert not axis.flags.writeable
+            with pytest.raises(ValueError):
+                axis[0] = 0.0
 
     def test_cached_tables_reject_writes(self):
         table, steps, _ = allocators._split_tables(160, G_TARGET_1E9, 200)
@@ -729,6 +760,31 @@ class TestJointMinmax:
             assert len(calls) <= 8
             assert report.iterations == len(report.trace) == len(calls)
             assert [g for _, g in report.trace] == sorted(g for _, g in report.trace)
+
+    def test_starts_from_the_cached_target_split(self, monkeypatch):
+        # Starting at the target margin's cached split saves a table build
+        # and about a round per solve at M=200 (3.20 builds per solve from
+        # the floors, 1.92 from the target split).
+        builds = []
+        build = allocators._build_split_tables
+
+        def counted(*args):
+            builds.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(allocators, "_build_split_tables", counted)
+        allocators._split_tables.cache_clear()
+        solves = 0
+        for i in range(200):
+            scenario = sample_scenario(SystemConfig(), i % 10 + 1, seed=i)
+            try:
+                solve_joint_minmax(scenario)
+            except InfeasibleError:
+                continue
+            solves += 1
+        misses = allocators._split_tables.cache_info().misses
+        assert solves >= 150
+        assert (len(builds) + misses) / solves <= 2.0
 
     def test_infeasible_energy_budget(self):
         scenario = make_scenario([1e-9], symbol_budget=40, energy_budget=1e-3)
