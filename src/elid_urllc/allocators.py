@@ -111,7 +111,12 @@ class SolveReport:
     trace: tuple[tuple[int, float], ...]
     converged: bool
     solver_name: str
-    clamped: tuple[int, ...] = ()
+
+    @property
+    def clamped(self) -> tuple[int, ...]:
+        """Ids of the vehicles at zero power: their target is already met
+        with no energy, so the closed form clamps their power at zero."""
+        return tuple(i for i, p in enumerate(self.allocation.powers) if p == 0.0)
 
 
 def _check_symbol_cover(m_total: int, n: int) -> None:
@@ -137,7 +142,6 @@ def _build_report(
     iterations: int,
     trace,
     converged: bool,
-    clamped: tuple[int, ...] = (),
     enforce_energy_budget: bool,
 ) -> SolveReport:
     cfg = scenario.config
@@ -173,7 +177,6 @@ def _build_report(
         trace=tuple(trace),
         converged=converged,
         solver_name=solver_name,
-        clamped=clamped,
     )
 
 
@@ -189,7 +192,9 @@ def min_energy_fixed_m(
 
     Per vehicle the binding constraint is solved in closed form, so the
     result is exact (clamped at zero where the target is already met).
-    Returns (powers, total_energy).
+    Returns (powers, total_energy). Raises InfeasibleError when the total
+    is not finite: no finite energy meets the target at these
+    blocklengths.
     """
     gt = q_inverse(scenario.config.target_eps)
     m_vec = [int(m) for m in blocklengths]
@@ -202,26 +207,34 @@ def min_energy_fixed_m(
         min_power_for_target(link.norm_gain, m, d, gt)
         for link, m in zip(scenario.links, m_vec)
     )
-    total = math.fsum(p * m for p, m in zip(powers, m_vec))
+    try:
+        total = math.fsum(p * m for p, m in zip(powers, m_vec))
+    except OverflowError:  # finite energies summing past the float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise InfeasibleError(
+            "no finite-energy allocation exists within the symbol budget "
+            "for this reliability target"
+        )
     return powers, total
 
 
-def _blocklength_floors(scenario: Scenario) -> list[int]:
-    """Energy-solver floors: the energy-feasibility blocklength bound
-    where it exists, else the trivial floor of one symbol.
+def _energy_floors(scenario: Scenario) -> list[int | None]:
+    """Each link's energy-feasibility blocklength bound: the least m <= M
+    at which the energy budget affords a positive margin
+    (min_blocklength), or None where no m <= M does.
 
-    The energy objective itself carries no budget, so a link that cannot
-    meet the configured energy budget at any blocklength still gets the
-    lenient floor instead of an infeasibility error.
+    The min-max solvers raise on None (_minmax_floors). The energy
+    objective itself carries no budget, so the energy solvers take the
+    trivial floor of one symbol there instead of an infeasibility error.
     """
     cfg = scenario.config
-    floors = []
-    for link in scenario.links:
-        bound = min_blocklength(
+    return [
+        min_blocklength(
             link.norm_gain * cfg.energy_budget, cfg.payload_bits, cfg.symbol_budget
         )
-        floors.append(bound if bound is not None else 1)
-    return floors
+        for link in scenario.links
+    ]
 
 
 def _check_floor_sum(floors: list[int], m_total: int) -> None:
@@ -336,11 +349,11 @@ def symbol_sharing(scenario: Scenario) -> SolveReport:
     repeated solves of one configuration build them once. The powers are
     the closed-form minimum at those blocklengths. Raises
     InfeasibleError when the floors sum past the symbol budget or no
-    split has finite energy.
+    split has finite energy (min_energy_fixed_m).
     """
     cfg = scenario.config
     gt = q_inverse(cfg.target_eps)
-    floors = _blocklength_floors(scenario)
+    floors = [1 if m is None else m for m in _energy_floors(scenario)]
     _check_floor_sum(floors, cfg.symbol_budget)
     m_vec, _ = _least_energy_split(
         _split_tables(cfg.payload_bits, gt, cfg.symbol_budget),
@@ -348,11 +361,6 @@ def symbol_sharing(scenario: Scenario) -> SolveReport:
         floors,
     )
     powers, energy = min_energy_fixed_m(scenario, m_vec)
-    if not math.isfinite(energy):
-        raise InfeasibleError(
-            "no finite-energy allocation exists within the symbol budget "
-            "for this reliability target"
-        )
     return _build_report(
         scenario,
         powers,
@@ -366,7 +374,8 @@ def symbol_sharing(scenario: Scenario) -> SolveReport:
 
 
 def equal_allocation_energy(scenario: Scenario) -> tuple[Allocation, float]:
-    """Baseline: equal symbol split, closed-form powers at the target margin."""
+    """Baseline: equal symbol split, closed-form powers at the target margin.
+    Raises InfeasibleError when M < n or no finite energy meets the target."""
     m_vec = _equal_split(scenario.config.symbol_budget, scenario.n_vehicles)
     powers, total = min_energy_fixed_m(scenario, m_vec)
     allocation = Allocation(powers=powers, blocklengths=tuple(m_vec))
@@ -389,8 +398,7 @@ def _minmax_report(
     converged: bool = True,
 ) -> SolveReport:
     """Report of a min-max answer: the closed-form powers for margin g at
-    these blocklengths, with the zero-power vehicles flagged as clamped,
-    held to the energy budget."""
+    these blocklengths, held to the energy budget."""
     d = scenario.config.payload_bits
     powers = [min_power_for_target(h, m, d, g) for h, m in zip(gains, blocklengths)]
     return _build_report(
@@ -401,7 +409,6 @@ def _minmax_report(
         iterations=iterations,
         trace=trace,
         converged=converged,
-        clamped=tuple(i for i, p in enumerate(powers) if p == 0.0),
         enforce_energy_budget=True,
     )
 
@@ -506,18 +513,14 @@ def _minmax_floors(scenario: Scenario) -> list[int]:
     """Per-vehicle blocklength floors for the budgeted min-max problem;
     raises InfeasibleError naming the binding constraint."""
     cfg = scenario.config
-    floors = []
-    for link in scenario.links:
-        bound = min_blocklength(
-            link.norm_gain * cfg.energy_budget, cfg.payload_bits, cfg.symbol_budget
-        )
-        if bound is None:
+    floors = _energy_floors(scenario)
+    for link, floor in zip(scenario.links, floors):
+        if floor is None:
             raise InfeasibleError(
                 f"vehicle {link.vehicle_id}: the energy budget "
                 f"{cfg.energy_budget:.6g} J cannot support any blocklength "
                 f"up to {cfg.symbol_budget} at its channel gain"
             )
-        floors.append(bound)
     _check_floor_sum(floors, cfg.symbol_budget)
     return floors
 

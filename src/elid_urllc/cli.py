@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -27,16 +28,7 @@ from .experiments import (
     write_csv,
 )
 
-_INT_FIELDS = ("payload_bits", "symbol_budget", "max_vehicles")
-_FLOAT_FIELDS = (
-    "energy_budget",
-    "target_eps",
-    "bandwidth",
-    "noise_psd_dbm_hz",
-    "road_length",
-    "mount_height",
-    "rician_k_db",
-)
+_CONFIG_TYPES = typing.get_type_hints(SystemConfig)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,16 +42,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _coerce_config_value(key: str, raw: str, where: str):
+    """Parse raw as the key's annotated type; an optional key (X | None)
+    also takes "none"."""
+    if key not in _CONFIG_TYPES:
+        raise ConfigError(f"{where}: unknown config key {key!r}")
+    kinds = typing.get_args(_CONFIG_TYPES[key]) or (_CONFIG_TYPES[key],)
+    if type(None) in kinds and raw.lower() == "none":
+        return None
     try:
-        if key in _INT_FIELDS:
-            return int(raw)
-        if key in _FLOAT_FIELDS:
-            return float(raw)
-        if key == "common_power":
-            return None if raw.lower() == "none" else float(raw)
+        return kinds[0](raw)
     except ValueError:
         raise ConfigError(f"{where}: could not parse {key}={raw!r}") from None
-    raise ConfigError(f"{where}: unknown config key {key!r}")
 
 
 def _read_config_file(path: str) -> dict:

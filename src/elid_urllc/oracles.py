@@ -20,9 +20,9 @@ import numpy as np
 from .allocators import (
     _REL_IMPROVEMENT,
     SolveReport,
-    _blocklength_floors,
     _build_report,
     _check_symbol_cover,
+    _energy_floors,
     _energy_gain_table,
     _minmax_floors,
     _minmax_report,
@@ -53,7 +53,7 @@ def brute_force_energy(scenario: Scenario) -> SolveReport:
     _check_symbol_cover(m_total, n)
     gt = q_inverse(cfg.target_eps)
     d = cfg.payload_bits
-    floors = _blocklength_floors(scenario)
+    floors = [1 if m is None else m for m in _energy_floors(scenario)]
 
     required = _energy_gain_table(d, gt, m_total)
     # energy_tables[i][k] = energy for vehicle i at blocklength k+1

@@ -1,5 +1,6 @@
 """Tests for the allocation solvers and their brute-force oracles."""
 
+import ast
 import dataclasses
 import math
 import os
@@ -77,6 +78,14 @@ class TestMinEnergyFixedM:
         scenario = make_scenario([1.0, 1.0])
         with pytest.raises(ValueError):
             min_energy_fixed_m(scenario, [100])
+
+    def test_unreachable_target_is_infeasible(self):
+        # one overflowing power, and two finite energies of about 1e308
+        # each whose sum overflows
+        for gains, payload_bits in (([1.0], 300_000), ([0.7, 0.7], 1014)):
+            scenario = make_scenario(gains, symbol_budget=2, payload_bits=payload_bits)
+            with pytest.raises(InfeasibleError, match="no finite-energy allocation"):
+                min_energy_fixed_m(scenario, [1] * len(gains))
 
 
 class TestSymbolSharing:
@@ -935,6 +944,52 @@ class TestReportInvariants:
                 iterations=1, trace=(), converged=True,
                 enforce_energy_budget=True,
             )
+
+    def test_budget_breach_raises_under_python_optimize(self):
+        # the same two breaches in a python -O process, where asserts are
+        # compiled out
+        code = (
+            "import sys\n"
+            "from elid_urllc.allocators import _build_report\n"
+            "from elid_urllc.channel_model import SystemConfig, sample_scenario\n"
+            "scenario = sample_scenario(SystemConfig(), 2, seed=0)\n"
+            "for powers, m_vec, enforce in (\n"
+            "    ([0.1, 0.1], [100, 101], False), ([1.0, 1.0], [100, 100], True)\n"
+            "):\n"
+            "    try:\n"
+            "        _build_report(scenario, powers, m_vec, solver_name='probe',\n"
+            "                      iterations=1, trace=(), converged=True,\n"
+            "                      enforce_energy_budget=enforce)\n"
+            "    except RuntimeError as exc:\n"
+            "        print(exc)\n"
+            "print('optimize', sys.flags.optimize)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        symbols, energy, optimize = done.stdout.splitlines()
+        assert "blocklengths sum to 201" in symbols
+        assert "exceeds the energy budget" in energy
+        assert optimize == "optimize 1"
+
+    def test_package_has_no_assert_statements(self):
+        # python -O strips asserts, so no invariant may rest on one
+        package = os.path.dirname(allocators.__file__)
+        found = []
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name), encoding="utf-8") as handle:
+                    tree = ast.parse(handle.read(), filename=name)
+                found += [
+                    f"{name}:{node.lineno}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Assert)
+                ]
+        assert found == []
 
     def test_allocation_validation(self):
         with pytest.raises(ValueError):

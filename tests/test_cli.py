@@ -71,6 +71,39 @@ class TestParseConfig:
             parse_config(path)
 
 
+def _set_config(*items):
+    argv = ["solve"]
+    for item in items:
+        argv += ["--set", item]
+    return cli._load_config(build_parser().parse_args(argv))
+
+
+class TestConfigKeys:
+    """Each key parses as its SystemConfig annotation says."""
+
+    def test_every_default_round_trips(self):
+        items = [f"{f.name}={f.default}" for f in dataclasses.fields(SystemConfig)]
+        assert _set_config(*items) == SystemConfig()
+
+    def test_none_only_for_the_optional_key(self):
+        for field in dataclasses.fields(SystemConfig):
+            if field.name == "common_power":
+                assert _set_config("common_power=none").common_power is None
+                continue
+            with pytest.raises(ConfigError, match=f"could not parse {field.name}='none'"):
+                _set_config(f"{field.name}=none")
+
+    def test_messages_keep_their_text(self):
+        with pytest.raises(ConfigError) as unknown:
+            _set_config("bogus=1")
+        assert str(unknown.value) == "--set 'bogus=1': unknown config key 'bogus'"
+        with pytest.raises(ConfigError) as unparsed:
+            _set_config("payload_bits=1.5")
+        assert str(unparsed.value) == (
+            "--set 'payload_bits=1.5': could not parse payload_bits='1.5'"
+        )
+
+
 class TestExitCodes:
     def test_solve_success(self, tmp_path):
         out = tmp_path / "r.txt"
@@ -104,6 +137,15 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "infeasible: symbol budget 2 cannot cover 3 vehicles" in err
+
+    def test_unreachable_target_is_two_for_both_energy_solvers(self, tmp_path, capsys):
+        for solver in ("symbol_sharing", "equal_allocation"):
+            code = main(
+                ["solve", "--solver", solver, "--set", "payload_bits=300000",
+                 "--out", str(tmp_path / "r.txt")]
+            )
+            assert code == 2
+            assert "infeasible: no finite-energy allocation" in capsys.readouterr().err
 
     def test_usage_errors_are_one(self, capsys):
         assert main(["solve", "--no-such-flag"]) == 1
@@ -165,6 +207,18 @@ class TestSolveCommand:
         assert sum(blocklengths) <= 200
         assert len(report["powers"].split(",")) == 3
         capsys.readouterr()
+
+    def test_zero_power_vehicles_are_flagged(self, tmp_path, capsys):
+        # one payload bit at eps 0.6 costs no energy at these blocklengths
+        out = tmp_path / "r.txt"
+        for solver in ("symbol_sharing", "equal_allocation"):
+            code = main(
+                ["solve", "--n", "3", "--solver", solver, "--set", "payload_bits=1",
+                 "--set", "target_eps=0.6", "--out", str(out)]
+            )
+            assert code == 0
+            assert capsys.readouterr().out.count("[zero-power]") == 3
+            assert read_report(out)["clamped"] == "0,1,2"
 
     def test_precedence_file_then_set(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -260,6 +314,18 @@ class TestSweepCommand:
         assert len(rows) == 6
         assert all(row[4] == "infeasible" for row in rows if row[1] == "3")
         assert all(row[4] != "infeasible" for row in rows if row[1] == "200")
+        capsys.readouterr()
+
+    def test_unreachable_target_rows_are_infeasible(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = main(
+            ["sweep", "--solver", "equal_allocation", "--values", "1,2",
+             "--seeds", "2", "--set", "payload_bits=300000", "--out", str(out)]
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 4
+        assert all(row[4] == "infeasible" for row in rows)
         capsys.readouterr()
 
     def test_energy_saved_takes_no_solver_modifier(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from elid_urllc.allocators import symbol_sharing
 from elid_urllc.channel_model import SystemConfig, sample_scenario
+from elid_urllc.exceptions import InfeasibleError
 from elid_urllc.experiments import (
     METRIC_UNITS,
     SOLVER_NAMES,
@@ -204,6 +205,38 @@ class TestRunSolver:
         scenario = sample_scenario(SystemConfig(energy_budget=1000.0), 3, seed=7)
         report = run_solver("power_minmax_fixed_m", scenario)
         assert sorted(report.allocation.blocklengths, reverse=True) == [67, 67, 66]
+
+    def test_unreachable_target_is_infeasible_for_both_energy_solvers(self):
+        # 300000 bits in 200 symbols: every power overflows
+        scenario = sample_scenario(SystemConfig(payload_bits=300_000), 1, seed=0)
+        for solver in ("symbol_sharing", "equal_allocation"):
+            with pytest.raises(InfeasibleError, match="no finite-energy allocation"):
+                run_solver(solver, scenario)
+
+    def test_energy_solvers_flag_zero_power_vehicles(self):
+        # one payload bit at eps 0.6 (a negative margin) costs no energy
+        config = SystemConfig(payload_bits=1, target_eps=0.6)
+        scenario = sample_scenario(config, 3, seed=0)
+        for solver in ("symbol_sharing", "equal_allocation"):
+            report = run_solver(solver, scenario)
+            assert report.allocation.powers == (0.0, 0.0, 0.0)
+            assert report.clamped == (0, 1, 2)
+
+    def test_clamped_lists_the_zero_power_vehicles(self):
+        zero_powers = 0
+        for config in (SystemConfig(), SystemConfig(payload_bits=1, target_eps=0.6)):
+            for i in range(20):
+                scenario = sample_scenario(config, i % 5 + 1, seed=i)
+                for solver in SOLVER_NAMES:
+                    try:
+                        report = run_solver(solver, scenario)
+                    except InfeasibleError:
+                        continue
+                    powers = report.allocation.powers
+                    zeros = tuple(k for k, p in enumerate(powers) if p == 0.0)
+                    assert report.clamped == zeros
+                    zero_powers += len(zeros)
+        assert zero_powers > 0
 
 
 class TestEnergySavedPercent:
