@@ -28,14 +28,11 @@ energy to spare affords a strictly larger g, and least energy rises
 strictly in g, so when the split stops saving energy no larger g fits E;
 there are finitely many splits, so this takes a few rounds. They start
 from the least-energy split at the target margin q_inverse(target_eps),
-whose tables symbol_sharing caches. Over 1000 requests at M=200 a solve
-takes 2.92 splits, 1.92 table builds and 13.9 Newton evaluations; a
-start from the floors takes 3.20 splits, 3.20 builds and 23.5
-evaluations. The fixed-m variant is one such Newton margin solve at its
-fixed blocklengths. The fixed-power variant grants each spare symbol to
-the worst link; margins rise strictly with blocklength, so that greedy
-is one stable sort of the margin matrix, the same merge the primitive
-makes of its savings.
+whose tables symbol_sharing caches. The fixed-m variant is one such
+Newton margin solve at its fixed blocklengths. The fixed-power variant
+grants each spare symbol to the worst link; margins rise strictly with
+blocklength, so that greedy is one stable sort of the margin matrix, the
+same merge the primitive makes of its savings.
 
 Every solver reads its targets from the scenario's config: the energy
 solvers meet margin q_inverse(target_eps), and the fixed-power solver
@@ -94,10 +91,6 @@ class Allocation:
             if not isinstance(m, int) or m < 1:
                 raise ValueError(f"blocklengths must be integers >= 1, got {m!r}")
 
-    @property
-    def n_vehicles(self) -> int:
-        return len(self.powers)
-
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -105,7 +98,6 @@ class SolveReport:
 
     allocation: Allocation
     margins: tuple[ReliabilityMargin, ...]
-    worst_margin: ReliabilityMargin
     total_energy: float
     iterations: int
     trace: tuple[tuple[int, float], ...]
@@ -117,6 +109,11 @@ class SolveReport:
         """Ids of the vehicles at zero power: their target is already met
         with no energy, so the closed form clamps their power at zero."""
         return tuple(i for i, p in enumerate(self.allocation.powers) if p == 0.0)
+
+    @property
+    def worst_margin(self) -> ReliabilityMargin:
+        """The smallest per-vehicle margin, the first on ties."""
+        return min(self.margins, key=lambda margin: margin.g)
 
 
 def _check_symbol_cover(m_total: int, n: int) -> None:
@@ -153,7 +150,6 @@ def _build_report(
         reliability_margin(p * link.norm_gain, m, cfg.payload_bits)
         for link, p, m in zip(scenario.links, allocation.powers, allocation.blocklengths)
     )
-    worst = min(margins, key=lambda margin: margin.g)
     total_energy = math.fsum(
         p * m for p, m in zip(allocation.powers, allocation.blocklengths)
     )
@@ -171,7 +167,6 @@ def _build_report(
     return SolveReport(
         allocation=allocation,
         margins=margins,
-        worst_margin=worst,
         total_energy=total_energy,
         iterations=iterations,
         trace=tuple(trace),
@@ -334,7 +329,10 @@ def _least_energy_split(tables, gains, floors) -> tuple[list[int], float]:
         order = np.argsort(-savings, axis=None, kind="stable")[:spare]
         granted = order[savings.ravel()[order] > 0.0] // width
         m_vec = floors + np.bincount(granted, minlength=len(floors))
-    return m_vec.tolist(), float(np.sum(table[m_vec - 1] / gains))
+    # a sum past the float range reads as inf, as an inf entry does
+    with np.errstate(over="ignore"):
+        least = float(np.sum(table[m_vec - 1] / gains))
+    return m_vec.tolist(), least
 
 
 def symbol_sharing(scenario: Scenario) -> SolveReport:
@@ -413,9 +411,7 @@ def _minmax_report(
     )
 
 
-def solve_power_minmax_fixed_m(
-    scenario: Scenario, blocklengths, margin_floor: float = 0.0
-) -> SolveReport:
+def solve_power_minmax_fixed_m(scenario: Scenario, blocklengths) -> SolveReport:
     """Equalize reliability margins at fixed blocklengths.
 
     The min-max problem restricted to fixed blocklengths: the worst
@@ -423,10 +419,9 @@ def solve_power_minmax_fixed_m(
     margin, the largest g whose closed-form powers fit the budget, found
     by Newton steps on their energy (_split_margin, the joint solver's
     per-split step). iterations counts its energy evaluations. The
-    powers fit the budget with no slack. Vehicles whose constraint is
-    slack at zero power (possible only for negative margin floors) are
-    clamped and flagged. Raises InfeasibleError, giving that largest g,
-    when it is below margin_floor (default 0, i.e. eps 0.5).
+    powers fit the budget with no slack, and at g >= 0 every one is
+    positive. Raises InfeasibleError, giving that largest g, when it is
+    below margin 0 (eps 0.5).
     """
     cfg = scenario.config
     n = scenario.n_vehicles
@@ -440,16 +435,14 @@ def solve_power_minmax_fixed_m(
             f"blocklengths sum to {sum(m_vec)}, exceeding the symbol "
             f"budget {cfg.symbol_budget}"
         )
-    if not math.isfinite(margin_floor):
-        raise ValueError(f"margin_floor must be finite, got {margin_floor!r}")
     d = cfg.payload_bits
     budget = cfg.energy_budget
     gains = [link.norm_gain for link in scenario.links]
     g, evaluations = _split_margin(m_vec, gains, d, budget)
-    if g < margin_floor:
+    if g < 0.0:
         raise InfeasibleError(
             f"energy budget {budget:.6g} J affords at most margin g = {g:.6g} "
-            f"at these blocklengths, below the margin floor {margin_floor:.6g}"
+            "at these blocklengths, below the margin floor 0"
         )
     return _minmax_report(
         scenario,
@@ -590,8 +583,6 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
     cached tables symbol_sharing reads (_split_tables), and the first g
     is the one that split affords: any split within the floors and M
     affords a finite g, and this one is nearer the optimum than the
-    floors. Over 1000 requests at M=200 a solve takes 2.92 rounds, of
-    which 1.92 build a table, against 3.20 rounds and builds from the
     floors. A split that affords g with energy to spare affords a
     strictly larger g, so g rises strictly over the finitely many
     splits. The rounds stop when the split is unchanged or its least

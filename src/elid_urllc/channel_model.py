@@ -5,7 +5,10 @@ serves up to ten vehicles. Each vehicle sees log-distance path loss,
 unit-mean Rician fading (line of sight plus scatter), and thermal noise
 over the configured bandwidth. The composite per-link quantity the
 solvers consume is the normalized gain |h|^2 / sigma^2 in 1/W, so that
-snr = transmit_power * norm_gain.
+snr = transmit_power * norm_gain. A VehicleLink holds four fields:
+vehicle_id, distance, fading_power_gain and norm_gain. Its path loss is
+path_loss_db(distance) and its noise power is the config's
+noise_power(noise_psd_dbm_hz, bandwidth); neither is stored.
 """
 
 from __future__ import annotations
@@ -140,9 +143,7 @@ class VehicleLink:
 
     vehicle_id: int
     distance: float
-    path_loss_db: float
     fading_power_gain: float
-    noise_power: float
     norm_gain: float
 
     def __post_init__(self) -> None:
@@ -152,15 +153,12 @@ class VehicleLink:
         if not (
             0.0 < self.distance < math.inf
             and 0.0 < self.fading_power_gain < math.inf
-            and 0.0 < self.noise_power < math.inf
             and 0.0 < self.norm_gain < math.inf
         ):
-            for name in ("distance", "fading_power_gain", "noise_power", "norm_gain"):
+            for name in ("distance", "fading_power_gain", "norm_gain"):
                 value = getattr(self, name)
                 if not (math.isfinite(value) and value > 0.0):
                     raise ValueError(f"{name} must be positive, got {value!r}")
-        if not (math.isfinite(self.path_loss_db) and self.path_loss_db >= 0.0):
-            raise ValueError(f"path_loss_db must be >= 0, got {self.path_loss_db!r}")
 
 
 @dataclass(frozen=True)
@@ -333,13 +331,10 @@ def sample_scenario(
         # unit, raised mount_height above the road midpoint
         position = road_length * rng.random()
         distance = math.hypot(position - midpoint, mount_height)
-        loss_db = path_loss_db(distance)
         re, im = rng.standard_normal(2).tolist()
         fading = _fading_gain(los, scatter, re, im)
-        norm_gain = 10.0 ** (-loss_db / 10.0) * fading / sigma2
-        # positional, in field order: passing the six fields by keyword
-        # makes the frozen dataclass's construction about half again as slow
-        links.append(
-            VehicleLink(vehicle_id, distance, loss_db, fading, sigma2, norm_gain)
-        )
+        norm_gain = 10.0 ** (-path_loss_db(distance) / 10.0) * fading / sigma2
+        # positional, in field order: passing the fields by keyword makes
+        # the frozen dataclass's construction about half again as slow
+        links.append(VehicleLink(vehicle_id, distance, fading, norm_gain))
     return Scenario(config=config, links=tuple(links), seed=seed)

@@ -73,13 +73,6 @@ def _read_config_file(path: str) -> dict:
     return fields
 
 
-def parse_config(path: str) -> SystemConfig:
-    try:
-        return SystemConfig(**_read_config_file(path))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 def _load_config(args) -> SystemConfig:
     """Config precedence: built-in defaults < file < --set overrides."""
     fields: dict = {}
@@ -166,6 +159,15 @@ def _print_summary(rows) -> None:
         )
 
 
+def _write_sweep(spec: SweepSpec, out: str) -> int:
+    """Run the sweep, write its CSV to out and print its summary."""
+    rows = run_sweep(spec)
+    write_csv(rows, out)
+    _print_summary(rows)
+    print(f"wrote {out}")
+    return 0
+
+
 def cmd_sweep(args) -> int:
     if args.n is not None and args.swept == "n_vehicles":
         raise ConfigError("--n sets the vehicle count of symbol_budget sweeps; "
@@ -180,22 +182,14 @@ def cmd_sweep(args) -> int:
         num_seeds=args.seeds,
         n_vehicles=5 if args.n is None else args.n,
     )
-    rows = run_sweep(spec)
-    write_csv(rows, args.out)
-    _print_summary(rows)
-    print(f"wrote {args.out}")
-    return 0
+    return _write_sweep(spec, args.out)
 
 
 def cmd_figure(args) -> int:
     preset = FIGURE_PRESETS[args.figure_id]
     spec = preset() if args.seeds is None else preset(num_seeds=args.seeds)
-    rows = run_sweep(spec)
     out = args.out if args.out is not None else f"fig{args.figure_id}.csv"
-    write_csv(rows, out)
-    _print_summary(rows)
-    print(f"wrote {out}")
-    return 0
+    return _write_sweep(spec, out)
 
 
 def _dump_failures(failures, out_dir: str) -> None:

@@ -200,7 +200,6 @@ def _equal_allocation_report(scenario: Scenario) -> SolveReport:
     return SolveReport(
         allocation=allocation,
         margins=margins,
-        worst_margin=min(margins, key=lambda margin: margin.g),
         total_energy=total,
         iterations=1,
         trace=((1, total),),

@@ -73,14 +73,11 @@ def make_scenario(gains, **config_kwargs) -> Scenario:
     cfg = SystemConfig(**config_kwargs)
     links = []
     for i, gain in enumerate(gains):
-        loss_db = 35.3
         links.append(
             VehicleLink(
                 vehicle_id=i,
                 distance=1.0,
-                path_loss_db=loss_db,
-                fading_power_gain=float(gain) * 10.0 ** (loss_db / 10.0),
-                noise_power=1.0,
+                fading_power_gain=float(gain) * 10.0 ** (35.3 / 10.0),
                 norm_gain=float(gain),
             )
         )
@@ -241,13 +238,11 @@ def reference_joint_minmax(scenario):
     return tuple(split_at(g)[0]), g
 
 
-def reference_power_minmax_fixed_m(scenario, m_vec, margin_floor=0.0):
+def reference_power_minmax_fixed_m(scenario, m_vec):
     """Expand-and-bisect search of the fixed-blocklength min-max problem:
-    the largest common margin g >= margin_floor whose closed-form powers
-    (min_power_for_target) fit the energy budget, bisected on g from
-    margin_floor. Raises InfeasibleError when the budget cannot fund
-    margin_floor. Returns (g, clamped) with clamped the vehicles whose
-    power is zero at g.
+    the largest common margin g >= 0 whose closed-form powers
+    (min_power_for_target) fit the energy budget, bisected on g from 0.
+    Raises InfeasibleError when the budget cannot fund margin 0.
     """
     cfg = scenario.config
     d = cfg.payload_bits
@@ -259,11 +254,10 @@ def reference_power_minmax_fixed_m(scenario, m_vec, margin_floor=0.0):
             min_power_for_target(h, m, d, margin) * m for h, m in zip(gains, m_vec)
         )
 
-    if energy_at(margin_floor) > budget:
-        raise InfeasibleError("the budget cannot fund the margin floor")
-    g, _ = largest_affordable_margin(energy_at, margin_floor, budget)
-    powers = [min_power_for_target(h, m, d, g) for h, m in zip(gains, m_vec)]
-    return g, tuple(i for i, p in enumerate(powers) if p == 0.0)
+    if energy_at(0.0) > budget:
+        raise InfeasibleError("the budget cannot fund margin 0")
+    g, _ = largest_affordable_margin(energy_at, 0.0, budget)
+    return g
 
 
 def reference_brute_force_minmax(scenario):
@@ -337,9 +331,7 @@ def reference_sample_scenario(config, n_vehicles, seed):
             VehicleLink(
                 vehicle_id=vehicle_id,
                 distance=distance,
-                path_loss_db=loss_db,
                 fading_power_gain=fading,
-                noise_power=sigma2,
                 norm_gain=norm_gain,
             )
         )

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,14 @@ class TestMinEnergyFixedM:
 
 
 class TestSymbolSharing:
+    def test_overflowing_split_is_infeasible_without_warning(self):
+        # the split's least energy sums two entries of about 1e308 each
+        scenario = make_scenario([0.7, 0.7], symbol_budget=2, payload_bits=1014)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleError, match="no finite-energy allocation"):
+                symbol_sharing(scenario)
+
     def test_single_vehicle(self):
         scenario = make_scenario([0.3], symbol_budget=200)
         report = symbol_sharing(scenario)
@@ -472,42 +481,45 @@ class TestPowerMinmaxFixedM:
             solve_power_minmax_fixed_m(scenario, [100])
 
     def test_matches_reference_bisection(self):
-        feasible = infeasible = clamped = 0
-        for scenario, m_vec, margin_floor in _fixed_m_sweep():
+        feasible = infeasible = 0
+        for scenario, m_vec in _fixed_m_sweep():
             try:
-                g, ref_clamped = reference_power_minmax_fixed_m(
-                    scenario, m_vec, margin_floor
-                )
+                g = reference_power_minmax_fixed_m(scenario, m_vec)
             except InfeasibleError:
                 infeasible += 1
                 with pytest.raises(InfeasibleError):
-                    solve_power_minmax_fixed_m(scenario, m_vec, margin_floor)
+                    solve_power_minmax_fixed_m(scenario, m_vec)
                 continue
             feasible += 1
-            clamped += bool(ref_clamped)
-            report = solve_power_minmax_fixed_m(scenario, m_vec, margin_floor)
+            report = solve_power_minmax_fixed_m(scenario, m_vec)
             assert abs(report.trace[-1][1] - g) <= 1e-9
             assert abs(report.worst_margin.g - g) <= 1e-9
-            assert report.clamped == ref_clamped
+            # at g >= 0 every closed-form power is positive
+            assert report.clamped == ()
             assert report.total_energy <= scenario.config.energy_budget
             assert report.iterations == report.trace[-1][0] >= 1
         assert feasible + infeasible >= 100
-        assert feasible >= 80 and infeasible >= 10 and clamped >= 5
+        assert feasible >= 80 and infeasible >= 10
 
-    def test_negative_floor_clamps_and_flags(self):
-        # Vehicle 1 has so many symbols that its zero-power margin sits
-        # above the optimum: it is clamped at p = 0 and equalization is
-        # waived for it.
-        target = -4.0
+    def test_split_margin_below_zero_clamps_long_links(self):
+        # The joint solver can settle on g < 0. Vehicle 1 has so many
+        # symbols that its zero-power margin sits above that g: the
+        # closed form clamps it at p = 0, equalization is waived for it,
+        # and the report flags it.
         m_vec = [16, 1600]
-        budget = 16.0 * math.expm1(LN2 * 160 / 16 + target / 4.0)
+        budget = 16.0 * math.expm1(LN2 * 10 - 1)
+        g, _ = allocators._split_margin(m_vec, [1.0, 1.0], 160, budget)
+        assert g == pytest.approx(-4.0, abs=1e-9)
         scenario = make_scenario(
             [1.0, 1.0], symbol_budget=2000, energy_budget=budget, payload_bits=160
         )
-        report = solve_power_minmax_fixed_m(scenario, m_vec, margin_floor=-6.0)
+        report = allocators._minmax_report(
+            scenario, [1.0, 1.0], m_vec, g, solver_name="joint_minmax",
+            iterations=1, trace=((1, g),),
+        )
         assert report.clamped == (1,)
         assert report.allocation.powers[1] == 0.0
-        assert report.worst_margin.g == pytest.approx(target, abs=1e-6)
+        assert report.worst_margin.g == pytest.approx(-4.0, abs=1e-9)
 
     def test_rejects_bad_blocklengths(self):
         scenario = make_scenario([1.0, 1.0], symbol_budget=100)
@@ -519,11 +531,9 @@ class TestPowerMinmaxFixedM:
 
 def _fixed_m_sweep():
     """Four instances per n = 1..10 and M in {40, 200, 1000}, with D in
-    {32, 160}: two at margin floor 0 on near-even splits, two at a
-    negative floor on uneven splits, where long blocklengths are clamped.
-    Each budget funds a random margin around the floor, so some
-    instances cannot fund the floor; at every fourth n it lies within
-    4e-6 of the floor."""
+    {32, 160}: two on near-even splits and two on uneven splits. Each
+    budget funds a random margin around 0, so some instances cannot fund
+    margin 0; at every fourth n it lies within 4e-6 of 0."""
     rng = np.random.default_rng(519)
     for m_total in (40, 200, 1000):
         for n in range(1, 11):
@@ -534,9 +544,7 @@ def _fixed_m_sweep():
                 links = sample_scenario(config, n, seed).links
                 weights = rng.dirichlet(np.full(n, 5.0 if k < 2 else 0.3))
                 m_vec = [1 + int(s) for s in rng.multinomial(m_total - n, weights)]
-                margin_floor = 0.0 if k < 2 else -float(rng.uniform(1.0, 6.0))
-                offset = float(rng.uniform(-1.0, 4.0)) * (1e-6 if n % 4 == 0 else 1.0)
-                funded = margin_floor + offset
+                funded = float(rng.uniform(-1.0, 4.0)) * (1e-6 if n % 4 == 0 else 1.0)
                 energy = math.fsum(
                     min_power_for_target(link.norm_gain, m, d, funded) * m
                     for link, m in zip(links, m_vec)
@@ -544,7 +552,7 @@ def _fixed_m_sweep():
                 config = SystemConfig(
                     symbol_budget=m_total, payload_bits=d, energy_budget=max(energy, 1e-12)
                 )
-                yield sample_scenario(config, n, seed), m_vec, margin_floor
+                yield sample_scenario(config, n, seed), m_vec
 
 
 class TestSymbolsMinmaxFixedP:
@@ -905,11 +913,11 @@ class TestReportInvariants:
         reports = []
         for n in (1, 2, 3):
             scenario = feasible_joint_instance(rng, n=n)
-            m_vec = allocators._equal_split(scenario.config.symbol_budget, n)
+            fixed_m = random_feasible_minmax_instance(rng, n=n)
             reports += [
                 symbol_sharing(scenario),
                 solve_symbols_minmax_fixed_p(scenario),
-                solve_power_minmax_fixed_m(scenario, m_vec, margin_floor=-50.0),
+                solve_power_minmax_fixed_m(*fixed_m),
                 solve_joint_minmax(scenario),
                 brute_force_energy(scenario),
                 brute_force_minmax(scenario),

@@ -191,17 +191,16 @@ class TestSampleScenario:
             assert cfg.mount_height <= link.distance <= worst
 
     def test_link_field_consistency(self):
-        scenario = sample_scenario(SystemConfig(), 6, seed=77)
+        cfg = SystemConfig()
+        sigma2 = noise_power(cfg.noise_psd_dbm_hz, cfg.bandwidth)
+        scenario = sample_scenario(cfg, 6, seed=77)
         for link in scenario.links:
             expected = (
-                10.0 ** (-link.path_loss_db / 10.0)
+                10.0 ** (-path_loss_db(link.distance) / 10.0)
                 * link.fading_power_gain
-                / link.noise_power
+                / sigma2
             )
             assert link.norm_gain == pytest.approx(expected, rel=1e-12)
-            assert link.path_loss_db == pytest.approx(
-                path_loss_db(link.distance), rel=1e-12
-            )
 
     def test_vehicle_count_range(self):
         cfg = SystemConfig()
@@ -223,9 +222,7 @@ class TestSampleScenario:
         shuffled = VehicleLink(
             vehicle_id=3,
             distance=link.distance,
-            path_loss_db=link.path_loss_db,
             fading_power_gain=link.fading_power_gain,
-            noise_power=link.noise_power,
             norm_gain=link.norm_gain,
         )
         with pytest.raises(ValueError):
@@ -263,16 +260,14 @@ class TestSampleScenario:
             assert sample_scenario(cfg, n, seed, streams=words) == want
 
     @pytest.mark.parametrize(
-        "field", ["distance", "fading_power_gain", "noise_power", "norm_gain"]
+        "field", ["distance", "fading_power_gain", "norm_gain"]
     )
     @pytest.mark.parametrize("bad", [0.0, -0.0, -2.5, -1, math.nan, math.inf, -math.inf])
     def test_bad_link_field_message(self, field, bad):
         fields = dict(
             vehicle_id=0,
             distance=12.0,
-            path_loss_db=75.9,
             fading_power_gain=0.8,
-            noise_power=1e-15,
             norm_gain=2e7,
         )
         fields[field] = bad
@@ -285,9 +280,7 @@ class TestSampleScenario:
             VehicleLink(
                 vehicle_id=0,
                 distance=12.0,
-                path_loss_db=75.9,
                 fading_power_gain=math.nan,
-                noise_power=0.0,
                 norm_gain=-1.0,
             )
 

@@ -7,7 +7,7 @@ import pytest
 from elid_urllc import cli
 from elid_urllc.allocators import symbol_sharing
 from elid_urllc.channel_model import SystemConfig
-from elid_urllc.cli import build_parser, main, parse_config
+from elid_urllc.cli import build_parser, main
 from elid_urllc.exceptions import ConfigError
 from elid_urllc.experiments import SweepSpec, cell_seed, run_sweep
 
@@ -20,11 +20,15 @@ def read_report(path):
     return out
 
 
+def _file_config(path):
+    return cli._load_config(build_parser().parse_args(["solve", "--config", str(path)]))
+
+
 class TestParseConfig:
     def test_empty_file_gives_defaults(self, tmp_path):
         path = tmp_path / "empty.cfg"
         path.write_text("")
-        assert parse_config(path) == SystemConfig()
+        assert _file_config(path) == SystemConfig()
 
     def test_override_and_comments(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -35,7 +39,7 @@ class TestParseConfig:
             "energy_budget = 2.5   # trailing comment\n"
             "common_power=none\n"
         )
-        config = parse_config(path)
+        config = _file_config(path)
         assert config.symbol_budget == 200
         assert config.energy_budget == 2.5
         assert config.common_power is None
@@ -44,31 +48,31 @@ class TestParseConfig:
         path = tmp_path / "c.cfg"
         path.write_text("target_eps=1.5\n")
         with pytest.raises(ConfigError, match="target_eps"):
-            parse_config(path)
+            _file_config(path)
 
     def test_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("symbol_budget=200\nsymbol_budget=abc\n")
         with pytest.raises(ConfigError, match=r":2:"):
-            parse_config(path)
+            _file_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("blocklength=200\n")
         with pytest.raises(ConfigError, match="unknown config key"):
-            parse_config(path)
+            _file_config(path)
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("payload_bits=160\npayload_bits=32\n")
         with pytest.raises(ConfigError, match="duplicate"):
-            parse_config(path)
+            _file_config(path)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("just words\n")
         with pytest.raises(ConfigError, match=r":1:"):
-            parse_config(path)
+            _file_config(path)
 
 
 def _set_config(*items):
