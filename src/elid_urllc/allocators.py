@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +95,19 @@ class Allocation:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solver output: the allocation plus everything needed to audit it."""
+    """Solver output: the allocation plus everything needed to audit it.
+
+    Every solver builds it through _build_report. iterations counts the
+    solver's unit of work, and trace records its progress:
+    - symbol_sharing, equal_allocation: one closed-form solve;
+      ((1, total_energy),).
+    - power_minmax_fixed_m: Newton energy evaluations; ((iterations, g),).
+    - symbols_minmax_fixed_p: the M - n spare-symbol grants; (k, worst
+      margin after k grants) for k = 0..M - n.
+    - joint_minmax: split rounds, the start included; (round, g) after each.
+    - the oracles: candidates scored; ((iterations, best energy or g),).
+    converged is False only where a cap ended the search.
+    """
 
     allocation: Allocation
     margins: tuple[ReliabilityMargin, ...]
@@ -142,17 +155,12 @@ def _build_report(
     enforce_energy_budget: bool,
 ) -> SolveReport:
     cfg = scenario.config
-    allocation = Allocation(
-        powers=tuple(float(p) for p in powers),
-        blocklengths=tuple(int(m) for m in blocklengths),
-    )
+    allocation = Allocation(powers=tuple(powers), blocklengths=tuple(blocklengths))
     margins = tuple(
         reliability_margin(p * link.norm_gain, m, cfg.payload_bits)
         for link, p, m in zip(scenario.links, allocation.powers, allocation.blocklengths)
     )
-    total_energy = math.fsum(
-        p * m for p, m in zip(allocation.powers, allocation.blocklengths)
-    )
+    total_energy = math.fsum(map(operator.mul, allocation.powers, allocation.blocklengths))
     # solver invariants, checked explicitly so they also hold under python -O
     if sum(allocation.blocklengths) > cfg.symbol_budget:
         raise RuntimeError(
@@ -192,18 +200,17 @@ def min_energy_fixed_m(
     blocklengths.
     """
     gt = q_inverse(scenario.config.target_eps)
-    m_vec = [int(m) for m in blocklengths]
-    if len(m_vec) != scenario.n_vehicles:
+    if len(blocklengths) != scenario.n_vehicles:
         raise ValueError(
-            f"expected {scenario.n_vehicles} blocklengths, got {len(m_vec)}"
+            f"expected {scenario.n_vehicles} blocklengths, got {len(blocklengths)}"
         )
     d = scenario.config.payload_bits
     powers = tuple(
         min_power_for_target(link.norm_gain, m, d, gt)
-        for link, m in zip(scenario.links, m_vec)
+        for link, m in zip(scenario.links, blocklengths)
     )
     try:
-        total = math.fsum(p * m for p, m in zip(powers, m_vec))
+        total = math.fsum(map(operator.mul, powers, blocklengths))
     except OverflowError:  # finite energies summing past the float range
         total = math.inf
     if not math.isfinite(total):
@@ -301,10 +308,10 @@ def _build_split_tables(
 _split_tables = functools.lru_cache(maxsize=16)(_build_split_tables)
 
 
-def _least_energy_split(tables, gains, floors) -> tuple[list[int], float]:
+def _least_energy_split(tables, gains, floors) -> list[int]:
     """Blocklengths m >= floors with sum(m) <= M that minimize
-    sum(table[m_i - 1] / gains[i]), and that least energy, for tables =
-    (table, steps, m_star) of length M from _build_split_tables.
+    sum(table[m_i - 1] / gains[i]), for tables = (table, steps, m_star)
+    of length M from _build_split_tables.
 
     Every vehicle starts at its floor, and each spare symbol goes to the
     largest positive marginal saving steps[m - 1] / h_i, ties to the
@@ -329,10 +336,7 @@ def _least_energy_split(tables, gains, floors) -> tuple[list[int], float]:
         order = np.argsort(-savings, axis=None, kind="stable")[:spare]
         granted = order[savings.ravel()[order] > 0.0] // width
         m_vec = floors + np.bincount(granted, minlength=len(floors))
-    # a sum past the float range reads as inf, as an inf entry does
-    with np.errstate(over="ignore"):
-        least = float(np.sum(table[m_vec - 1] / gains))
-    return m_vec.tolist(), least
+    return m_vec.tolist()
 
 
 def symbol_sharing(scenario: Scenario) -> SolveReport:
@@ -353,31 +357,38 @@ def symbol_sharing(scenario: Scenario) -> SolveReport:
     gt = q_inverse(cfg.target_eps)
     floors = [1 if m is None else m for m in _energy_floors(scenario)]
     _check_floor_sum(floors, cfg.symbol_budget)
-    m_vec, _ = _least_energy_split(
+    m_vec = _least_energy_split(
         _split_tables(cfg.payload_bits, gt, cfg.symbol_budget),
         [link.norm_gain for link in scenario.links],
         floors,
     )
-    powers, energy = min_energy_fixed_m(scenario, m_vec)
+    return _energy_report(scenario, m_vec, solver_name="symbol_sharing")
+
+
+def equal_allocation_energy(scenario: Scenario) -> SolveReport:
+    """Baseline: equal symbol split, closed-form powers at the target margin.
+
+    Its report, like every solver's, is built and checked in
+    _build_report. Raises InfeasibleError when M < n or no finite energy
+    meets the target."""
+    m_vec = _equal_split(scenario.config.symbol_budget, scenario.n_vehicles)
+    return _energy_report(scenario, m_vec, solver_name="equal_allocation")
+
+
+def _energy_report(scenario: Scenario, blocklengths, *, solver_name: str) -> SolveReport:
+    """Report of an energy answer: the closed-form powers for the target
+    margin at these blocklengths (min_energy_fixed_m), one iteration."""
+    powers, total = min_energy_fixed_m(scenario, blocklengths)
     return _build_report(
         scenario,
         powers,
-        m_vec,
-        solver_name="symbol_sharing",
+        blocklengths,
+        solver_name=solver_name,
         iterations=1,
-        trace=((1, energy),),
+        trace=((1, total),),
         converged=True,
         enforce_energy_budget=False,
     )
-
-
-def equal_allocation_energy(scenario: Scenario) -> tuple[Allocation, float]:
-    """Baseline: equal symbol split, closed-form powers at the target margin.
-    Raises InfeasibleError when M < n or no finite energy meets the target."""
-    m_vec = _equal_split(scenario.config.symbol_budget, scenario.n_vehicles)
-    powers, total = min_energy_fixed_m(scenario, m_vec)
-    allocation = Allocation(powers=powers, blocklengths=tuple(m_vec))
-    return allocation, total
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +429,9 @@ def solve_power_minmax_fixed_m(scenario: Scenario, blocklengths) -> SolveReport:
     margin is maximized by spending the whole energy budget on a common
     margin, the largest g whose closed-form powers fit the budget, found
     by Newton steps on their energy (_split_margin, the joint solver's
-    per-split step). iterations counts its energy evaluations. The
-    powers fit the budget with no slack, and at g >= 0 every one is
-    positive. Raises InfeasibleError, giving that largest g, when it is
-    below margin 0 (eps 0.5).
+    per-split step). The powers fit the budget with no slack, and at
+    g >= 0 every one is positive. Raises InfeasibleError, giving that
+    largest g, when it is below margin 0 (eps 0.5).
     """
     cfg = scenario.config
     n = scenario.n_vehicles
@@ -493,7 +503,7 @@ def solve_symbols_minmax_fixed_p(scenario: Scenario) -> SolveReport:
     return _build_report(
         scenario,
         [p_common] * n,
-        m_vec,
+        m_vec.tolist(),
         solver_name="symbols_minmax_fixed_p",
         iterations=grants,
         trace=enumerate(flat[order[: grants + 1]].tolist()),
@@ -587,11 +597,10 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
     strictly larger g, so g rises strictly over the finitely many
     splits. The rounds stop when the split is unchanged or its least
     energy is within _REL_IMPROVEMENT of the budget: least energy rises
-    strictly in g where it is positive, so no larger g fits. iterations
-    counts the rounds, the start included, trace holds (round, g) after
-    each, and converged is False only if the round cap ended the loop.
-    Powers are the closed-form minimum for g at the last split; their
-    energy fits the budget with no slack.
+    strictly in g where it is positive, so no larger g fits. converged
+    is False only if the round cap ended the loop. Powers are the
+    closed-form minimum for g at the last split; their energy fits the
+    budget with no slack.
     """
     cfg = scenario.config
     d = cfg.payload_bits
@@ -603,18 +612,20 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
     gain_arr = np.array(gains)
     floor_arr = np.array(floors)
 
-    m_vec, _ = _least_energy_split(
+    m_vec = _least_energy_split(
         _split_tables(d, q_inverse(cfg.target_eps), m_total), gain_arr, floor_arr
     )
     g, _ = _split_margin(m_vec, gains, d, budget)
     trace = [(1, g)]
     converged = False
     for round_ in range(2, _MAX_SPLIT_ROUNDS + 1):
-        next_m, least = _least_energy_split(
-            _build_split_tables(d, g, m_total), gain_arr, floor_arr
-        )
+        tables = _build_split_tables(d, g, m_total)
+        next_m = _least_energy_split(tables, gain_arr, floor_arr)
         unchanged = next_m == m_vec
         if not unchanged:
+            # its least energy at g: at most the budget, so finite, since
+            # the last split, which affords g, was a candidate
+            least = float(np.sum(tables[0][np.array(next_m) - 1] / gain_arr))
             m_vec = next_m
             g, _ = _split_margin(m_vec, gains, d, budget)
         trace.append((round_, g))

@@ -133,7 +133,7 @@ class SystemConfig:
     def common_power_value(self) -> float:
         """Fixed per-vehicle power for the fixed-power solver (W)."""
         if self.common_power is not None:
-            return self.common_power
+            return float(self.common_power)
         return self.energy_budget / self.symbol_budget
 
 

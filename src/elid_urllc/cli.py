@@ -56,7 +56,8 @@ def _coerce_config_value(key: str, raw: str, where: str):
 
 
 def _read_config_file(path: str) -> dict:
-    """Flat key=value lines; # starts a comment; blank lines ignored."""
+    """Flat key=value lines; # starts a comment; blank lines ignored.
+    Maps each key to (value, "path:lineno")."""
     fields: dict = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -69,12 +70,15 @@ def _read_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
             if key in fields:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            fields[key] = _coerce_config_value(key, raw, f"{path}:{lineno}")
+            where = f"{path}:{lineno}"
+            fields[key] = (_coerce_config_value(key, raw, where), where)
     return fields
 
 
 def _load_config(args) -> SystemConfig:
-    """Config precedence: built-in defaults < file < --set overrides."""
+    """Config precedence: built-in defaults < file < --set overrides. Each
+    SystemConfig check reads one field, so each given key is checked on
+    its own, and a value out of range is reported with where it was set."""
     fields: dict = {}
     if args.config is not None:
         fields.update(_read_config_file(args.config))
@@ -82,13 +86,14 @@ def _load_config(args) -> SystemConfig:
         key, sep, raw = item.partition("=")
         if not sep or not key:
             raise ConfigError(f"--set {item!r}: expected KEY=VALUE")
-        fields[key.strip()] = _coerce_config_value(
-            key.strip(), raw.strip(), f"--set {item!r}"
-        )
-    try:
-        return SystemConfig(**fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        where = f"--set {item!r}"
+        fields[key.strip()] = (_coerce_config_value(key.strip(), raw.strip(), where), where)
+    for key, (value, where) in fields.items():
+        try:
+            SystemConfig(**{key: value})
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    return SystemConfig(**{key: value for key, (value, _) in fields.items()})
 
 
 def _u64(raw: str) -> int:

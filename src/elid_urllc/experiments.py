@@ -28,7 +28,6 @@ from .allocators import (
 )
 from .channel_model import Scenario, SystemConfig
 from .exceptions import InfeasibleError
-from .fbl_core import reliability_margin
 
 SOLVER_NAMES = (
     "joint_minmax",
@@ -186,26 +185,8 @@ def run_solver(solver: str, scenario: Scenario) -> SolveReport:
     if solver == "symbol_sharing":
         return symbol_sharing(scenario)
     if solver == "equal_allocation":
-        return _equal_allocation_report(scenario)
+        return equal_allocation_energy(scenario)
     raise ValueError(f"unknown solver {solver!r}")
-
-
-def _equal_allocation_report(scenario: Scenario) -> SolveReport:
-    allocation, total = equal_allocation_energy(scenario)
-    d = scenario.config.payload_bits
-    margins = tuple(
-        reliability_margin(p * link.norm_gain, m, d)
-        for p, m, link in zip(allocation.powers, allocation.blocklengths, scenario.links)
-    )
-    return SolveReport(
-        allocation=allocation,
-        margins=margins,
-        total_energy=total,
-        iterations=1,
-        trace=((1, total),),
-        converged=True,
-        solver_name="equal_allocation",
-    )
 
 
 def energy_saved_percent(e_equal: float, e_shared: float) -> float:
@@ -218,8 +199,8 @@ def energy_saved_percent(e_equal: float, e_shared: float) -> float:
 def _metric_value(base: str, solver: str, scenario: Scenario, cache: dict) -> float:
     if base == "energy_saved_pct":
         shared = symbol_sharing(scenario)
-        _, e_equal = equal_allocation_energy(scenario)
-        return energy_saved_percent(e_equal, shared.total_energy)
+        equal = equal_allocation_energy(scenario)
+        return energy_saved_percent(equal.total_energy, shared.total_energy)
     key = (solver, scenario.config)
     if key not in cache:
         cache[key] = run_solver(solver, scenario)

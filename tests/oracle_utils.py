@@ -162,7 +162,7 @@ def reference_least_energy_split(table, gains, floors, m_total):
     """Masked form of allocators._least_energy_split over the raw c_g
     table: every vehicle's whole row of the n x (m_total - 1) saving
     matrix, with the steps below its floor set to zero, in one stable
-    sort. Returns (blocklengths, least energy) as the split does.
+    sort. Returns the blocklengths as the split does.
     """
     gains = np.asarray(gains, dtype=float)
     floors = np.asarray(floors)
@@ -175,7 +175,7 @@ def reference_least_energy_split(table, gains, floors, m_total):
     order = np.argsort(-savings, axis=None, kind="stable")[:spare]
     granted = order[savings.ravel()[order] > 0.0] // (m_total - 1)
     m_vec = floors + np.bincount(granted, minlength=len(floors))
-    return m_vec.tolist(), float(np.sum(table[m_vec - 1] / gains))
+    return m_vec.tolist()
 
 
 def reference_min_blocklength(energy_budget_gain, payload_bits, max_symbols):
@@ -229,8 +229,14 @@ def reference_joint_minmax(scenario):
     floors = _minmax_floors(scenario)
     gains = [link.norm_gain for link in scenario.links]
 
+    gain_arr = np.asarray(gains, dtype=float)
+
     def split_at(margin):
-        return _least_energy_split(_build_split_tables(d, margin, m_total), gains, floors)
+        tables = _build_split_tables(d, margin, m_total)
+        m_vec = _least_energy_split(tables, gains, floors)
+        # a sum past the float range reads as inf, as an inf entry does
+        with np.errstate(over="ignore"):
+            return m_vec, float(np.sum(tables[0][np.array(m_vec) - 1] / gain_arr))
 
     g, _ = largest_affordable_margin(
         lambda margin: split_at(margin)[1], -LN2 * d, cfg.energy_budget

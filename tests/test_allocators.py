@@ -110,7 +110,7 @@ class TestSymbolSharing:
         scenario = make_scenario([0.4, 0.4], symbol_budget=200)
         report = symbol_sharing(scenario)
         assert report.allocation.blocklengths == (100, 100)
-        _, equal_energy = equal_allocation_energy(scenario)
+        equal_energy = equal_allocation_energy(scenario).total_energy
         assert report.total_energy == pytest.approx(equal_energy, rel=1e-12)
 
     def test_ten_to_one_gain_ratio_matches_brute_force(self):
@@ -140,7 +140,7 @@ class TestSymbolSharing:
             n = int(rng.integers(1, 11))
             scenario = sample_scenario(cfg, n, seed=int(rng.integers(0, 2**63)))
             report = symbol_sharing(scenario)
-            _, equal_energy = equal_allocation_energy(scenario)
+            equal_energy = equal_allocation_energy(scenario).total_energy
             assert report.total_energy <= equal_energy * (1.0 + 1e-12)
 
     def test_respects_blocklength_floors(self):
@@ -273,7 +273,7 @@ class TestLeastEnergySplitTables:
         for _ in range(3000):
             payload_bits, g, m_total, gains, floors = _random_split_instance(rng)
             with np.errstate(over="ignore"):  # huge steps over tiny gains
-                m_vec, _ = self._assert_matches(
+                m_vec = self._assert_matches(
                     payload_bits, g, m_total, gains, floors
                 )
             if sum(m_vec) == m_total:
@@ -291,10 +291,10 @@ class TestLeastEnergySplitTables:
             table, _, m_star = allocators._build_split_tables(payload_bits, 6.0, m_total)
             assert np.all(np.isinf(table)) and m_star == m_total
             floors = [1] * n
-            m_vec, energy = self._assert_matches(
+            m_vec = self._assert_matches(
                 payload_bits, 6.0, m_total, [2.0] * n, floors
             )
-            assert m_vec[0] == m_total - (n - 1) and math.isinf(energy)
+            assert m_vec[0] == m_total - (n - 1)
 
     def test_symbol_sharing_builds_its_tables_once(self):
         allocators._split_tables.cache_clear()
@@ -354,15 +354,15 @@ class TestLeastEnergySplitTables:
 class TestEqualAllocation:
     def test_remainder_rule(self):
         scenario = make_scenario([1.0] * 4, symbol_budget=200)
-        allocation, _ = equal_allocation_energy(scenario)
+        allocation = equal_allocation_energy(scenario).allocation
         assert allocation.blocklengths == (50, 50, 50, 50)
         scenario3 = make_scenario([1.0] * 3, symbol_budget=200)
-        allocation3, _ = equal_allocation_energy(scenario3)
+        allocation3 = equal_allocation_energy(scenario3).allocation
         assert allocation3.blocklengths == (67, 67, 66)
 
     def test_identical_links_match_symbol_sharing(self):
         scenario = make_scenario([0.2] * 3, symbol_budget=201)
-        _, equal_energy = equal_allocation_energy(scenario)
+        equal_energy = equal_allocation_energy(scenario).total_energy
         report = symbol_sharing(scenario)
         assert report.total_energy == pytest.approx(equal_energy, rel=1e-9)
 
@@ -734,9 +734,8 @@ class TestJointMinmax:
                         cfg, n, seed=int(rng.integers(0, 2**63))
                     )
                     try:
-                        fixed = solve_power_minmax_fixed_m(
-                            scenario, equal_allocation_energy(scenario)[0].blocklengths
-                        )
+                        equal = equal_allocation_energy(scenario).allocation
+                        fixed = solve_power_minmax_fixed_m(scenario, equal.blocklengths)
                     except InfeasibleError:
                         continue
                     joint = solve_joint_minmax(scenario)
@@ -884,6 +883,15 @@ class TestOraclesStayOutOfTheProduct:
         assert done.stdout.strip() == "False"
 
 
+def _package_trees():
+    """(file name, syntax tree) of every module of the package."""
+    package = os.path.dirname(allocators.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                yield name, ast.parse(handle.read(), filename=name)
+
+
 class TestReportInvariants:
     def test_energy_and_worst_margin_consistency(self):
         rng = np.random.default_rng(9_000)
@@ -906,9 +914,10 @@ class TestReportInvariants:
                 assert sum(report.allocation.blocklengths) <= cfg.symbol_budget
 
     def test_trace_holds_int_float_pairs(self):
-        # _build_report stores the solvers' trace as given, so each solver
-        # must hand it (int, float) pairs: the report is then what
-        # re-boxing every entry would have made of it
+        # _build_report stores the solvers' trace, powers and blocklengths
+        # as given, so each solver must hand it (int, float) pairs, float
+        # powers and int blocklengths: the report is then what re-boxing
+        # every entry would have made of it
         rng = np.random.default_rng(9_002)
         reports = []
         for n in (1, 2, 3):
@@ -916,13 +925,19 @@ class TestReportInvariants:
             fixed_m = random_feasible_minmax_instance(rng, n=n)
             reports += [
                 symbol_sharing(scenario),
+                equal_allocation_energy(scenario),
                 solve_symbols_minmax_fixed_p(scenario),
                 solve_power_minmax_fixed_m(*fixed_m),
                 solve_joint_minmax(scenario),
                 brute_force_energy(scenario),
                 brute_force_minmax(scenario),
             ]
+        # an int common power from a config built in code
+        scenario = make_scenario([1.0, 0.5], symbol_budget=40, energy_budget=40.0, common_power=1)
+        reports.append(solve_symbols_minmax_fixed_p(scenario))
         for report in reports:
+            assert all(type(p) is float for p in report.allocation.powers)
+            assert all(type(m) is int for m in report.allocation.blocklengths)
             assert type(report.trace) is tuple and report.trace
             for entry in report.trace:
                 assert type(entry) is tuple and len(entry) == 2
@@ -986,17 +1001,34 @@ class TestReportInvariants:
 
     def test_package_has_no_assert_statements(self):
         # python -O strips asserts, so no invariant may rest on one
-        package = os.path.dirname(allocators.__file__)
+        found = [
+            f"{name}:{node.lineno}"
+            for name, tree in _package_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
+
+    def test_only_build_report_makes_a_solve_report(self):
+        # one report path: every solver's report is built and checked in
+        # allocators._build_report
         found = []
-        for name in sorted(os.listdir(package)):
-            if name.endswith(".py"):
-                with open(os.path.join(package, name), encoding="utf-8") as handle:
-                    tree = ast.parse(handle.read(), filename=name)
-                found += [
-                    f"{name}:{node.lineno}"
-                    for node in ast.walk(tree)
-                    if isinstance(node, ast.Assert)
-                ]
+        for name, tree in _package_trees():
+            allowed = set()
+            if name == "allocators.py":
+                builder = next(
+                    node
+                    for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_build_report"
+                )
+                allowed = {id(node) for node in ast.walk(builder)}
+            found += [
+                f"{name}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and "SolveReport" in (getattr(node.func, a, None) for a in ("id", "attr"))
+                and id(node) not in allowed
+            ]
         assert found == []
 
     def test_allocation_validation(self):

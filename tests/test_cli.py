@@ -107,6 +107,32 @@ class TestConfigKeys:
             "--set 'payload_bits=1.5': could not parse payload_bits='1.5'"
         )
 
+    def test_range_error_names_the_file_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("payload_bits=160\ntarget_eps = 1.5\n")
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "r.txt")])
+        assert code == 1
+        assert (
+            f"error: {path}:2: target_eps must be in (0, 1), got 1.5"
+            in capsys.readouterr().err
+        )
+
+    def test_range_error_names_the_set_item(self, tmp_path, capsys):
+        code = main(["solve", "--set", "target_eps=1.5", "--out", str(tmp_path / "r.txt")])
+        assert code == 1
+        assert (
+            "error: --set 'target_eps=1.5': target_eps must be in (0, 1), got 1.5"
+            in capsys.readouterr().err
+        )
+
+    def test_set_overrides_a_bad_file_value(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("target_eps = 1.5\n")
+        out = tmp_path / "r.txt"
+        argv = ["solve", "--config", str(path), "--set", "target_eps=1e-6", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.exists()
+
 
 class TestExitCodes:
     def test_solve_success(self, tmp_path):
