@@ -253,7 +253,9 @@ def _table_axes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The margin-free parts of c_g for m = 1..m_total, read-only: (ms,
     ln2 * D / ms, sqrt(ms)). Every c_g table of one (D, M) shares them,
-    so a joint min-max round computes only the g-dependent part."""
+    so a joint min-max round computes only the g-dependent part, and the
+    fixed-power solver's margin matrix reads its first M - n + 1 entries
+    of the last two."""
     ms = np.arange(1, m_total + 1, dtype=float)
     axes = (ms, LN2 * payload_bits / ms, np.sqrt(ms))
     for axis in axes:
@@ -263,18 +265,15 @@ def _table_axes(
 
 def _energy_gain_table(payload_bits: int, g_target: float, m_total: int) -> np.ndarray:
     """c_g(m) = m * expm1(ln2 * D / m + g / sqrt(m)) for m = 1..m_total,
-    from the cached margin-free axes (_table_axes).
+    read-only: the table of _build_split_tables, the one place that
+    computes it.
 
     The energy-gain product that meets margin g_target at blocklength m,
     clamped at zero like min_power_for_target and inf where the exponent
     overflows. It does not depend on the channel gain: a vehicle's
     energy at blocklength m is table[m - 1] / norm_gain.
     """
-    ms, base, roots = _table_axes(payload_bits, m_total)
-    exponent = base + g_target / roots
-    with np.errstate(over="ignore"):
-        table = np.where(exponent > 709.0, np.inf, ms * np.expm1(exponent))
-    return np.maximum(table, 0.0)
+    return _build_split_tables(payload_bits, g_target, m_total)[0]
 
 
 def _build_split_tables(
@@ -283,20 +282,27 @@ def _build_split_tables(
     """The gain-free tables of the least-energy split at margin g_target
     over m_total symbols: (table, steps, m_star), arrays read-only.
 
-    table is c_g (_energy_gain_table), steps[k] = table[k] - table[k + 1]
-    is the saving of symbol k + 2, and m_star is the first minimizer of
-    table. inf - inf is taken as inf: a step that stays inside the
-    overflow region must still be taken to leave it. A table that is inf
-    everywhere therefore takes every step, and its m_star is m_total.
+    table is c_g (_energy_gain_table), built from the cached margin-free
+    axes (_table_axes) in place, every entry with the arithmetic of
+    ms * expm1(base + g / roots), inf where the exponent passes 709.
+    steps[k] = table[k] - table[k + 1] is the saving of symbol k + 2, and
+    m_star is the first minimizer of table. inf - inf is taken as inf: a
+    step that stays inside the overflow region must still be taken to
+    leave it. A table that is inf everywhere therefore takes every step,
+    and its m_star is m_total. One np.errstate covers the whole pass.
     """
-    table = _energy_gain_table(payload_bits, g_target, m_total)
-    with np.errstate(invalid="ignore"):
+    ms, base, roots = _table_axes(payload_bits, m_total)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = base + g_target / roots
+        table[table > 709.0] = np.inf
+        np.expm1(table, out=table)
+        table *= ms
+        np.maximum(table, 0.0, out=table)
         steps = table[:-1] - table[1:]
-    steps[np.isnan(steps)] = np.inf
-    first = int(np.argmin(table))
+        np.fmin(steps, np.inf, out=steps)  # the nan of inf - inf reads inf
+    first = int(table.argmin())
     m_star = first + 1 if math.isfinite(table[first]) else m_total
-    table.flags.writeable = False
-    steps.flags.writeable = False
+    table.flags.writeable = steps.flags.writeable = False
     return table, steps, m_star
 
 
@@ -333,7 +339,7 @@ def _least_energy_split(tables, gains, floors) -> list[int]:
     m_vec = floors
     if width > 0:
         savings = steps[(floors - 1)[:, None] + np.arange(width)] / gains[:, None]
-        order = np.argsort(-savings, axis=None, kind="stable")[:spare]
+        order = (-savings).argsort(axis=None, kind="stable")[:spare]
         granted = order[savings.ravel()[order] > 0.0] // width
         m_vec = floors + np.bincount(granted, minlength=len(floors))
     return m_vec.tolist()
@@ -492,13 +498,13 @@ def solve_symbols_minmax_fixed_p(scenario: Scenario) -> SolveReport:
             f"{cfg.energy_budget:.6g} J"
         )
     grants = m_total - n
-    ms = np.arange(1, grants + 2, dtype=float)
+    _, base, roots = _table_axes(cfg.payload_bits, m_total)
     # math.log1p per vehicle keeps every entry bit-identical to
     # reliability_margin(p_common * h_i, m, D).g
     capacity = np.array([math.log1p(p_common * link.norm_gain) for link in scenario.links])
-    margins_g = np.sqrt(ms) * (capacity[:, None] - LN2 * cfg.payload_bits / ms)
+    margins_g = roots[: grants + 1] * (capacity[:, None] - base[: grants + 1])
     flat = margins_g.ravel()
-    order = np.argsort(flat, kind="stable")
+    order = flat.argsort(kind="stable")
     m_vec = 1 + np.bincount(order[:grants] // (grants + 1), minlength=n)
     return _build_report(
         scenario,
@@ -625,7 +631,7 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
         if not unchanged:
             # its least energy at g: at most the budget, so finite, since
             # the last split, which affords g, was a candidate
-            least = float(np.sum(tables[0][np.array(next_m) - 1] / gain_arr))
+            least = float((tables[0][np.array(next_m) - 1] / gain_arr).sum())
             m_vec = next_m
             g, _ = _split_margin(m_vec, gains, d, budget)
         trace.append((round_, g))

@@ -118,12 +118,16 @@ class SweepSpec:
         for v in self.values:
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"swept values must be positive integers, got {v!r}")
+        if len(set(self.values)) < len(self.values):
+            raise ValueError(f"swept values must be distinct, got {self.values!r}")
         if self.solver not in SOLVER_NAMES:
             raise ValueError(f"solver must be one of {SOLVER_NAMES}, got {self.solver!r}")
         if not self.outputs:
             raise ValueError("outputs must be non-empty")
         for metric in self.outputs:
             parse_metric(metric)
+        if len(set(self.outputs)) < len(self.outputs):
+            raise ValueError(f"metrics must be distinct, got {self.outputs!r}")
         if self.num_seeds < 1:
             raise ValueError(f"num_seeds must be >= 1, got {self.num_seeds}")
         if self.n_vehicles < 1:

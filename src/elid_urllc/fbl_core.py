@@ -269,6 +269,13 @@ def _min_energy_gain(blocklength: int, payload_bits: int) -> float:
     (tests check D from 1 to 2500), which the cached table path of
     min_blocklength relies on. Returns inf once the exponent would
     overflow, which keeps the feasibility predicate monotone.
+
+    c_0 stays a scalar, not a read of the allocators' numpy c_g table at
+    g = 0: numpy's expm1 differs from math.expm1 in the last bit, so at
+    D = 160, M = 200 that table differs from this function at 22 of the
+    200 entries. Reading it would move min_blocklength's answer at those
+    bars, the budgets equal to c_0(m) that
+    test_matches_scalar_bisection_at_every_bar pins.
     """
     m = float(blocklength)
     x = LN2 * payload_bits / m
@@ -314,6 +321,12 @@ def min_blocklength(
     strictly decreasing (m around 5e7 for D = 1) that bisection returns
     a feasible m, not necessarily the first one. Returns None when even
     m = max_symbols fails.
+
+    It stays off the allocators' numpy c_g tables for two reasons: their
+    c_0 entries differ from _min_energy_gain in the last bit (see there),
+    and symbol_budget has no upper bound, so a search must stay
+    table-free up to 10^9 symbols, where a table of every m would take
+    8 GB.
     """
     if not (math.isfinite(energy_budget_gain) and energy_budget_gain > 0.0):
         raise ValueError(

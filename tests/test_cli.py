@@ -397,6 +397,18 @@ class TestSweepCommand:
         assert default.read_bytes() == explicit.read_bytes()
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--values", "3,3"], ["--metrics", "total_energy,total_energy"]],
+    )
+    def test_repeated_value_or_metric_is_usage_error(self, flags, tmp_path, capsys):
+        # a repeat would write every row twice and count each cell twice
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--seeds", "2", "--out", str(out)] + flags)
+        assert code == 1
+        assert "distinct" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_metric_is_usage_error(self, tmp_path, capsys):
         code = main(
             ["sweep", "--metrics", "nonsense", "--out", str(tmp_path / "s.csv")]

@@ -113,9 +113,11 @@ class TestSweepSpecValidation:
             {"values": ()},
             {"values": (0, 1)},
             {"values": (1.5,)},
+            {"values": (3, 3)},
             {"solver": "magic"},
             {"outputs": ()},
             {"outputs": ("not_a_metric",)},
+            {"outputs": ("total_energy", "total_energy")},
             {"num_seeds": 0},
             {"n_vehicles": 0},
         ],

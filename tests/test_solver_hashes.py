@@ -5,6 +5,10 @@ not cover it. This pins the answers of all five solvers instead: the
 blocklengths, the exact powers (float.hex) and the worst margin of each
 report, or "infeasible". iterations and trace are left out, because a
 faster solve may take fewer rounds to the same answer.
+
+The fixed-power solver's trace is its answer: the worst margin after
+each of its M - n grants, which no faster solve may change. A second
+hash pins those traces over a wider range of payloads and budgets.
 """
 
 import hashlib
@@ -47,3 +51,30 @@ def solver_answers_digest() -> str:
 
 def test_solver_answers_hash():
     assert solver_answers_digest() == SOLVER_ANSWERS_SHA256
+
+
+FIXED_POWER_ANSWERS_SHA256 = "78c1d05d2144728036a1c3074089b3cd84b2f61030b489f335866550243163bc"
+
+
+def fixed_power_answers_digest() -> str:
+    """symbols_minmax_fixed_p's blocklengths and whole trace, the worst
+    margin after every grant in float.hex, on 10 requests (n = 1..10) at
+    each of D in {1, 160, 1000} and M in {11, 200, 5000}."""
+    digest = hashlib.sha256()
+    for payload_bits in (1, 160, 1000):
+        for m_total in (11, 200, 5000):
+            config = SystemConfig(payload_bits=payload_bits, symbol_budget=m_total)
+            for i in range(10):
+                report = run_solver(
+                    "symbols_minmax_fixed_p", sample_scenario(config, i + 1, seed=i)
+                )
+                line = " ".join(
+                    [repr(report.allocation.blocklengths)]
+                    + [f"{k}:{g.hex()}" for k, g in report.trace]
+                )
+                digest.update(line.encode("utf-8") + b"\n")
+    return digest.hexdigest()
+
+
+def test_fixed_power_answers_hash():
+    assert fixed_power_answers_digest() == FIXED_POWER_ANSWERS_SHA256
