@@ -333,6 +333,15 @@ class TestLeastEnergySplitTables:
                 inline = np.maximum(inline, 0.0)
                 table = allocators._energy_gain_table(payload_bits, g, m_total)
                 assert np.array_equal(table, inline), (payload_bits, g, m_total)
+                # the split tables of the same pass: inf - inf reads as inf
+                with np.errstate(invalid="ignore"):
+                    inline_steps = inline[:-1] - inline[1:]
+                inline_steps[np.isnan(inline_steps)] = np.inf
+                first = int(np.argmin(inline))
+                inline_m_star = first + 1 if np.isfinite(inline[first]) else m_total
+                _, steps, m_star = allocators._build_split_tables(payload_bits, g, m_total)
+                assert np.array_equal(steps, inline_steps), (payload_bits, g, m_total)
+                assert m_star == inline_m_star, (payload_bits, g, m_total)
         # the overflow region is covered: D = 1024 * M overflows at every m
         assert np.all(np.isinf(allocators._energy_gain_table(1024 * m_total, 6.0, m_total)))
         for axis in allocators._table_axes(160, m_total):
@@ -623,6 +632,16 @@ class TestSymbolsMinmaxFixedP:
         scenario = make_scenario([1.0, 1.0], symbol_budget=1)
         with pytest.raises(InfeasibleError):
             solve_symbols_minmax_fixed_p(scenario)
+
+    def test_second_solve_reads_the_cached_axes(self):
+        # the margin matrix reads _table_axes(D, M), so a second request
+        # at the same (D, M) builds no axes
+        config = SystemConfig(payload_bits=77, symbol_budget=333)
+        solve_symbols_minmax_fixed_p(sample_scenario(config, 4, seed=1))
+        before = allocators._table_axes.cache_info()
+        solve_symbols_minmax_fixed_p(sample_scenario(config, 6, seed=2))
+        after = allocators._table_axes.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     def test_matches_reference_greedy(self):
         # the solver takes the greedy's grants from one sort of the margin
