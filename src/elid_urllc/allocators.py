@@ -70,7 +70,7 @@ _MAX_SPLIT_ROUNDS = 64
 _MAX_NEWTON_STEPS = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Allocation:
     """Per-vehicle transmit powers (W) and integer blocklengths."""
 
@@ -93,7 +93,7 @@ class Allocation:
                 raise ValueError(f"blocklengths must be integers >= 1, got {m!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveReport:
     """Solver output: the allocation plus everything needed to audit it.
 
@@ -153,14 +153,22 @@ def _build_report(
     trace,
     converged: bool,
     enforce_energy_budget: bool,
+    total_energy: float | None = None,
 ) -> SolveReport:
+    """The report of one answer, every record built positionally in field
+    order. total_energy is the sum of powers times blocklengths; an
+    energy answer passes the one min_energy_fixed_m already summed, and
+    a min-max answer leaves it to be summed here."""
     cfg = scenario.config
-    allocation = Allocation(powers=tuple(powers), blocklengths=tuple(blocklengths))
+    allocation = Allocation(tuple(powers), tuple(blocklengths))
     margins = tuple(
         reliability_margin(p * link.norm_gain, m, cfg.payload_bits)
         for link, p, m in zip(scenario.links, allocation.powers, allocation.blocklengths)
     )
-    total_energy = math.fsum(map(operator.mul, allocation.powers, allocation.blocklengths))
+    if total_energy is None:
+        total_energy = math.fsum(
+            map(operator.mul, allocation.powers, allocation.blocklengths)
+        )
     # solver invariants, checked explicitly so they also hold under python -O
     if sum(allocation.blocklengths) > cfg.symbol_budget:
         raise RuntimeError(
@@ -173,13 +181,7 @@ def _build_report(
             f"energy budget {cfg.energy_budget:.6g} J"
         )
     return SolveReport(
-        allocation=allocation,
-        margins=margins,
-        total_energy=total_energy,
-        iterations=iterations,
-        trace=tuple(trace),
-        converged=converged,
-        solver_name=solver_name,
+        allocation, margins, total_energy, iterations, tuple(trace), converged, solver_name
     )
 
 
@@ -383,7 +385,8 @@ def equal_allocation_energy(scenario: Scenario) -> SolveReport:
 
 def _energy_report(scenario: Scenario, blocklengths, *, solver_name: str) -> SolveReport:
     """Report of an energy answer: the closed-form powers for the target
-    margin at these blocklengths (min_energy_fixed_m), one iteration."""
+    margin at these blocklengths (min_energy_fixed_m), one iteration.
+    Its total_energy is the total min_energy_fixed_m summed."""
     powers, total = min_energy_fixed_m(scenario, blocklengths)
     return _build_report(
         scenario,
@@ -394,6 +397,7 @@ def _energy_report(scenario: Scenario, blocklengths, *, solver_name: str) -> Sol
         trace=((1, total),),
         converged=True,
         enforce_energy_budget=False,
+        total_energy=total,
     )
 
 
@@ -436,12 +440,18 @@ def solve_power_minmax_fixed_m(scenario: Scenario, blocklengths) -> SolveReport:
     margin, the largest g whose closed-form powers fit the budget, found
     by Newton steps on their energy (_split_margin, the joint solver's
     per-split step). The powers fit the budget with no slack, and at
-    g >= 0 every one is positive. Raises InfeasibleError, giving that
-    largest g, when it is below margin 0 (eps 0.5).
+    g >= 0 every one is positive. Raises ValueError for a blocklength
+    that is not an integer (operator.index refuses it; numpy integers
+    pass), below 1, or summing past the symbol budget, and
+    InfeasibleError, giving that largest g, when it is below margin 0
+    (eps 0.5).
     """
     cfg = scenario.config
     n = scenario.n_vehicles
-    m_vec = [int(m) for m in blocklengths]
+    try:
+        m_vec = [operator.index(m) for m in blocklengths]
+    except TypeError:
+        raise ValueError(f"blocklengths must be integers, got {blocklengths!r}") from None
     if len(m_vec) != n:
         raise ValueError(f"expected {n} blocklengths, got {len(m_vec)}")
     if any(m < 1 for m in m_vec):

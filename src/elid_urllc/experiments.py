@@ -88,7 +88,7 @@ def parse_metric(name: str) -> tuple[str, dict[str, str]]:
     return base, {key: value}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepSpec:
     """One experiment: sweep a variable, average metrics over seeds.
 
@@ -134,7 +134,7 @@ class SweepSpec:
             raise ValueError(f"n_vehicles must be >= 1, got {self.n_vehicles}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultRow:
     """One metric evaluation; metric_value None marks an infeasible cell."""
 
@@ -152,7 +152,7 @@ class ResultRow:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SummaryRow:
     """Per (swept_value, metric) statistics over the feasible seeds."""
 
@@ -273,14 +273,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
                 except InfeasibleError:
                     metric_value = None
                 rows.append(
-                    ResultRow(
-                        sweep_name=spec.name,
-                        swept_value=value,
-                        seed=seed_index,
-                        metric_name=metric,
-                        metric_value=metric_value,
-                        units=units,
-                    )
+                    ResultRow(spec.name, value, seed_index, metric, metric_value, units)
                 )
     rows.sort(key=lambda r: (r.swept_value, r.seed, r.metric_name))
     return rows

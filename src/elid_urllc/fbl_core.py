@@ -130,7 +130,7 @@ def _check_snr(snr: float) -> None:
         raise ValueError(f"snr must be finite and nonnegative, got {snr!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShortPacketParams:
     """One short-packet operating point.
 
@@ -152,7 +152,7 @@ class ShortPacketParams:
         _check_snr(self.snr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReliabilityMargin:
     """Reliability of one link expressed as a Q-function argument.
 
@@ -222,7 +222,7 @@ def reliability_margin(
     g = math.sqrt(m) * (math.log1p(snr) - LN2 * payload_bits / m)
     if dispersion_mode is DispersionMode.EXACT:
         g /= math.sqrt(_dispersion_for(snr, dispersion_mode))
-    return ReliabilityMargin(g=g, eps_log10=eps_log10_from_margin(g))
+    return ReliabilityMargin(g, eps_log10_from_margin(g))
 
 
 def min_power_for_target(

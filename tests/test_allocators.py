@@ -120,18 +120,34 @@ class TestSymbolSharing:
         assert report.total_energy == pytest.approx(oracle.total_energy, rel=1e-9)
         assert report.allocation.blocklengths == oracle.allocation.blocklengths
 
-    def test_trace_and_iteration_invariants(self):
+    def test_trace_and_iteration_invariants(self, monkeypatch):
+        fsum = math.fsum
+        fsum_calls = []
+
+        def counting_fsum(terms):
+            fsum_calls.append(1)
+            return fsum(terms)
+
         cfg = SystemConfig()
         rng = np.random.default_rng(2024)
         for _ in range(25):
             n = int(rng.integers(2, 7))
             scenario = sample_scenario(cfg, n, seed=int(rng.integers(0, 2**63)))
-            report = symbol_sharing(scenario)
-            energies = [e for _, e in report.trace]
-            assert all(a > b for a, b in zip(energies, energies[1:]))
-            assert report.iterations <= cfg.symbol_budget * n
-            assert report.converged
-            assert energies[-1] == pytest.approx(report.total_energy, rel=1e-12)
+            for solve in (symbol_sharing, equal_allocation_energy):
+                fsum_calls.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(math, "fsum", counting_fsum)
+                    report = solve(scenario)
+                # each energy answer is summed once, in min_energy_fixed_m,
+                # and the report carries that very total
+                assert len(fsum_calls) == 1
+                _, total = min_energy_fixed_m(scenario, report.allocation.blocklengths)
+                assert report.total_energy.hex() == total.hex()
+                energies = [e for _, e in report.trace]
+                assert all(a > b for a, b in zip(energies, energies[1:]))
+                assert report.iterations <= cfg.symbol_budget * n
+                assert report.converged
+                assert energies[-1] == pytest.approx(report.total_energy, rel=1e-12)
 
     def test_dominates_equal_allocation(self):
         cfg = SystemConfig()
@@ -536,6 +552,13 @@ class TestPowerMinmaxFixedM:
             solve_power_minmax_fixed_m(scenario, [60, 60])
         with pytest.raises(ValueError):
             solve_power_minmax_fixed_m(scenario, [0, 50])
+        # a budget that funds (50, 49), which truncating would solve
+        funded = make_scenario([1.0, 1.0], symbol_budget=100, energy_budget=1e6)
+        with pytest.raises(ValueError, match=r"must be integers, got \[50.9, 49.9\]"):
+            solve_power_minmax_fixed_m(funded, [50.9, 49.9])
+        assert solve_power_minmax_fixed_m(
+            funded, np.array([50, 49])
+        ) == solve_power_minmax_fixed_m(funded, [50, 49])
 
 
 def _fixed_m_sweep():
