@@ -385,8 +385,7 @@ def equal_allocation_energy(scenario: Scenario) -> SolveReport:
 
 def _energy_report(scenario: Scenario, blocklengths, *, solver_name: str) -> SolveReport:
     """Report of an energy answer: the closed-form powers for the target
-    margin at these blocklengths (min_energy_fixed_m), one iteration.
-    Its total_energy is the total min_energy_fixed_m summed."""
+    margin at these blocklengths (min_energy_fixed_m), one iteration."""
     powers, total = min_energy_fixed_m(scenario, blocklengths)
     return _build_report(
         scenario,
