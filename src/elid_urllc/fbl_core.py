@@ -10,6 +10,12 @@ together with the inversions every allocator needs: decoder error
 probability at a given power, minimum power for a target reliability,
 and minimum blocklength under an energy budget.
 
+It owns the link model: c_g(m) = m * expm1(ln2 * D / m + g / sqrt(m)),
+the energy-gain product that meets margin g in m channel uses, and its
+inverse, the margin, as scalars, as min_blocklength's c_0 table, and as
+the allocators' numpy tables (_build_split_tables, _margin_matrix). The
+one other copy is allocators._split_margin's Newton loop.
+
 All reliability arithmetic happens on the margin g, the argument of the
 Gaussian Q-function in eps = Q(g). Operating points of interest sit at
 g of 20 or more, where eps underflows double precision (g = 26 already
@@ -25,6 +31,8 @@ import functools
 import math
 import statistics
 from dataclasses import dataclass
+
+import numpy as np
 
 LN2 = math.log(2.0)
 LN10 = math.log(10.0)
@@ -50,6 +58,10 @@ class DispersionMode(enum.Enum):
 
     EXACT = "exact"
     UNIT = "unit"
+
+
+# reliability_margin tests this alias: the enum class lookup costs 0.13 us
+_EXACT = DispersionMode.EXACT
 
 
 def q_function(x: float) -> float:
@@ -220,7 +232,7 @@ def reliability_margin(
         raise ValueError(f"payload_bits must be >= 1, got {payload_bits}")
     m = float(blocklength)
     g = math.sqrt(m) * (math.log1p(snr) - LN2 * payload_bits / m)
-    if dispersion_mode is DispersionMode.EXACT:
+    if dispersion_mode is _EXACT:
         g /= math.sqrt(_dispersion_for(snr, dispersion_mode))
     return ReliabilityMargin(g, eps_log10_from_margin(g))
 
@@ -259,29 +271,59 @@ def min_power_for_target(
     return snr_required / norm_gain
 
 
-def _min_energy_gain(blocklength: int, payload_bits: int) -> float:
-    """m * (2^(D/m) - 1): received energy-gain product needed at eps = 0.5.
+@functools.lru_cache(maxsize=16)
+def _table_axes(payload_bits: int, m_total: int) -> tuple[np.ndarray, ...]:
+    """The margin-free parts of c_g for m = 1..m_total, read-only: (ms,
+    ln2 * D / ms, sqrt(ms)). Every c_g table of one (D, M) shares them,
+    so a joint min-max round computes only the g-dependent part, and the
+    fixed-power margin matrix (_margin_matrix) reads its first columns
+    of the last two."""
+    ms = np.arange(1, m_total + 1, dtype=float)
+    axes = (ms, LN2 * payload_bits / ms, np.sqrt(ms))
+    for axis in axes:
+        axis.flags.writeable = False
+    return axes
 
-    Strictly decreasing in m for fixed D in exact arithmetic. In floats
-    the fall per step drops below an ulp for large m (around m = 5e7
-    for D = 1), so computed values can tie or rise there. Up to
-    _C0_TABLE_MAX symbols the computed values still strictly decrease
-    (tests check D from 1 to 2500), which the cached table path of
-    min_blocklength relies on. Returns inf once the exponent would
-    overflow, which keeps the feasibility predicate monotone.
 
-    c_0 stays a scalar, not a read of the allocators' numpy c_g table at
-    g = 0: numpy's expm1 differs from math.expm1 in the last bit, so at
-    D = 160, M = 200 that table differs from this function at 22 of the
-    200 entries. Reading it would move min_blocklength's answer at those
-    bars, the budgets equal to c_0(m) that
-    test_matches_scalar_bisection_at_every_bar pins.
+def _build_split_tables(
+    payload_bits: int, g_target: float, m_total: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The gain-free tables of the least-energy split at margin g_target
+    over m_total symbols: (table, steps, m_star), arrays read-only.
+
+    table[m - 1] = c_g(m) is m * min_power_for_target at unit gain,
+    clamped at zero and inf past exponent 709 like it; a vehicle's energy
+    at blocklength m is table[m - 1] / norm_gain. It is built in place
+    from the cached axes (_table_axes) as ms * expm1(base + g / roots).
+    steps[k] = table[k] - table[k + 1] is the saving of symbol k + 2, and
+    m_star is the first minimizer of table. inf - inf is taken as inf: a
+    step that stays inside the overflow region must still be taken to
+    leave it. A table that is inf everywhere therefore takes every step,
+    and its m_star is m_total. One np.errstate covers the whole pass.
     """
-    m = float(blocklength)
-    x = LN2 * payload_bits / m
-    if x > _EXP_OVERFLOW:
-        return math.inf
-    return m * math.expm1(x)
+    ms, base, roots = _table_axes(payload_bits, m_total)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = base + g_target / roots
+        table[table > _EXP_OVERFLOW] = np.inf
+        np.expm1(table, out=table)
+        table *= ms
+        np.maximum(table, 0.0, out=table)
+        steps = table[:-1] - table[1:]
+        np.fmin(steps, np.inf, out=steps)  # the nan of inf - inf reads inf
+    first = int(table.argmin())
+    m_star = first + 1 if math.isfinite(table[first]) else m_total
+    table.flags.writeable = steps.flags.writeable = False
+    return table, steps, m_star
+
+
+def _margin_matrix(snrs, payload_bits: int, m_total: int, width: int) -> np.ndarray:
+    """The UNIT-mode margins of links at snrs for m = 1..width (width <=
+    m_total), one row per link: sqrt(m) * (log1p(snr) - ln2 * D / m), read
+    from the cached axes of (D, m_total). math.log1p per link keeps every
+    entry bit-identical to reliability_margin(snr, m, D).g."""
+    _, base, roots = _table_axes(payload_bits, m_total)
+    capacity = np.array([math.log1p(snr) for snr in snrs])
+    return roots[:width] * (capacity[:, None] - base[:width])
 
 
 # Longest cached -c_0 table, about 0.5 MB; longer symbol budgets compute
@@ -291,14 +333,23 @@ _C0_TABLE_MAX = 1 << 14
 
 @functools.lru_cache(maxsize=16)
 def _neg_min_energy_gains(payload_bits: int, max_symbols: int) -> tuple[float, ...]:
-    """-_min_energy_gain(m, D) for m = 1..max_symbols: c_0, the table
-    c_g at g = 0, negated so that it ascends (-inf where c_0 overflows).
+    """-c_0(m) for m = 1..max_symbols as a tuple, negated so that it
+    ascends (-inf where c_0 overflows). c_0(m) = m * (2^(D/m) - 1), the
+    energy-gain product needed at eps = 0.5, is read as
+    m * min_power_for_target(1.0, m, D, 0.0).
 
-    Built once per (D, M) from _min_energy_gain itself, so every entry is
-    the scalar's own value; a tuple, so the cached table cannot change.
+    c_0 strictly decreases in exact arithmetic. In floats the fall per
+    step drops below an ulp for large m (around m = 5e7 for D = 1), but
+    up to _C0_TABLE_MAX it still strictly decreases (tests check D from
+    1 to 2500), which min_blocklength's bisection relies on. It is not
+    read off _build_split_tables at g = 0: numpy's expm1 differs from
+    math.expm1 in the last bit, at 22 of 200 entries for D = 160, which
+    would move min_blocklength at the bars
+    test_matches_scalar_bisection_at_every_bar pins.
     """
     return tuple(
-        -_min_energy_gain(m, payload_bits) for m in range(1, max_symbols + 1)
+        -(m * min_power_for_target(1.0, m, payload_bits, 0.0))
+        for m in range(1, max_symbols + 1)
     )
 
 
@@ -313,20 +364,16 @@ def min_blocklength(
     Feasibility at m requires energy_budget_gain > m * (2^(D/m) - 1).
     The right side, c_0(m), strictly decreases in m up to _C0_TABLE_MAX
     symbols even in floats, for the payloads tested (see
-    _min_energy_gain), so up to there the answer is one bisection of
-    the cached ascending table -c_0 for (D, max_symbols): the first m
+    _neg_min_energy_gains), so up to there the answer is one bisection
+    of the cached ascending table -c_0 for (D, max_symbols): the first m
     with -c_0(m) > -energy_budget_gain.
     Budgets past _C0_TABLE_MAX symbols bisect on the predicate itself,
     computing c_0 at each probe. Where the computed c_0 stops being
     strictly decreasing (m around 5e7 for D = 1) that bisection returns
     a feasible m, not necessarily the first one. Returns None when even
-    m = max_symbols fails.
-
-    It stays off the allocators' numpy c_g tables for two reasons: their
-    c_0 entries differ from _min_energy_gain in the last bit (see there),
-    and symbol_budget has no upper bound, so a search must stay
-    table-free up to 10^9 symbols, where a table of every m would take
-    8 GB.
+    m = max_symbols fails. symbol_budget has no upper bound, so the
+    search must stay table-free up to 10^9 symbols, where a table of
+    every m would take 8 GB.
     """
     if not (math.isfinite(energy_budget_gain) and energy_budget_gain > 0.0):
         raise ValueError(
@@ -341,12 +388,16 @@ def min_blocklength(
             _neg_min_energy_gains(payload_bits, max_symbols), -energy_budget_gain
         ) + 1
         return m if m <= max_symbols else None
-    if not energy_budget_gain > _min_energy_gain(max_symbols, payload_bits):
+
+    def c_0(m: int) -> float:
+        return m * min_power_for_target(1.0, m, payload_bits, 0.0)
+
+    if not energy_budget_gain > c_0(max_symbols):
         return None
     lo, hi = 1, max_symbols  # hi is always feasible here
     while lo < hi:
         mid = (lo + hi) // 2
-        if energy_budget_gain > _min_energy_gain(mid, payload_bits):
+        if energy_budget_gain > c_0(mid):
             hi = mid
         else:
             lo = mid + 1

@@ -23,13 +23,13 @@ from .allocators import (
     _build_report,
     _check_symbol_cover,
     _energy_floors,
-    _energy_gain_table,
     _minmax_floors,
     _minmax_report,
 )
 from .channel_model import Scenario
 from .exceptions import InfeasibleError
-from .fbl_core import _EXP_OVERFLOW, LN2, min_power_for_target, q_inverse
+from .fbl_core import _EXP_OVERFLOW, LN2, _build_split_tables
+from .fbl_core import min_power_for_target, q_inverse
 
 
 def brute_force_energy(scenario: Scenario) -> SolveReport:
@@ -55,7 +55,7 @@ def brute_force_energy(scenario: Scenario) -> SolveReport:
     d = cfg.payload_bits
     floors = [1 if m is None else m for m in _energy_floors(scenario)]
 
-    required = _energy_gain_table(d, gt, m_total)
+    required = _build_split_tables(d, gt, m_total)[0]
     # energy_tables[i][k] = energy for vehicle i at blocklength k+1
     energy_tables = [required / link.norm_gain for link in scenario.links]
     for i, floor in enumerate(floors):

@@ -11,7 +11,6 @@ import numpy as np
 
 from elid_urllc.allocators import (
     _REL_IMPROVEMENT,
-    _build_split_tables,
     _least_energy_split,
     _minmax_floors,
 )
@@ -26,7 +25,7 @@ from elid_urllc.channel_model import (
 from elid_urllc.exceptions import InfeasibleError
 from elid_urllc.fbl_core import (
     LN2,
-    _min_energy_gain,
+    _build_split_tables,
     min_power_for_target,
     reliability_margin,
 )
@@ -178,16 +177,26 @@ def reference_least_energy_split(table, gains, floors, m_total):
     return m_vec.tolist()
 
 
+def reference_c0(m, payload_bits):
+    """c_0(m) = m * (2^(D/m) - 1), the energy-gain product needed at
+    eps = 0.5, in its own scalar arithmetic: m * expm1(ln2 * D / m), inf
+    once the exponent passes 709, where math.expm1 would overflow."""
+    exponent = LN2 * payload_bits / m
+    if exponent > 709.0:
+        return math.inf
+    return m * math.expm1(exponent)
+
+
 def reference_min_blocklength(energy_budget_gain, payload_bits, max_symbols):
     """Scalar form of fbl_core.min_blocklength: bisection on the
-    predicate energy_budget_gain > _min_energy_gain(m, D), evaluated
-    afresh at every probe, after checking m = max_symbols."""
-    if not energy_budget_gain > _min_energy_gain(max_symbols, payload_bits):
+    predicate energy_budget_gain > reference_c0(m, D), evaluated afresh
+    at every probe, after checking m = max_symbols."""
+    if not energy_budget_gain > reference_c0(max_symbols, payload_bits):
         return None
     lo, hi = 1, max_symbols
     while lo < hi:
         mid = (lo + hi) // 2
-        if energy_budget_gain > _min_energy_gain(mid, payload_bits):
+        if energy_budget_gain > reference_c0(mid, payload_bits):
             hi = mid
         else:
             lo = mid + 1

@@ -272,13 +272,8 @@ class TestLeastEnergySplitTables:
     masked split over the whole saving matrix it replaced."""
 
     def _assert_matches(self, payload_bits, g, m_total, gains, floors):
-        tables = allocators._build_split_tables(payload_bits, g, m_total)
-        expected = reference_least_energy_split(
-            allocators._energy_gain_table(payload_bits, g, m_total),
-            gains,
-            floors,
-            m_total,
-        )
+        tables = fbl_core._build_split_tables(payload_bits, g, m_total)
+        expected = reference_least_energy_split(tables[0], gains, floors, m_total)
         got = allocators._least_energy_split(tables, gains, floors)
         assert got == expected, (payload_bits, g, m_total, gains, floors)
         return got
@@ -304,7 +299,7 @@ class TestLeastEnergySplitTables:
         # ln2 * D / m > 709 at every m <= M, so c_g overflows everywhere
         for m_total in (n, n + 1, 40, 2000):
             payload_bits = 1024 * m_total
-            table, _, m_star = allocators._build_split_tables(payload_bits, 6.0, m_total)
+            table, _, m_star = fbl_core._build_split_tables(payload_bits, 6.0, m_total)
             assert np.all(np.isinf(table)) and m_star == m_total
             floors = [1] * n
             m_vec = self._assert_matches(
@@ -347,7 +342,7 @@ class TestLeastEnergySplitTables:
                 with np.errstate(over="ignore"):
                     inline = np.where(exponent > 709.0, np.inf, ms * np.expm1(exponent))
                 inline = np.maximum(inline, 0.0)
-                table = allocators._energy_gain_table(payload_bits, g, m_total)
+                table, steps, m_star = fbl_core._build_split_tables(payload_bits, g, m_total)
                 assert np.array_equal(table, inline), (payload_bits, g, m_total)
                 # the split tables of the same pass: inf - inf reads as inf
                 with np.errstate(invalid="ignore"):
@@ -355,12 +350,11 @@ class TestLeastEnergySplitTables:
                 inline_steps[np.isnan(inline_steps)] = np.inf
                 first = int(np.argmin(inline))
                 inline_m_star = first + 1 if np.isfinite(inline[first]) else m_total
-                _, steps, m_star = allocators._build_split_tables(payload_bits, g, m_total)
                 assert np.array_equal(steps, inline_steps), (payload_bits, g, m_total)
                 assert m_star == inline_m_star, (payload_bits, g, m_total)
         # the overflow region is covered: D = 1024 * M overflows at every m
-        assert np.all(np.isinf(allocators._energy_gain_table(1024 * m_total, 6.0, m_total)))
-        for axis in allocators._table_axes(160, m_total):
+        assert np.all(np.isinf(fbl_core._build_split_tables(1024 * m_total, 6.0, m_total)[0]))
+        for axis in fbl_core._table_axes(160, m_total):
             assert not axis.flags.writeable
             with pytest.raises(ValueError):
                 axis[0] = 0.0
@@ -661,9 +655,9 @@ class TestSymbolsMinmaxFixedP:
         # at the same (D, M) builds no axes
         config = SystemConfig(payload_bits=77, symbol_budget=333)
         solve_symbols_minmax_fixed_p(sample_scenario(config, 4, seed=1))
-        before = allocators._table_axes.cache_info()
+        before = fbl_core._table_axes.cache_info()
         solve_symbols_minmax_fixed_p(sample_scenario(config, 6, seed=2))
-        after = allocators._table_axes.cache_info()
+        after = fbl_core._table_axes.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     def test_matches_reference_greedy(self):
@@ -1072,6 +1066,25 @@ class TestReportInvariants:
                 and id(node) not in allowed
             ]
         assert found == []
+
+    def test_only_split_margin_evaluates_the_link_model(self):
+        # one link-model kernel: fbl_core evaluates c_g and its inverse, and
+        # allocators keeps one inline copy, in the Newton margin solve
+        tree = dict(_package_trees())["allocators.py"]
+        newton = next(
+            node
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "_split_margin"
+        )
+        allowed = {id(node) for node in ast.walk(newton)}
+        calls = [
+            (node.lineno, id(node) in allowed)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and {"expm1", "log1p"} & {getattr(node.func, a, None) for a in ("id", "attr")}
+        ]
+        assert [line for line, inside in calls if not inside] == []
+        assert any(inside for _, inside in calls)
 
     def test_allocation_validation(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from elid_urllc.fbl_core import (
     DispersionMode,
     ReliabilityMargin,
     ShortPacketParams,
-    _min_energy_gain,
     achievable_rate,
     channel_dispersion,
     eps_log10_from_margin,
@@ -30,7 +29,7 @@ from elid_urllc.fbl_core import (
     reliability_margin,
     shannon_capacity,
 )
-from oracle_utils import reference_min_blocklength
+from oracle_utils import reference_c0, reference_min_blocklength
 
 # Q(x) to 17 significant digits, mpmath erfc oracle.
 Q_TABLE = [
@@ -419,13 +418,23 @@ class TestMinBlocklength:
         # inequality flips, against the bisection the table replaced
         for max_symbols in (1, 2, 3, 40, 200, 365, 1000, 2000):
             for m in range(1, max_symbols + 1):
-                bar = _min_energy_gain(m, payload_bits)
+                bar = reference_c0(m, payload_bits)
                 if not math.isfinite(bar):
                     continue
                 below, above = math.nextafter(bar, 0.0), math.nextafter(bar, math.inf)
                 for budget in (below, bar, above):
                     args = (budget, payload_bits, max_symbols)
                     assert min_blocklength(*args) == reference_min_blocklength(*args)
+
+    @pytest.mark.parametrize("payload_bits", [1, 8, 160, 1000, 1023, 1024, 2500])
+    def test_c0_is_min_power_at_unit_gain_and_margin_zero(self, payload_bits):
+        # min_blocklength reads c_0(m) as m * min_power_for_target(1.0, m,
+        # D, 0.0); it must equal c_0 in its own arithmetic to the bit,
+        # inf included (ln2 * D passes 709 at D = 1023)
+        ms = [*range(1, fbl_core._C0_TABLE_MAX + 2), 10**5, 5 * 10**7, 10**9]
+        for m in ms:
+            got = m * min_power_for_target(1.0, m, payload_bits, 0.0)
+            assert got.hex() == reference_c0(m, payload_bits).hex(), m
 
     @pytest.mark.parametrize("payload_bits", [1, 2, 8, 32, 160, 1000, 2500])
     def test_cached_table_strictly_ascends(self, payload_bits):
@@ -444,7 +453,7 @@ class TestMinBlocklength:
         for max_symbols in (cap + 1, 10**9):
             for payload_bits in (1, 160, 2500):
                 for m in (1, 2, 45, cap, cap + 1, max_symbols):
-                    bar = _min_energy_gain(m, payload_bits)
+                    bar = reference_c0(m, payload_bits)
                     for budget in (math.nextafter(bar, 0.0), math.nextafter(bar, math.inf)):
                         if not (math.isfinite(budget) and budget > 0.0):
                             continue
