@@ -108,7 +108,8 @@ class SolveReport:
     - symbols_minmax_fixed_p: the M - n spare-symbol grants; (k, worst
       margin after k grants) for k = 0..M - n.
     - joint_minmax: split rounds, the start included; (round, g) after each.
-    - the oracles: candidates scored; ((iterations, best energy or g),).
+    - brute_force_energy: terms compared; ((iterations, best energy),).
+    - brute_force_minmax: candidates scored; ((iterations, best g),).
     converged is False only where a cap ended the search.
     """
 
@@ -192,6 +193,26 @@ def _build_report(
 # energy minimization at a fixed reliability target
 
 
+def _checked_blocklengths(scenario: Scenario, blocklengths) -> list[int]:
+    """The fixed-m entry points' blocklengths as ints (operator.index: no
+    floats, numpy integers pass), one per vehicle, each >= 1, summing to
+    at most the symbol budget; ValueError otherwise."""
+    try:
+        m_vec = list(map(operator.index, blocklengths))
+    except TypeError:
+        raise ValueError(f"blocklengths must be integers, got {blocklengths!r}") from None
+    if len(m_vec) != scenario.n_vehicles:
+        raise ValueError(f"expected {scenario.n_vehicles} blocklengths, got {len(m_vec)}")
+    if min(m_vec) < 1:
+        raise ValueError("blocklengths must all be >= 1")
+    if sum(m_vec) > scenario.config.symbol_budget:
+        raise ValueError(
+            f"blocklengths sum to {sum(m_vec)}, exceeding the symbol "
+            f"budget {scenario.config.symbol_budget}"
+        )
+    return m_vec
+
+
 def min_energy_fixed_m(
     scenario: Scenario, blocklengths
 ) -> tuple[tuple[float, ...], float]:
@@ -200,22 +221,19 @@ def min_energy_fixed_m(
 
     Per vehicle the binding constraint is solved in closed form, so the
     result is exact (clamped at zero where the target is already met).
-    Returns (powers, total_energy). Raises InfeasibleError when the total
-    is not finite: no finite energy meets the target at these
-    blocklengths.
+    Returns (powers, total_energy). Raises ValueError as
+    _checked_blocklengths does, and InfeasibleError when the total is
+    not finite: no finite energy meets the target at these blocklengths.
     """
+    m_vec = _checked_blocklengths(scenario, blocklengths)
     gt = q_inverse(scenario.config.target_eps)
-    if len(blocklengths) != scenario.n_vehicles:
-        raise ValueError(
-            f"expected {scenario.n_vehicles} blocklengths, got {len(blocklengths)}"
-        )
     d = scenario.config.payload_bits
     powers = tuple(
         min_power_for_target(link.norm_gain, m, d, gt)
-        for link, m in zip(scenario.links, blocklengths)
+        for link, m in zip(scenario.links, m_vec)
     )
     try:
-        total = math.fsum(map(operator.mul, powers, blocklengths))
+        total = math.fsum(map(operator.mul, powers, m_vec))
     except OverflowError:  # finite energies summing past the float range
         total = math.inf
     if not math.isfinite(total):
@@ -383,27 +401,12 @@ def solve_power_minmax_fixed_m(scenario: Scenario, blocklengths) -> SolveReport:
     margin, the largest g whose closed-form powers fit the budget, found
     by Newton steps on their energy (_split_margin, the joint solver's
     per-split step), within a few ulps. The powers fit the budget, and at
-    g >= 0 every one is positive. Raises ValueError for a blocklength
-    that is not an integer (operator.index refuses it; numpy integers
-    pass), below 1, or summing past the symbol budget, and
-    InfeasibleError, giving that largest g, when it is below margin 0
-    (eps 0.5).
+    g >= 0 every one is positive. Raises ValueError as
+    _checked_blocklengths does, and InfeasibleError, giving that largest
+    g, when it is below margin 0 (eps 0.5).
     """
     cfg = scenario.config
-    n = scenario.n_vehicles
-    try:
-        m_vec = [operator.index(m) for m in blocklengths]
-    except TypeError:
-        raise ValueError(f"blocklengths must be integers, got {blocklengths!r}") from None
-    if len(m_vec) != n:
-        raise ValueError(f"expected {n} blocklengths, got {len(m_vec)}")
-    if any(m < 1 for m in m_vec):
-        raise ValueError("blocklengths must all be >= 1")
-    if sum(m_vec) > cfg.symbol_budget:
-        raise ValueError(
-            f"blocklengths sum to {sum(m_vec)}, exceeding the symbol "
-            f"budget {cfg.symbol_budget}"
-        )
+    m_vec = _checked_blocklengths(scenario, blocklengths)
     d = cfg.payload_bits
     budget = cfg.energy_budget
     gains = [link.norm_gain for link in scenario.links]

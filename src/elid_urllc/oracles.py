@@ -1,14 +1,14 @@
 """Brute-force verification oracles for the allocators.
 
-Exhaustive enumerations over small instances (n <= 3) that certify both
+Exhaustive searches over small instances (n <= 3) that certify both
 solver families: brute_force_energy checks symbol_sharing, and
 brute_force_minmax checks solve_joint_minmax. They share no search code
-with the solvers they check. The energy oracle scans every blocklength
-split over the same gain-free energy table. The min-max oracle scores
-every candidate split by its own expand-and-bisect on g, run over all
-candidates at once, not by the solvers' Newton margin solve
-(_split_margin) or their least-energy split. Only the oracle-check
-command and the tests import this module; no solve or sweep runs it.
+or tables with the solvers they check. The energy oracle prices each
+blocklength with the scalar min_power_for_target, not the solvers'
+numpy c_g tables. The min-max oracle scores every candidate split by
+its own expand-and-bisect on g, run over all candidates at once, not by
+the solvers' Newton margin solve (_split_margin) or their least-energy
+split. Only the oracle-check command and the tests import this module.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .allocators import (
 )
 from .channel_model import Scenario
 from .exceptions import InfeasibleError
-from .fbl_core import _EXP_OVERFLOW, LN2, _build_split_tables
+from .fbl_core import _EXP_OVERFLOW, LN2
 from .fbl_core import min_power_for_target, q_inverse
 
 
@@ -38,7 +38,9 @@ def brute_force_energy(scenario: Scenario) -> SolveReport:
     Verification oracle for symbol_sharing: searches every m vector with
     sum(m) <= symbol_budget and m_i at or above the same floors
     symbol_sharing respects, at the same target margin
-    q_inverse(target_eps). Guarded to n <= 3 and M <= 1000.
+    q_inverse(target_eps), by an exact min-plus search that picks the
+    first least split in lexicographic order. iterations counts the
+    terms compared. Guarded to n <= 3 and M <= 1000.
     """
     cfg = scenario.config
     n = scenario.n_vehicles
@@ -55,56 +57,44 @@ def brute_force_energy(scenario: Scenario) -> SolveReport:
     d = cfg.payload_bits
     floors = [1 if m is None else m for m in _energy_floors(scenario)]
 
-    required = _build_split_tables(d, gt, m_total)[0]
-    # energy_tables[i][k] = energy for vehicle i at blocklength k+1
-    energy_tables = [required / link.norm_gain for link in scenario.links]
-    for i, floor in enumerate(floors):
-        energy_tables[i][: floor - 1] = np.inf
+    # rows[i][m - 1]: vehicle i's energy at blocklength m, the product the
+    # report sums, and inf below the vehicle's floor
+    rows = np.full((n, m_total), np.inf)
+    for row, link, floor in zip(rows, scenario.links, floors):
+        row[floor - 1 :] = [
+            min_power_for_target(link.norm_gain, m, d, gt) * m
+            for m in range(floor, m_total + 1)
+        ]
+    # two finite energies may sum past the float range; inf is their sum
+    with np.errstate(over="ignore"):
+        # after[i][k]: the least energy of the vehicles after vehicle i
+        # within k symbols, for k = 0..M. Nothing comes after the last
+        # vehicle, so its table is zero; the one before it gets the least
+        # of the last row's first k entries; every earlier vehicle gets
+        # the min-plus product of the next row with the table after it.
+        after = [
+            np.concatenate(([np.inf], np.minimum.accumulate(rows[-1]))),
+            np.zeros(m_total + 1),
+        ]
+        compared = m_total
+        for row in rows[-2:0:-1]:
+            tail = after[0]
+            least = [_terms(row, tail, k).min(initial=np.inf) for k in range(m_total + 1)]
+            after.insert(0, np.array(least))
+            compared += m_total * (m_total + 1) // 2
 
-    candidates = 0
-    best_energy = np.inf
-    best_m: tuple[int, ...] | None = None
+        # walk the vehicles in order, each taking the first blocklength of
+        # least energy with the symbols the ones before it left; a lone
+        # vehicle reads the zero table, not its own
+        best_energy = float(_terms(rows[0], after[-n], m_total).min())
+        best_m = []
+        left = m_total
+        for row, tail in zip(rows, after[-n:]):
+            best_m.append(int(np.argmin(_terms(row, tail, left))) + 1)
+            compared += left
+            left -= best_m[-1]
 
-    if n == 1:
-        table = energy_tables[0]
-        candidates = m_total
-        idx = int(np.argmin(table))
-        best_energy = float(table[idx])
-        best_m = (idx + 1,)
-    elif n == 2:
-        e1, e2 = energy_tables
-        # prefix_min2[k] = min energy of vehicle 1 over blocklengths 1..k+1
-        prefix_min2 = np.minimum.accumulate(e2)
-        for m1 in range(floors[0], m_total):
-            cap2 = m_total - m1
-            if cap2 < floors[1]:
-                break
-            candidates += cap2 - floors[1] + 1
-            total = e1[m1 - 1] + prefix_min2[cap2 - 1]
-            if total < best_energy:
-                segment = e2[floors[1] - 1 : cap2]
-                m2 = floors[1] + int(np.argmin(segment))
-                best_energy = float(total)
-                best_m = (m1, m2)
-    else:
-        e1, e2, e3 = energy_tables
-        prefix_min3 = np.minimum.accumulate(e3)
-        for m1 in range(floors[0], m_total - 1):
-            cap23 = m_total - m1
-            if cap23 < floors[1] + floors[2]:
-                break
-            m2_values = np.arange(floors[1], cap23 - floors[2] + 1)
-            candidates += m2_values.size
-            totals = e1[m1 - 1] + e2[m2_values - 1] + prefix_min3[cap23 - m2_values - 1]
-            k = int(np.argmin(totals))
-            if totals[k] < best_energy:
-                m2 = int(m2_values[k])
-                segment = e3[floors[2] - 1 : cap23 - m2]
-                m3 = floors[2] + int(np.argmin(segment))
-                best_energy = float(totals[k])
-                best_m = (m1, m2, m3)
-
-    if best_m is None or not math.isfinite(best_energy):
+    if not math.isfinite(best_energy):
         raise InfeasibleError(
             "no finite-energy allocation exists within the symbol budget "
             "for this reliability target"
@@ -118,11 +108,18 @@ def brute_force_energy(scenario: Scenario) -> SolveReport:
         powers,
         best_m,
         solver_name="brute_force_energy",
-        iterations=candidates,
-        trace=((candidates, best_energy),),
+        iterations=compared,
+        trace=((compared, best_energy),),
         converged=True,
         enforce_energy_budget=False,
     )
+
+
+def _terms(row: np.ndarray, tail: np.ndarray, k: int) -> np.ndarray:
+    """row[m - 1] + tail[k - m] for m = 1..k: one vehicle's energy at m
+    symbols plus the least energy of the vehicles after it within the
+    other k - m."""
+    return row[:k] + tail[:k][::-1]
 
 
 def _largest_affordable_margins(energy_at, margin_floors, budget: float):
@@ -237,23 +234,13 @@ def brute_force_minmax(scenario: Scenario) -> SolveReport:
 
 def _bounded_vectors(floors: list[int], ceilings: list[int], m_total: int):
     """Yield every integer vector with floors <= m <= ceilings and
-    sum(m) <= m_total, in lexicographic order."""
-    n = len(floors)
-    if n == 1:
-        for m1 in range(floors[0], min(ceilings[0], m_total) + 1):
-            yield (m1,)
-    elif n == 2:
-        for m1 in range(floors[0], min(ceilings[0], m_total - floors[1]) + 1):
-            for m2 in range(floors[1], min(ceilings[1], m_total - m1) + 1):
-                yield (m1, m2)
-    else:
-        for m1 in range(
-            floors[0], min(ceilings[0], m_total - floors[1] - floors[2]) + 1
-        ):
-            for m2 in range(
-                floors[1], min(ceilings[1], m_total - m1 - floors[2]) + 1
-            ):
-                for m3 in range(
-                    floors[2], min(ceilings[2], m_total - m1 - m2) + 1
-                ):
-                    yield (m1, m2, m3)
+    sum(m) <= m_total, in lexicographic order: each first entry in turn,
+    followed by every vector of the remaining vehicles that fits in what
+    it leaves."""
+    firsts = range(floors[0], min(ceilings[0], m_total - sum(floors[1:])) + 1)
+    if len(floors) == 1:
+        yield from ((m,) for m in firsts)
+        return
+    for m in firsts:
+        for rest in _bounded_vectors(floors[1:], ceilings[1:], m_total - m):
+            yield (m, *rest)

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -56,8 +57,10 @@ class TestMinEnergyFixedM:
         assert total == pytest.approx(452.24201125597291, rel=1e-12)
 
     def test_unity_snr_point(self):
-        # eps = 0.5 is margin 0
-        scenario = make_scenario([4.0, 0.5], payload_bits=160, target_eps=0.5)
+        # eps = 0.5 is margin 0; 160 + 160 symbols need a budget of 320
+        scenario = make_scenario(
+            [4.0, 0.5], symbol_budget=320, payload_bits=160, target_eps=0.5
+        )
         powers, _ = min_energy_fixed_m(scenario, [160, 160])
         assert powers[0] == pytest.approx(0.25, abs=1e-12)
         assert powers[1] == pytest.approx(2.0, abs=1e-12)
@@ -87,6 +90,25 @@ class TestMinEnergyFixedM:
             scenario = make_scenario(gains, symbol_budget=2, payload_bits=payload_bits)
             with pytest.raises(InfeasibleError, match="no finite-energy allocation"):
                 min_energy_fixed_m(scenario, [1] * len(gains))
+
+
+@pytest.mark.parametrize("solve", [min_energy_fixed_m, solve_power_minmax_fixed_m])
+@pytest.mark.parametrize(
+    "blocklengths, message",
+    [
+        ([2.5, 3], "must be integers"),
+        ([150, 150], "sum to 300, exceeding the symbol budget 200"),
+        ([0, 100], "must all be >= 1"),
+        ([100], "expected 2 blocklengths, got 1"),
+    ],
+)
+def test_fixed_m_entry_points_share_one_blocklength_rule(solve, blocklengths, message):
+    # both fixed-m entry points refuse what the other refuses, and both
+    # take numpy integers as ints
+    scenario = sample_scenario(SystemConfig(), 2, seed=0)
+    with pytest.raises(ValueError, match=message):
+        solve(scenario, blocklengths)
+    assert solve(scenario, np.array([100, 100])) == solve(scenario, [100, 100])
 
 
 class TestSymbolSharing:
@@ -446,6 +468,86 @@ class TestBruteForceEnergy:
         scenario = make_scenario([0.3], symbol_budget=1000)
         report = symbol_sharing(scenario)
         assert report.allocation.blocklengths == (365,)
+
+    def test_matches_the_definition_on_small_budgets(self):
+        # every split with sum(m) <= M and m_i at or above its energy floor,
+        # scored as sum(min_power_for_target(h_i, m_i, D, g) * m_i); the
+        # first least one in lexicographic order wins. At D=32 the floors
+        # rise above 1; at D=1 each energy is least at m* = 16, so some
+        # answers leave symbols unspent.
+        def energy_floor(h, m_total, d):
+            # the least m at which the whole budget, E = 1 J, affords
+            # margin 0; one symbol where no m <= M does
+            for m in range(1, m_total + 1):
+                if m * min_power_for_target(1.0, m, d, 0.0) < h:
+                    return m
+            return 1
+
+        rng = np.random.default_rng(608)
+        g = G_TARGET_1E9
+        cases = [(n, m_total, 32) for n in (2, 3) for m_total in (12, 18, 24)]
+        cases += [(2, 40, 1), (3, 50, 1)]
+        raised_floors = unspent = 0
+        for n, m_total, d in cases:
+            for _ in range(4):
+                gains = list(10.0 ** rng.uniform(2.0, 3.5, size=n))
+                scenario = make_scenario(
+                    gains, symbol_budget=m_total, payload_bits=d, energy_budget=1.0
+                )
+                floors = [energy_floor(h, m_total, d) for h in gains]
+                raised_floors += sum(f > 1 for f in floors)
+                # energies[i][m - 1]: vehicle i's energy at m symbols
+                energies = [
+                    [min_power_for_target(h, m, d, g) * m for m in range(1, m_total + 1)]
+                    for h in gains
+                ]
+                best_m, best_e = None, math.inf
+                for m_vec in itertools.product(range(1, m_total + 1), repeat=n):
+                    if sum(m_vec) > m_total:
+                        continue
+                    if any(m < f for m, f in zip(m_vec, floors)):
+                        continue
+                    energy = sum(row[m - 1] for row, m in zip(energies, m_vec))
+                    if energy < best_e:
+                        best_m, best_e = m_vec, energy
+                if best_m is None:
+                    with pytest.raises(InfeasibleError):
+                        brute_force_energy(scenario)
+                    continue
+                oracle = brute_force_energy(scenario)
+                assert oracle.allocation.blocklengths == best_m
+                assert oracle.total_energy == pytest.approx(best_e, rel=1e-12)
+                unspent += sum(best_m) < m_total
+        assert raised_floors >= 20
+        assert unspent >= 4
+
+    def test_independent_of_the_solvers_split_tables(self, monkeypatch):
+        # the oracle must not share the numpy c_g tables or the greedy
+        # split of the solver it checks
+        rng = np.random.default_rng(609)
+        instances = [
+            sample_scenario(SystemConfig(), n, seed=int(rng.integers(0, 2**63)))
+            for n in (1, 2, 3)
+            for _ in range(2)
+        ]
+        expected = [symbol_sharing(scenario) for scenario in instances]
+
+        def forbidden(*args):
+            raise AssertionError("brute_force_energy used the solvers' split")
+
+        for module, name in (
+            (fbl_core, "_build_split_tables"),
+            (allocators, "_build_split_tables"),
+            (allocators, "_split_tables"),
+            (allocators, "_least_energy_split"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        for scenario, shared in zip(instances, expected):
+            oracle = brute_force_energy(scenario)
+            assert oracle.total_energy == pytest.approx(shared.total_energy, rel=1e-9)
+        # a name the oracles bound themselves would escape the patch above
+        for name in ("_build_split_tables", "_split_tables", "_least_energy_split"):
+            assert not hasattr(oracles, name), name
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -900,6 +1002,36 @@ class TestBruteForceMinmaxGuards:
         scenario = make_scenario([1e3], symbol_budget=40, payload_bits=32)
         with pytest.raises(RuntimeError, match="no blocklength vector"):
             brute_force_minmax(scenario)
+
+
+@pytest.mark.parametrize(
+    "floors, ceilings, m_total",
+    [
+        ([1], [40], 40),
+        ([3], [30], 12),
+        ([1, 4], [30, 9], 25),
+        ([2, 1], [5, 40], 30),
+        ([1, 5], [10, 3], 20),  # a ceiling below its floor: nothing
+        ([1, 2, 3], [20, 20, 20], 24),
+        ([3, 1, 5], [9, 30, 7], 20),
+        ([2, 2, 2], [2, 3, 2], 6),
+        ([4, 4, 4], [10, 10, 10], 11),  # floors past the budget: nothing
+    ],
+)
+def test_bounded_vectors_match_a_filtered_product(floors, ceilings, m_total):
+    # the min-max oracle and its scalar reference both enumerate through
+    # _bounded_vectors, so it is checked against the definition here,
+    # in content and in lexicographic order
+    expected = [
+        m_vec
+        for m_vec in itertools.product(
+            *(range(f, c + 1) for f, c in zip(floors, ceilings))
+        )
+        if sum(m_vec) <= m_total
+    ]
+    got = list(oracles._bounded_vectors(floors, ceilings, m_total))
+    assert got == expected
+    assert all(type(m) is int for m_vec in got for m in m_vec)
 
 
 class TestOraclesStayOutOfTheProduct:
