@@ -6,8 +6,10 @@ gives every link margin g using at most M symbols.
 
 A link with normalized gain h meets margin g at blocklength m with
 energy c_g(m) / h, where c_g(m) = m * expm1(ln2 * D / m + g / sqrt(m))
-(clamped at zero) does not depend on h; fbl_core builds its tables
-and the fixed-power margin matrix. c_g is convex and decreasing up to
+(clamped at zero) does not depend on h. fbl_core owns every evaluation
+of c_g and its inverse: the split tables, the fixed-power margin matrix,
+and the min-max solvers' common-margin solve (_split_margin), whose
+powers the reports take as they are. c_g is convex and decreasing up to
 its first minimizer m*, and past m* it does not decrease. Least total
 energy is therefore a separable convex allocation of symbols, and
 granting symbols one at a time to the largest marginal saving
@@ -54,10 +56,10 @@ import numpy as np
 from .channel_model import Scenario
 from .exceptions import InfeasibleError
 from .fbl_core import (
-    LN2,
     ReliabilityMargin,
     _build_split_tables,
     _margin_matrix,
+    _split_margin,
     min_blocklength,
     min_power_for_target,
     q_inverse,
@@ -67,10 +69,8 @@ from .fbl_core import (
 # The margin searches stop once the energy they settle on is within this
 # fraction of the budget.
 _REL_IMPROVEMENT = 1e-12
-# Safety caps; the joint min-max solve takes about three split rounds and
-# about seven Newton steps per margin solve.
+# Safety cap; the joint min-max solve takes about three split rounds.
 _MAX_SPLIT_ROUNDS = 64
-_MAX_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,8 +100,9 @@ class Allocation:
 class SolveReport:
     """Solver output: the allocation plus everything needed to audit it.
 
-    Every solver builds it through _build_report. iterations counts the
-    solver's unit of work, and trace records its progress:
+    Every solver builds it through _build_report. trace records the
+    solver's progress and ends with its count of its unit of work, which
+    iterations reads:
     - symbol_sharing, equal_allocation: one closed-form solve;
       ((1, total_energy),).
     - power_minmax_fixed_m: Newton energy evaluations; ((iterations, g),).
@@ -116,10 +117,14 @@ class SolveReport:
     allocation: Allocation
     margins: tuple[ReliabilityMargin, ...]
     total_energy: float
-    iterations: int
     trace: tuple[tuple[int, float], ...]
     converged: bool
     solver_name: str
+
+    @property
+    def iterations(self) -> int:
+        """The solver's count of its unit of work, the one ending trace."""
+        return self.trace[-1][0]
 
     @property
     def clamped(self) -> tuple[int, ...]:
@@ -153,7 +158,6 @@ def _build_report(
     blocklengths,
     *,
     solver_name: str,
-    iterations: int,
     trace,
     converged: bool,
     enforce_energy_budget: bool,
@@ -185,7 +189,7 @@ def _build_report(
             f"energy budget {cfg.energy_budget:.6g} J"
         )
     return SolveReport(
-        allocation, margins, total_energy, iterations, tuple(trace), converged, solver_name
+        allocation, margins, total_energy, tuple(trace), converged, solver_name
     )
 
 
@@ -354,7 +358,6 @@ def _energy_report(scenario: Scenario, blocklengths, *, solver_name: str) -> Sol
         powers,
         blocklengths,
         solver_name=solver_name,
-        iterations=1,
         trace=((1, total),),
         converged=True,
         enforce_energy_budget=False,
@@ -366,33 +369,6 @@ def _energy_report(scenario: Scenario, blocklengths, *, solver_name: str) -> Sol
 # min-max reliability under the energy budget
 
 
-def _minmax_report(
-    scenario: Scenario,
-    gains,
-    blocklengths,
-    g: float,
-    *,
-    solver_name: str,
-    iterations: int,
-    trace,
-    converged: bool = True,
-) -> SolveReport:
-    """Report of a min-max answer: the closed-form powers for margin g at
-    these blocklengths, held to the energy budget."""
-    d = scenario.config.payload_bits
-    powers = [min_power_for_target(h, m, d, g) for h, m in zip(gains, blocklengths)]
-    return _build_report(
-        scenario,
-        powers,
-        blocklengths,
-        solver_name=solver_name,
-        iterations=iterations,
-        trace=trace,
-        converged=converged,
-        enforce_energy_budget=True,
-    )
-
-
 def solve_power_minmax_fixed_m(scenario: Scenario, blocklengths) -> SolveReport:
     """Equalize reliability margins at fixed blocklengths.
 
@@ -400,30 +376,31 @@ def solve_power_minmax_fixed_m(scenario: Scenario, blocklengths) -> SolveReport:
     margin is maximized by spending the whole energy budget on a common
     margin, the largest g whose closed-form powers fit the budget, found
     by Newton steps on their energy (_split_margin, the joint solver's
-    per-split step), within a few ulps. The powers fit the budget, and at
-    g >= 0 every one is positive. Raises ValueError as
-    _checked_blocklengths does, and InfeasibleError, giving that largest
-    g, when it is below margin 0 (eps 0.5).
+    per-split step), within a few ulps. The powers are the ones that
+    solve settles on; they fit the budget, and at g >= 0 every one is
+    positive. Raises ValueError as _checked_blocklengths does, and
+    InfeasibleError, giving that largest g, when it is below margin 0
+    (eps 0.5).
     """
     cfg = scenario.config
     m_vec = _checked_blocklengths(scenario, blocklengths)
     d = cfg.payload_bits
     budget = cfg.energy_budget
     gains = [link.norm_gain for link in scenario.links]
-    g, evaluations = _split_margin(m_vec, gains, d, budget)
+    g, powers, evaluations = _split_margin(m_vec, gains, d, budget)
     if g < 0.0:
         raise InfeasibleError(
             f"energy budget {budget:.6g} J affords at most margin g = {g:.6g} "
             "at these blocklengths, below the margin floor 0"
         )
-    return _minmax_report(
+    return _build_report(
         scenario,
-        gains,
+        powers,
         m_vec,
-        g,
         solver_name="power_minmax_fixed_m",
-        iterations=evaluations,
         trace=((evaluations, g),),
+        converged=True,
+        enforce_energy_budget=True,
     )
 
 
@@ -463,7 +440,6 @@ def solve_symbols_minmax_fixed_p(scenario: Scenario) -> SolveReport:
         [p_common] * n,
         m_vec.tolist(),
         solver_name="symbols_minmax_fixed_p",
-        iterations=grants,
         trace=enumerate(flat[order[: grants + 1]].tolist()),
         converged=True,
         enforce_energy_budget=True,
@@ -486,64 +462,6 @@ def _minmax_floors(scenario: Scenario) -> list[int]:
     return floors
 
 
-def _split_margin(
-    m_vec, gains, payload_bits: int, budget: float
-) -> tuple[float, int]:
-    """Largest margin g whose closed-form energy at blocklengths m_vec,
-    E(g) = sum(max(0, m_i * expm1(ln2 * D / m_i + g / sqrt(m_i))) / h_i),
-    fits the budget; returns (g, number of evaluations of E).
-
-    E is convex and nondecreasing in g, so Newton steps started right of
-    the root fall monotonically onto it. They start at the least margin
-    any one vehicle reaches spending the whole budget alone: no term
-    exceeds the budget there, so nothing overflows, and E is at least
-    the budget. Each term is summed exactly as min_power_for_target and
-    _build_report compute it, so the returned g is affordable in the
-    report's own arithmetic, and within a few ulps of the largest
-    affordable float: the next float up is still affordable in a quarter
-    to a third of solves, and near g = 0 by up to about 1e-14.
-
-    This loop keeps the one copy of c_g (expm1) and its inverse (log1p)
-    outside fbl_core: min_power_for_target's argument checks, about
-    0.2 us a term by timeit, at about seven evaluations per link would
-    add some 8 us to a 35 us fixed-m solve at n = 5.
-    """
-    links = [
-        (LN2 * payload_bits / m, math.sqrt(m), m, h)
-        for m, h in zip(map(float, m_vec), gains)
-    ]
-
-    def energy_and_slope(margin: float) -> tuple[float, float]:
-        terms = []
-        slope = 0.0
-        for base, root, m, h in links:
-            snr = math.expm1(base + margin / root)
-            if snr > 0.0:
-                terms.append(snr / h * m)
-                slope += (snr + 1.0) / h * m / root
-        return math.fsum(terms), slope
-
-    g = min(root * (math.log1p(budget * h / m) - base) for base, root, m, h in links)
-    evaluations = 0
-    for _ in range(_MAX_NEWTON_STEPS):
-        energy, slope = energy_and_slope(g)
-        evaluations += 1
-        if energy <= budget:
-            return g, evaluations
-        step = (energy - budget) / slope
-        if not g - step < g:
-            break
-        g -= step
-    # rounding stalled the steps a few ulps right of the root
-    step = math.ulp(g)
-    while True:
-        evaluations += 1
-        if energy_and_slope(g)[0] <= budget:
-            return g, evaluations
-        g -= step
-        step *= 2.0
-
-
 def solve_joint_minmax(scenario: Scenario) -> SolveReport:
     """Max-min margin over powers and integer blocklengths jointly.
 
@@ -564,8 +482,8 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
     energy is within _REL_IMPROVEMENT of the budget: least energy rises
     strictly in g where it is positive, so no larger g fits. converged
     is False only if the round cap ended the loop. Powers are the
-    closed-form minimum for g at the last split, which the split affords
-    to within a few ulps (_split_margin); their energy fits the budget.
+    closed-form minimum for g at the last split, as the margin solve of
+    that split returns them (_split_margin); their energy fits the budget.
     """
     cfg = scenario.config
     d = cfg.payload_bits
@@ -580,7 +498,7 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
     m_vec = _least_energy_split(
         _split_tables(d, q_inverse(cfg.target_eps), m_total), gain_arr, floor_arr
     )
-    g, _ = _split_margin(m_vec, gains, d, budget)
+    g, powers, _ = _split_margin(m_vec, gains, d, budget)
     trace = [(1, g)]
     converged = False
     for round_ in range(2, _MAX_SPLIT_ROUNDS + 1):
@@ -592,18 +510,17 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
             # the last split, which affords g, was a candidate
             least = float((tables[0][np.array(next_m) - 1] / gain_arr).sum())
             m_vec = next_m
-            g, _ = _split_margin(m_vec, gains, d, budget)
+            g, powers, _ = _split_margin(m_vec, gains, d, budget)
         trace.append((round_, g))
         if unchanged or not least < budget * (1.0 - _REL_IMPROVEMENT):
             converged = True
             break
-    return _minmax_report(
+    return _build_report(
         scenario,
-        gains,
+        powers,
         m_vec,
-        g,
         solver_name="joint_minmax",
-        iterations=len(trace),
         trace=trace,
         converged=converged,
+        enforce_energy_budget=True,
     )

@@ -27,6 +27,7 @@ from .experiments import (
     summarize,
     write_csv,
 )
+from .fbl_core import min_power_for_target
 
 _CONFIG_TYPES = typing.get_type_hints(SystemConfig)
 
@@ -246,7 +247,7 @@ def cmd_oracle_check(args) -> int:
 
     minmax_pass = 0
     base = SystemConfig(symbol_budget=40, payload_bits=32)
-    feasible_gain = 40.0 * (2.0 ** (32.0 / 40.0) - 1.0)
+    feasible_gain = 40 * min_power_for_target(1.0, 40, 32, 0.0)
     for k in range(minmax_total):
         n = args.n_values[k % len(args.n_values)]
         seed = int(rng.integers(0, 2**63))

@@ -194,7 +194,10 @@ def run_solver(solver: str, scenario: Scenario) -> SolveReport:
 
 
 def energy_saved_percent(e_equal: float, e_shared: float) -> float:
-    """Relative saving of the least-energy split over the equal split."""
+    """Relative saving of the least-energy split over the equal split;
+    0.0 when both meet the target at no energy."""
+    if e_equal == e_shared == 0.0:
+        return 0.0
     if not e_equal > 0:
         raise ValueError(f"e_equal must be positive, got {e_equal!r}")
     return 100.0 * (e_equal - e_shared) / e_equal

@@ -12,9 +12,10 @@ and minimum blocklength under an energy budget.
 
 It owns the link model: c_g(m) = m * expm1(ln2 * D / m + g / sqrt(m)),
 the energy-gain product that meets margin g in m channel uses, and its
-inverse, the margin, as scalars, as min_blocklength's c_0 table, and as
-the allocators' numpy tables (_build_split_tables, _margin_matrix). The
-one other copy is allocators._split_margin's Newton loop.
+inverse, the margin, as scalars, as min_blocklength's c_0 table, as the
+allocators' numpy tables (_build_split_tables, _margin_matrix), and as
+the min-max solvers' common-margin Newton solve (_split_margin), which
+also returns the closed-form powers at the margin it settles on.
 
 All reliability arithmetic happens on the margin g, the argument of the
 Gaussian Q-function in eps = Q(g). Operating points of interest sit at
@@ -29,6 +30,7 @@ import bisect
 import enum
 import functools
 import math
+import operator
 import statistics
 from dataclasses import dataclass
 
@@ -269,6 +271,73 @@ def min_power_for_target(
     if snr_required <= 0.0:
         return 0.0
     return snr_required / norm_gain
+
+
+# Safety cap; a margin solve takes about seven Newton steps.
+_MAX_NEWTON_STEPS = 100
+
+
+def _split_margin(
+    m_vec, gains, payload_bits: int, budget: float
+) -> tuple[float, list[float], int]:
+    """Largest margin g whose closed-form energy at blocklengths m_vec,
+    E(g) = sum(max(0, m_i * expm1(ln2 * D / m_i + g / sqrt(m_i))) / h_i),
+    fits the budget; returns (g, powers, number of evaluations of E).
+
+    E is convex and nondecreasing in g, so Newton steps started right of
+    the root fall monotonically onto it. They start at the least margin
+    any one vehicle reaches spending the whole budget alone: no term
+    exceeds the budget there, so nothing overflows, and E is at least
+    the budget. The returned g is within a few ulps of the largest
+    affordable float: the next float up is still affordable in a quarter
+    to a third of solves, and near g = 0 by up to about 1e-14.
+
+    powers are those of the evaluation that stops, 0.0 where a vehicle
+    is clamped. Each is expm1(ln2 * D / m_i + g / sqrt(m_i)) / h_i, the
+    operations of min_power_for_target in its order and with its > 0
+    clamp, so it equals min_power_for_target(h_i, m_i, D, g) bit for bit
+    (past exponent 709, where that returns inf, this keeps the finite
+    power). Their energy is summed as _build_report sums it, so the
+    powers fit the budget in the report's own arithmetic. The loop does
+    not call min_power_for_target: its argument checks, about 0.2 us a
+    term by timeit, at about seven evaluations per link would add some
+    8 us to a 35 us fixed-m solve at n = 5.
+    """
+    ms = list(map(float, m_vec))
+    links = [(LN2 * payload_bits / m, math.sqrt(m), m, h) for m, h in zip(ms, gains)]
+
+    def evaluate(margin: float) -> tuple[list[float], float, float]:
+        powers = []
+        slope = 0.0
+        for base, root, m, h in links:
+            snr = math.expm1(base + margin / root)
+            if snr > 0.0:
+                powers.append(snr / h)
+                slope += (snr + 1.0) / h * m / root
+            else:
+                powers.append(0.0)
+        return powers, math.fsum(map(operator.mul, powers, ms)), slope
+
+    g = min(root * (math.log1p(budget * h / m) - base) for base, root, m, h in links)
+    evaluations = 0
+    for _ in range(_MAX_NEWTON_STEPS):
+        powers, energy, slope = evaluate(g)
+        evaluations += 1
+        if energy <= budget:
+            return g, powers, evaluations
+        step = (energy - budget) / slope
+        if not g - step < g:
+            break
+        g -= step
+    # rounding stalled the steps a few ulps right of the root
+    step = math.ulp(g)
+    while True:
+        evaluations += 1
+        powers, energy, _ = evaluate(g)
+        if energy <= budget:
+            return g, powers, evaluations
+        g -= step
+        step *= 2.0
 
 
 @functools.lru_cache(maxsize=16)

@@ -8,7 +8,9 @@ blocklength with the scalar min_power_for_target, not the solvers'
 numpy c_g tables. The min-max oracle scores every candidate split by
 its own expand-and-bisect on g, run over all candidates at once, not by
 the solvers' Newton margin solve (_split_margin) or their least-energy
-split. Only the oracle-check command and the tests import this module.
+split, and prices the best one with min_power_for_target, not with the
+powers that margin solve returns. Only the oracle-check command and the
+tests import this module.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .allocators import (
     _check_symbol_cover,
     _energy_floors,
     _minmax_floors,
-    _minmax_report,
 )
 from .channel_model import Scenario
 from .exceptions import InfeasibleError
@@ -108,7 +109,6 @@ def brute_force_energy(scenario: Scenario) -> SolveReport:
         powers,
         best_m,
         solver_name="brute_force_energy",
-        iterations=compared,
         trace=((compared, best_energy),),
         converged=True,
         enforce_energy_budget=False,
@@ -220,15 +220,16 @@ def brute_force_minmax(scenario: Scenario) -> SolveReport:
     best = int(np.argmax(margins))  # the first of equal best margins
     best_g = float(margins[best])
     best_m = vectors[best]
-    candidates = len(vectors)
-    return _minmax_report(
+    # priced by min_power_for_target, not by the solvers' margin solve
+    powers = [min_power_for_target(h, m, d, best_g) for h, m in zip(gains, best_m)]
+    return _build_report(
         scenario,
-        gains,
+        powers,
         best_m,
-        best_g,
         solver_name="brute_force_minmax",
-        iterations=candidates,
-        trace=((candidates, best_g),),
+        trace=((len(vectors), best_g),),
+        converged=True,
+        enforce_energy_budget=True,
     )
 
 

@@ -629,18 +629,60 @@ class TestPowerMinmaxFixedM:
         # and the report flags it.
         m_vec = [16, 1600]
         budget = 16.0 * math.expm1(LN2 * 10 - 1)
-        g, _ = allocators._split_margin(m_vec, [1.0, 1.0], 160, budget)
+        g, powers, _ = fbl_core._split_margin(m_vec, [1.0, 1.0], 160, budget)
         assert g == pytest.approx(-4.0, abs=1e-9)
         scenario = make_scenario(
             [1.0, 1.0], symbol_budget=2000, energy_budget=budget, payload_bits=160
         )
-        report = allocators._minmax_report(
-            scenario, [1.0, 1.0], m_vec, g, solver_name="joint_minmax",
-            iterations=1, trace=((1, g),),
+        report = _build_report(
+            scenario, powers, m_vec, solver_name="joint_minmax",
+            trace=((1, g),), converged=True, enforce_energy_budget=True,
         )
         assert report.clamped == (1,)
         assert report.allocation.powers[1] == 0.0
         assert report.worst_margin.g == pytest.approx(-4.0, abs=1e-9)
+
+    def test_split_margin_powers_are_min_power_for_target(self, monkeypatch):
+        # The solvers report the powers of the margin solve's last
+        # evaluation as they are, so each must be min_power_for_target's
+        # at the returned g to the bit: on clamped vehicles, and after the
+        # ulp walk that a stalled Newton solve falls back on.
+        stalls = []
+        ulp = math.ulp
+        monkeypatch.setattr(math, "ulp", lambda x: stalls.append(x) or ulp(x))
+        rng = np.random.default_rng(1_020)
+        cases = [([16, 1600], [1.0, 1.0], 160, 16.0 * math.expm1(LN2 * 10 - 1))]
+        for _ in range(40):
+            scenario, m_vec = random_feasible_minmax_instance(rng)
+            gains = [link.norm_gain for link in scenario.links]
+            cfg = scenario.config
+            cases.append((m_vec, gains, cfg.payload_bits, cfg.energy_budget))
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            m_vec = rng.integers(1, 3000, size=n).tolist()
+            gains = (10.0 ** rng.uniform(-3, 3, size=n)).tolist()
+            cases.append((m_vec, gains, 4, float(10.0 ** rng.uniform(-6, -2))))
+        clamped = 0
+        for m_vec, gains, d, budget in cases:
+            g, powers, _ = fbl_core._split_margin(m_vec, gains, d, budget)
+            expected = [min_power_for_target(h, m, d, g) for h, m in zip(gains, m_vec)]
+            assert [p.hex() for p in powers] == [p.hex() for p in expected]
+            clamped += powers.count(0.0)
+        assert clamped >= 10
+        assert len(stalls) >= 3
+
+    def test_powers_past_the_overflow_exponent_stay_finite(self):
+        # One symbol and a budget near the float limit need an SNR above
+        # e^709, where min_power_for_target returns inf; the margin
+        # solve's own power is finite and is the one reported.
+        scenario = make_scenario([1.0], symbol_budget=1, energy_budget=1e308, payload_bits=1)
+        for report in (
+            solve_power_minmax_fixed_m(scenario, [1]),
+            solve_joint_minmax(scenario),
+        ):
+            assert min_power_for_target(1.0, 1, 1, report.worst_margin.g) == math.inf
+            assert math.isfinite(report.allocation.powers[0])
+            assert report.total_energy <= 1e308
 
     def test_rejects_bad_blocklengths(self):
         scenario = make_scenario([1.0, 1.0], symbol_budget=100)
@@ -975,6 +1017,7 @@ class TestBruteForceMinmaxGuards:
             raise AssertionError("brute_force_minmax called _split_margin")
 
         monkeypatch.setattr(allocators, "_split_margin", forbidden)
+        monkeypatch.setattr(fbl_core, "_split_margin", forbidden)
         for scenario, local in zip(instances, expected):
             oracle = brute_force_minmax(scenario)
             assert oracle.worst_margin.g == pytest.approx(local.worst_margin.g, abs=1e-6)
@@ -1049,6 +1092,56 @@ class TestOraclesStayOutOfTheProduct:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert done.stdout.strip() == "False"
+
+
+class TestExactGainScaling:
+    def test_gains_times_two_to_the_k_over_budget_times_two_to_the_k(self):
+        # Every power enters as p * h and every energy as p * m against E,
+        # so scaling each gain by 2^k and E by 2^-k scales powers and
+        # totals by exactly 2^-k and leaves every decision and margin
+        # bit for bit: the products and quotients are exact in floats.
+        rng = np.random.default_rng(4_020)
+        solved = infeasible = 0
+        for m_total in (40, 200, 1000):
+            for k in (-7, -3, 2, 5):
+                for _ in range(8):
+                    n = int(rng.integers(1, 7))
+                    budget = float(10.0 ** rng.uniform(-1.0, 2.0))
+                    seed = int(rng.integers(0, 2**32))
+                    config = SystemConfig(symbol_budget=m_total, energy_budget=budget)
+                    gains = [link.norm_gain for link in sample_scenario(config, n, seed).links]
+                    base = make_scenario(gains, symbol_budget=m_total, energy_budget=budget)
+                    scaled = make_scenario(
+                        [h * 2.0**k for h in gains],
+                        symbol_budget=m_total,
+                        energy_budget=budget * 2.0**-k,
+                    )
+                    split = (rng.multinomial(m_total - n, np.full(n, 1.0 / n)) + 1).tolist()
+                    for solve in (
+                        symbol_sharing,
+                        equal_allocation_energy,
+                        solve_symbols_minmax_fixed_p,
+                        solve_joint_minmax,
+                        lambda scenario: solve_power_minmax_fixed_m(scenario, split),
+                    ):
+                        try:
+                            want = solve(base)
+                        except InfeasibleError:
+                            infeasible += 1
+                            with pytest.raises(InfeasibleError):
+                                solve(scaled)
+                            continue
+                        got = solve(scaled)
+                        solved += 1
+                        assert got.allocation.blocklengths == want.allocation.blocklengths
+                        assert got.margins == want.margins
+                        assert got.allocation.powers == tuple(
+                            p * 2.0**-k for p in want.allocation.powers
+                        )
+                        assert got.total_energy == want.total_energy * 2.0**-k
+                        assert got.iterations == want.iterations
+                        assert got.converged == want.converged
+        assert solved >= 300 and infeasible >= 20
 
 
 def _package_trees():
@@ -1126,14 +1219,12 @@ class TestReportInvariants:
         with pytest.raises(RuntimeError, match="blocklengths sum to 201"):
             _build_report(
                 scenario, [0.1, 0.1], [100, 101], solver_name="probe",
-                iterations=1, trace=(), converged=True,
-                enforce_energy_budget=False,
+                trace=((1, 0.0),), converged=True, enforce_energy_budget=False,
             )
         with pytest.raises(RuntimeError, match="exceeds the energy budget"):
             _build_report(
                 scenario, [1.0, 1.0], [100, 100], solver_name="probe",
-                iterations=1, trace=(), converged=True,
-                enforce_energy_budget=True,
+                trace=((1, 0.0),), converged=True, enforce_energy_budget=True,
             )
 
     def test_budget_breach_raises_under_python_optimize(self):
@@ -1149,7 +1240,7 @@ class TestReportInvariants:
             "):\n"
             "    try:\n"
             "        _build_report(scenario, powers, m_vec, solver_name='probe',\n"
-            "                      iterations=1, trace=(), converged=True,\n"
+            "                      trace=((1, 0.0),), converged=True,\n"
             "                      enforce_energy_budget=enforce)\n"
             "    except RuntimeError as exc:\n"
             "        print(exc)\n"
@@ -1199,24 +1290,25 @@ class TestReportInvariants:
             ]
         assert found == []
 
-    def test_only_split_margin_evaluates_the_link_model(self):
-        # one link-model kernel: fbl_core evaluates c_g and its inverse, and
-        # allocators keeps one inline copy, in the Newton margin solve
-        tree = dict(_package_trees())["allocators.py"]
-        newton = next(
-            node
-            for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name == "_split_margin"
-        )
-        allowed = {id(node) for node in ast.walk(newton)}
-        calls = [
-            (node.lineno, id(node) in allowed)
+    def test_only_fbl_core_and_oracles_evaluate_the_link_model(self):
+        # one link-model kernel: outside fbl_core and the independent
+        # oracles, no module calls expm1 or log1p or reads LN2
+        found = [
+            f"{name}:{node.lineno}"
+            for name, tree in _package_trees()
+            if name not in ("fbl_core.py", "oracles.py")
             for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and {"expm1", "log1p"} & {getattr(node.func, a, None) for a in ("id", "attr")}
+            if (
+                isinstance(node, ast.Call)
+                and {"expm1", "log1p"} & {getattr(node.func, a, None) for a in ("id", "attr")}
+            )
+            or (
+                isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, ast.Load)
+                and "LN2" in (getattr(node, "id", None), getattr(node, "attr", None))
+            )
         ]
-        assert [line for line, inside in calls if not inside] == []
-        assert any(inside for _, inside in calls)
+        assert found == []
 
     def test_allocation_validation(self):
         with pytest.raises(ValueError):

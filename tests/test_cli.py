@@ -376,6 +376,20 @@ class TestSweepCommand:
         assert code == 0
         capsys.readouterr()
 
+    def test_energy_saved_when_both_splits_are_free(self, tmp_path, capsys):
+        # at eps = 0.99 a one-bit packet needs no power on either split,
+        # so each row saves 0% of 0 J
+        out = tmp_path / "s.csv"
+        code = main(
+            ["sweep", "--metrics", "energy_saved_pct", "--set", "target_eps=0.99",
+             "--set", "payload_bits=1", "--seeds", "2", "--values", "1,2",
+             "--out", str(out)]
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[4] for row in rows] == ["0"] * 4
+        capsys.readouterr()
+
     def test_vehicle_count_flag_rejected_when_sweeping_vehicle_counts(
         self, tmp_path, capsys
     ):

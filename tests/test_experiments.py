@@ -246,6 +246,10 @@ class TestEnergySavedPercent:
         assert energy_saved_percent(10.0, 10.0) == 0.0
         assert energy_saved_percent(10.0, 5.0) == 50.0
 
+    def test_both_splits_free_saves_nothing(self):
+        # a target both splits meet at zero power saves 0%, not an error
+        assert energy_saved_percent(0.0, 0.0) == 0.0
+
     def test_domain(self):
         with pytest.raises(ValueError):
             energy_saved_percent(0.0, 1.0)
