@@ -100,31 +100,23 @@ class Allocation:
 class SolveReport:
     """Solver output: the allocation plus everything needed to audit it.
 
-    Every solver builds it through _build_report. trace records the
-    solver's progress and ends with its count of its unit of work, which
-    iterations reads:
-    - symbol_sharing, equal_allocation: one closed-form solve;
-      ((1, total_energy),).
-    - power_minmax_fixed_m: Newton energy evaluations; ((iterations, g),).
-    - symbols_minmax_fixed_p: the M - n spare-symbol grants; (k, worst
-      margin after k grants) for k = 0..M - n.
-    - joint_minmax: split rounds, the start included; (round, g) after each.
-    - brute_force_energy: terms compared; ((iterations, best energy),).
-    - brute_force_minmax: candidates scored; ((iterations, best g),).
+    Every solver builds it through _build_report. iterations counts the
+    solver's unit of work:
+    - symbol_sharing, equal_allocation: 1, one closed-form solve.
+    - power_minmax_fixed_m: Newton energy evaluations.
+    - symbols_minmax_fixed_p: the M - n spare-symbol grants.
+    - joint_minmax: split rounds, the start included.
+    - brute_force_energy: terms compared.
+    - brute_force_minmax: candidates scored.
     converged is False only where a cap ended the search.
     """
 
     allocation: Allocation
     margins: tuple[ReliabilityMargin, ...]
     total_energy: float
-    trace: tuple[tuple[int, float], ...]
+    iterations: int
     converged: bool
     solver_name: str
-
-    @property
-    def iterations(self) -> int:
-        """The solver's count of its unit of work, the one ending trace."""
-        return self.trace[-1][0]
 
     @property
     def clamped(self) -> tuple[int, ...]:
@@ -158,7 +150,7 @@ def _build_report(
     blocklengths,
     *,
     solver_name: str,
-    trace,
+    iterations: int,
     converged: bool,
     enforce_energy_budget: bool,
     total_energy: float | None = None,
@@ -189,7 +181,7 @@ def _build_report(
             f"energy budget {cfg.energy_budget:.6g} J"
         )
     return SolveReport(
-        allocation, margins, total_energy, tuple(trace), converged, solver_name
+        allocation, margins, total_energy, iterations, converged, solver_name
     )
 
 
@@ -358,7 +350,7 @@ def _energy_report(scenario: Scenario, blocklengths, *, solver_name: str) -> Sol
         powers,
         blocklengths,
         solver_name=solver_name,
-        trace=((1, total),),
+        iterations=1,
         converged=True,
         enforce_energy_budget=False,
         total_energy=total,
@@ -398,7 +390,7 @@ def solve_power_minmax_fixed_m(scenario: Scenario, blocklengths) -> SolveReport:
         powers,
         m_vec,
         solver_name="power_minmax_fixed_m",
-        trace=((evaluations, g),),
+        iterations=evaluations,
         converged=True,
         enforce_energy_budget=True,
     )
@@ -413,10 +405,9 @@ def solve_symbols_minmax_fixed_p(scenario: Scenario) -> SolveReport:
     vehicle's margin depends only on its own blocklength, so the greedy
     is max-min optimal. Each row of the n x (M - n + 1) margin matrix
     strictly increases, so the greedy takes its entries in merged
-    ascending order: one stable sort gives the grants (its first M - n
-    entries) and the worst margin after each grant. Raises
-    InfeasibleError when that power across all M symbols costs more than
-    the energy budget.
+    ascending order: the first M - n entries of one stable sort are the
+    grants. Raises InfeasibleError when that power across all M symbols
+    costs more than the energy budget.
     """
     cfg = scenario.config
     n = scenario.n_vehicles
@@ -433,14 +424,14 @@ def solve_symbols_minmax_fixed_p(scenario: Scenario) -> SolveReport:
     grants = m_total - n
     snrs = [p_common * link.norm_gain for link in scenario.links]
     flat = _margin_matrix(snrs, cfg.payload_bits, m_total, grants + 1).ravel()
-    order = flat.argsort(kind="stable")
-    m_vec = 1 + np.bincount(order[:grants] // (grants + 1), minlength=n)
+    granted = flat.argsort(kind="stable")[:grants] // (grants + 1)
+    m_vec = 1 + np.bincount(granted, minlength=n)
     return _build_report(
         scenario,
         [p_common] * n,
         m_vec.tolist(),
         solver_name="symbols_minmax_fixed_p",
-        trace=enumerate(flat[order[: grants + 1]].tolist()),
+        iterations=grants,
         converged=True,
         enforce_energy_budget=True,
     )
@@ -499,9 +490,8 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
         _split_tables(d, q_inverse(cfg.target_eps), m_total), gain_arr, floor_arr
     )
     g, powers, _ = _split_margin(m_vec, gains, d, budget)
-    trace = [(1, g)]
     converged = False
-    for round_ in range(2, _MAX_SPLIT_ROUNDS + 1):
+    for rounds in range(2, _MAX_SPLIT_ROUNDS + 1):
         tables = _build_split_tables(d, g, m_total)
         next_m = _least_energy_split(tables, gain_arr, floor_arr)
         unchanged = next_m == m_vec
@@ -511,7 +501,6 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
             least = float((tables[0][np.array(next_m) - 1] / gain_arr).sum())
             m_vec = next_m
             g, powers, _ = _split_margin(m_vec, gains, d, budget)
-        trace.append((round_, g))
         if unchanged or not least < budget * (1.0 - _REL_IMPROVEMENT):
             converged = True
             break
@@ -520,7 +509,7 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
         powers,
         m_vec,
         solver_name="joint_minmax",
-        trace=trace,
+        iterations=rounds,
         converged=converged,
         enforce_energy_budget=True,
     )

@@ -327,10 +327,15 @@ def _split_margin(
             return g, powers, evaluations
         step = (energy - budget) / slope
         if not g - step < g:
+            # rounding stalled the steps a few ulps right of the root, at
+            # a g just found over budget: the walk starts one ulp below it
+            step = math.ulp(g)
+            g -= step
+            step *= 2.0
             break
         g -= step
-    # rounding stalled the steps a few ulps right of the root
-    step = math.ulp(g)
+    else:
+        step = math.ulp(g)  # the step cap left this g unevaluated
     while True:
         evaluations += 1
         powers, energy, _ = evaluate(g)

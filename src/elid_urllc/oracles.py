@@ -109,7 +109,7 @@ def brute_force_energy(scenario: Scenario) -> SolveReport:
         powers,
         best_m,
         solver_name="brute_force_energy",
-        trace=((compared, best_energy),),
+        iterations=compared,
         converged=True,
         enforce_energy_budget=False,
     )
@@ -227,7 +227,7 @@ def brute_force_minmax(scenario: Scenario) -> SolveReport:
         powers,
         best_m,
         solver_name="brute_force_minmax",
-        trace=((len(vectors), best_g),),
+        iterations=len(vectors),
         converged=True,
         enforce_energy_budget=True,
     )

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -126,7 +127,6 @@ class TestSymbolSharing:
         assert report.allocation.blocklengths == (200,)
         assert report.iterations == 1
         assert report.converged
-        assert len(report.trace) == 1
 
     def test_symmetric_pair_keeps_equal_split(self):
         scenario = make_scenario([0.4, 0.4], symbol_budget=200)
@@ -142,7 +142,7 @@ class TestSymbolSharing:
         assert report.total_energy == pytest.approx(oracle.total_energy, rel=1e-9)
         assert report.allocation.blocklengths == oracle.allocation.blocklengths
 
-    def test_trace_and_iteration_invariants(self, monkeypatch):
+    def test_total_and_iteration_invariants(self, monkeypatch):
         fsum = math.fsum
         fsum_calls = []
 
@@ -165,11 +165,8 @@ class TestSymbolSharing:
                 assert len(fsum_calls) == 1
                 _, total = min_energy_fixed_m(scenario, report.allocation.blocklengths)
                 assert report.total_energy.hex() == total.hex()
-                energies = [e for _, e in report.trace]
-                assert all(a > b for a, b in zip(energies, energies[1:]))
-                assert report.iterations <= cfg.symbol_budget * n
+                assert report.iterations == 1
                 assert report.converged
-                assert energies[-1] == pytest.approx(report.total_energy, rel=1e-12)
 
     def test_dominates_equal_allocation(self):
         cfg = SystemConfig()
@@ -613,12 +610,11 @@ class TestPowerMinmaxFixedM:
                 continue
             feasible += 1
             report = solve_power_minmax_fixed_m(scenario, m_vec)
-            assert abs(report.trace[-1][1] - g) <= 1e-9
             assert abs(report.worst_margin.g - g) <= 1e-9
             # at g >= 0 every closed-form power is positive
             assert report.clamped == ()
             assert report.total_energy <= scenario.config.energy_budget
-            assert report.iterations == report.trace[-1][0] >= 1
+            assert report.iterations >= 1
         assert feasible + infeasible >= 100
         assert feasible >= 80 and infeasible >= 10
 
@@ -636,7 +632,7 @@ class TestPowerMinmaxFixedM:
         )
         report = _build_report(
             scenario, powers, m_vec, solver_name="joint_minmax",
-            trace=((1, g),), converged=True, enforce_energy_budget=True,
+            iterations=1, converged=True, enforce_energy_budget=True,
         )
         assert report.clamped == (1,)
         assert report.allocation.powers[1] == 0.0
@@ -650,25 +646,41 @@ class TestPowerMinmaxFixedM:
         stalls = []
         ulp = math.ulp
         monkeypatch.setattr(math, "ulp", lambda x: stalls.append(x) or ulp(x))
-        rng = np.random.default_rng(1_020)
-        cases = [([16, 1600], [1.0, 1.0], 160, 16.0 * math.expm1(LN2 * 10 - 1))]
-        for _ in range(40):
-            scenario, m_vec = random_feasible_minmax_instance(rng)
-            gains = [link.norm_gain for link in scenario.links]
-            cfg = scenario.config
-            cases.append((m_vec, gains, cfg.payload_bits, cfg.energy_budget))
-        for _ in range(20):
-            n = int(rng.integers(2, 6))
-            m_vec = rng.integers(1, 3000, size=n).tolist()
-            gains = (10.0 ** rng.uniform(-3, 3, size=n)).tolist()
-            cases.append((m_vec, gains, 4, float(10.0 ** rng.uniform(-6, -2))))
         clamped = 0
-        for m_vec, gains, d, budget in cases:
+        for m_vec, gains, d, budget in _margin_solve_cases():
             g, powers, _ = fbl_core._split_margin(m_vec, gains, d, budget)
             expected = [min_power_for_target(h, m, d, g) for h, m in zip(gains, m_vec)]
             assert [p.hex() for p in powers] == [p.hex() for p in expected]
             clamped += powers.count(0.0)
         assert clamped >= 10
+        assert len(stalls) >= 3
+
+    def test_split_margin_evaluates_no_margin_twice(self, monkeypatch):
+        # A stalled Newton solve has just found its g over budget, so its
+        # ulp walk must start below that g. Each energy evaluation calls
+        # expm1(ln2 * D / m + g / sqrt(m)) once per link; neighbouring
+        # margins can round to the same argument, so sqrt(m) is wrapped to
+        # record the g divided by it, and expm1 keeps that g per call.
+        class Root(float):
+            def __rtruediv__(self, numerator):
+                divided[0] = numerator
+                return numerator / float(self)
+
+        divided = [None]
+        margins = []
+        stalls = []
+        sqrt, expm1, ulp = math.sqrt, math.expm1, math.ulp
+        monkeypatch.setattr(math, "sqrt", lambda x: Root(sqrt(x)))
+        monkeypatch.setattr(math, "expm1", lambda x: margins.append(divided[0]) or expm1(x))
+        monkeypatch.setattr(math, "ulp", lambda x: stalls.append(x) or ulp(x))
+        for m_vec, gains, d, budget in _margin_solve_cases():
+            margins.clear()
+            g, _, evaluations = fbl_core._split_margin(m_vec, gains, d, budget)
+            n = len(m_vec)
+            evaluated = margins[::n]
+            assert margins == [x for x in evaluated for _ in range(n)]
+            assert len(evaluated) == evaluations and evaluated[-1] == g
+            assert len(set(evaluated)) == evaluations, (m_vec, gains, d, budget)
         assert len(stalls) >= 3
 
     def test_powers_past_the_overflow_exponent_stay_finite(self):
@@ -697,6 +709,26 @@ class TestPowerMinmaxFixedM:
         assert solve_power_minmax_fixed_m(
             funded, np.array([50, 49])
         ) == solve_power_minmax_fixed_m(funded, [50, 49])
+
+
+def _margin_solve_cases():
+    """(m_vec, gains, D, budget) of 61 margin solves: one with a clamped
+    vehicle at g < 0, 40 feasible fixed-m instances and 20 random splits
+    of up to 3000 symbols on tiny budgets. The Newton steps of 17 of them
+    stall."""
+    rng = np.random.default_rng(1_020)
+    cases = [([16, 1600], [1.0, 1.0], 160, 16.0 * math.expm1(LN2 * 10 - 1))]
+    for _ in range(40):
+        scenario, m_vec = random_feasible_minmax_instance(rng)
+        gains = [link.norm_gain for link in scenario.links]
+        cfg = scenario.config
+        cases.append((m_vec, gains, cfg.payload_bits, cfg.energy_budget))
+    for _ in range(20):
+        n = int(rng.integers(2, 6))
+        m_vec = rng.integers(1, 3000, size=n).tolist()
+        gains = (10.0 ** rng.uniform(-3, 3, size=n)).tolist()
+        cases.append((m_vec, gains, 4, float(10.0 ** rng.uniform(-6, -2))))
+    return cases
 
 
 def _fixed_m_sweep():
@@ -783,12 +815,6 @@ class TestSymbolsMinmaxFixedP:
         with pytest.raises(InfeasibleError):
             solve_symbols_minmax_fixed_p(scenario)
 
-    def test_trace_worst_margin_nondecreasing(self):
-        scenario = sample_scenario(SystemConfig(), 5, seed=12)
-        report = solve_symbols_minmax_fixed_p(scenario)
-        values = [g for _, g in report.trace]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-
     def test_budget_below_vehicle_count(self):
         scenario = make_scenario([1.0, 1.0], symbol_budget=1)
         with pytest.raises(InfeasibleError):
@@ -830,7 +856,7 @@ class TestSymbolsMinmaxFixedP:
                     report = solve_symbols_minmax_fixed_p(scenario)
                     m_vec, trace, iterations = reference_symbols_minmax_fixed_p(scenario)
                     assert report.allocation.blocklengths == m_vec
-                    assert report.trace == trace
+                    assert report.worst_margin.g.hex() == trace[-1][1].hex()
                     assert report.iterations == iterations
 
                     p = scenario.config.common_power_value()
@@ -938,24 +964,39 @@ class TestJointMinmax:
         assert feasible >= 100
 
     def test_within_budget_in_few_split_rounds(self, monkeypatch):
+        # iterations counts the split rounds, and each round that changes
+        # the split affords a strictly larger margin
         calls = []
+        margins = []
         split = allocators._least_energy_split
+        solve_margin = allocators._split_margin
 
         def counted(*args):
             calls.append(1)
             return split(*args)
 
+        def recorded(*args):
+            result = solve_margin(*args)
+            margins.append(result[0])
+            return result
+
         monkeypatch.setattr(allocators, "_least_energy_split", counted)
+        monkeypatch.setattr(allocators, "_split_margin", recorded)
+        solved = 0
         for scenario in _joint_minmax_sweep():
             calls.clear()
+            margins.clear()
             try:
                 report = solve_joint_minmax(scenario)
             except InfeasibleError:
                 continue
+            solved += 1
             assert report.total_energy <= scenario.config.energy_budget
             assert len(calls) <= 8
-            assert report.iterations == len(report.trace) == len(calls)
-            assert [g for _, g in report.trace] == sorted(g for _, g in report.trace)
+            assert report.iterations == len(calls)
+            assert all(a < b for a, b in zip(margins, margins[1:])), margins
+            assert report.worst_margin.g == pytest.approx(margins[-1], abs=1e-9)
+        assert solved >= 100
 
     def test_starts_from_the_cached_target_split(self, monkeypatch):
         # At M=200 a start from the floors builds 3.20 tables per solve; the
@@ -1037,7 +1078,7 @@ class TestBruteForceMinmaxGuards:
                 oracle = brute_force_minmax(scenario)
                 best_m, best_g = reference_brute_force_minmax(scenario)
                 assert oracle.allocation.blocklengths == best_m
-                assert oracle.trace[0][1] == pytest.approx(best_g, abs=1e-9)
+                assert oracle.worst_margin.g == pytest.approx(best_g, abs=1e-9)
 
     def test_empty_enumeration_raises(self, monkeypatch):
         # an explicit check, so it also holds under python -O
@@ -1144,6 +1185,55 @@ class TestExactGainScaling:
         assert solved >= 300 and infeasible >= 20
 
 
+class TestLinkPermutation:
+    def test_relabelled_links_permute_the_answer(self):
+        # Both solvers price each link on its own and merge the links'
+        # entries by value, and every total is an order-free fsum, so
+        # relabelling the links permutes the answer bit for bit. Sampled
+        # gains never tie, so no tie-break by id can tell the orders apart.
+        # equal_allocation is left out: it hands its remainder to the
+        # lowest ids, whatever their links.
+        rng = np.random.default_rng(6_021)
+        solved = infeasible = 0
+        for _ in range(600):
+            n = int(rng.integers(2, 11))
+            config = SystemConfig(
+                symbol_budget=int(rng.choice([40, 200, 1000])),
+                payload_bits=int(rng.choice([32, 160])),
+                energy_budget=float(10.0 ** rng.uniform(-1.0, 2.0)),
+            )
+            base = sample_scenario(config, n, int(rng.integers(0, 2**63)))
+            order = rng.permutation(n).tolist()
+            relabelled = dataclasses.replace(
+                base,
+                links=tuple(
+                    dataclasses.replace(base.links[j], vehicle_id=i)
+                    for i, j in enumerate(order)
+                ),
+            )
+            for solve in (symbol_sharing, solve_symbols_minmax_fixed_p):
+                try:
+                    want = solve(base)
+                except InfeasibleError as exc:
+                    infeasible += 1
+                    with pytest.raises(InfeasibleError, match=re.escape(str(exc))):
+                        solve(relabelled)
+                    continue
+                got = solve(relabelled)
+                solved += 1
+                assert got.allocation.blocklengths == tuple(
+                    want.allocation.blocklengths[j] for j in order
+                )
+                assert [p.hex() for p in got.allocation.powers] == [
+                    want.allocation.powers[j].hex() for j in order
+                ]
+                assert got.margins == tuple(want.margins[j] for j in order)
+                assert got.total_energy.hex() == want.total_energy.hex()
+                assert got.iterations == want.iterations
+                assert got.converged == want.converged
+        assert solved >= 1000 and infeasible >= 100
+
+
 def _package_trees():
     """(file name, syntax tree) of every module of the package."""
     package = os.path.dirname(allocators.__file__)
@@ -1174,11 +1264,11 @@ class TestReportInvariants:
                 assert report.worst_margin.g == min(m.g for m in report.margins)
                 assert sum(report.allocation.blocklengths) <= cfg.symbol_budget
 
-    def test_trace_holds_int_float_pairs(self):
-        # _build_report stores the solvers' trace, powers and blocklengths
-        # as given, so each solver must hand it (int, float) pairs, float
-        # powers and int blocklengths: the report is then what re-boxing
-        # every entry would have made of it
+    def test_reports_hold_python_scalars(self):
+        # _build_report stores the solvers' iterations, converged, powers
+        # and blocklengths as given, so each solver must hand it an int, a
+        # bool, float powers and int blocklengths: the report is then what
+        # re-boxing every entry would have made of it
         rng = np.random.default_rng(9_002)
         reports = []
         for n in (1, 2, 3):
@@ -1199,12 +1289,14 @@ class TestReportInvariants:
         for report in reports:
             assert all(type(p) is float for p in report.allocation.powers)
             assert all(type(m) is int for m in report.allocation.blocklengths)
-            assert type(report.trace) is tuple and report.trace
-            for entry in report.trace:
-                assert type(entry) is tuple and len(entry) == 2
-                assert type(entry[0]) is int and type(entry[1]) is float
-            reboxed = tuple((int(i), float(v)) for i, v in report.trace)
-            assert report == dataclasses.replace(report, trace=reboxed)
+            assert type(report.iterations) is int and report.iterations >= 1
+            assert type(report.converged) is bool
+            reboxed = Allocation(
+                tuple(map(float, report.allocation.powers)),
+                tuple(map(int, report.allocation.blocklengths)),
+            )
+            assert report == dataclasses.replace(report, allocation=reboxed)
+        assert len({report.solver_name for report in reports}) == 7
 
     def test_minmax_respects_energy_budget(self):
         rng = np.random.default_rng(9_001)
@@ -1219,12 +1311,12 @@ class TestReportInvariants:
         with pytest.raises(RuntimeError, match="blocklengths sum to 201"):
             _build_report(
                 scenario, [0.1, 0.1], [100, 101], solver_name="probe",
-                trace=((1, 0.0),), converged=True, enforce_energy_budget=False,
+                iterations=1, converged=True, enforce_energy_budget=False,
             )
         with pytest.raises(RuntimeError, match="exceeds the energy budget"):
             _build_report(
                 scenario, [1.0, 1.0], [100, 100], solver_name="probe",
-                trace=((1, 0.0),), converged=True, enforce_energy_budget=True,
+                iterations=1, converged=True, enforce_energy_budget=True,
             )
 
     def test_budget_breach_raises_under_python_optimize(self):
@@ -1240,7 +1332,7 @@ class TestReportInvariants:
             "):\n"
             "    try:\n"
             "        _build_report(scenario, powers, m_vec, solver_name='probe',\n"
-            "                      trace=((1, 0.0),), converged=True,\n"
+            "                      iterations=1, converged=True,\n"
             "                      enforce_energy_budget=enforce)\n"
             "    except RuntimeError as exc:\n"
             "        print(exc)\n"

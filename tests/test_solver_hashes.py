@@ -3,19 +3,24 @@
 No figure preset runs the joint min-max solver, so the figure hashes do
 not cover it. This pins the answers of all five solvers instead: the
 blocklengths, the exact powers (float.hex) and the worst margin of each
-report, or "infeasible". iterations and trace are left out, because a
-faster solve may take fewer rounds to the same answer.
+report, or "infeasible". iterations is left out, because a faster
+solve may take fewer rounds to the same answer.
 
-The fixed-power solver's trace is its answer: the worst margin after
-each of its M - n grants, which no faster solve may change. A second
-hash pins those traces over a wider range of payloads and budgets.
+The fixed-power solver's answer is its blocklengths plus its worst
+margin. Its trajectory, the worst margin after each of its M - n grants,
+is derived from them: the per-symbol greedy that ends at those
+blocklengths passes through it, and it ends at that worst margin. A
+second hash pins the solver's blocklengths and that trajectory, taken
+from the reference greedy, over a wider range of payloads and budgets.
 """
 
+import functools
 import hashlib
 
 from elid_urllc.channel_model import SystemConfig, sample_scenario
 from elid_urllc.exceptions import InfeasibleError
 from elid_urllc.experiments import SOLVER_NAMES, run_solver
+from oracle_utils import reference_symbols_minmax_fixed_p
 
 SOLVER_ANSWERS_SHA256 = "6aa5282a14a82599e93a7015fc86b0187d5b3150b0d121a6d4ea8ccb59048c3a"
 
@@ -56,25 +61,52 @@ def test_solver_answers_hash():
 FIXED_POWER_ANSWERS_SHA256 = "78c1d05d2144728036a1c3074089b3cd84b2f61030b489f335866550243163bc"
 
 
-def fixed_power_answers_digest() -> str:
-    """symbols_minmax_fixed_p's blocklengths and whole trace, the worst
-    margin after every grant in float.hex, on 10 requests (n = 1..10) at
-    each of D in {1, 160, 1000} and M in {11, 200, 5000}."""
-    digest = hashlib.sha256()
+@functools.cache
+def _fixed_power_answers():
+    """(solver's blocklengths, its worst margin, reference blocklengths,
+    reference trajectory) of symbols_minmax_fixed_p on 10 requests
+    (n = 1..10) at each of D in {1, 160, 1000} and M in {11, 200, 5000}.
+    The trajectory is the reference greedy's worst margin after every
+    grant (oracle_utils.reference_symbols_minmax_fixed_p)."""
+    answers = []
     for payload_bits in (1, 160, 1000):
         for m_total in (11, 200, 5000):
             config = SystemConfig(payload_bits=payload_bits, symbol_budget=m_total)
             for i in range(10):
-                report = run_solver(
-                    "symbols_minmax_fixed_p", sample_scenario(config, i + 1, seed=i)
+                scenario = sample_scenario(config, i + 1, seed=i)
+                report = run_solver("symbols_minmax_fixed_p", scenario)
+                reference_m, trajectory, _ = reference_symbols_minmax_fixed_p(scenario)
+                answers.append(
+                    (
+                        report.allocation.blocklengths,
+                        report.worst_margin.g,
+                        reference_m,
+                        trajectory,
+                    )
                 )
-                line = " ".join(
-                    [repr(report.allocation.blocklengths)]
-                    + [f"{k}:{g.hex()}" for k, g in report.trace]
-                )
-                digest.update(line.encode("utf-8") + b"\n")
+    return answers
+
+
+def fixed_power_answers_digest() -> str:
+    """The solver's blocklengths and the trajectory that ends at them,
+    the worst margin after every grant in float.hex, on the block of
+    _fixed_power_answers."""
+    digest = hashlib.sha256()
+    for blocklengths, _, _, trajectory in _fixed_power_answers():
+        line = " ".join(
+            [repr(blocklengths)] + [f"{k}:{g.hex()}" for k, g in trajectory]
+        )
+        digest.update(line.encode("utf-8") + b"\n")
     return digest.hexdigest()
 
 
 def test_fixed_power_answers_hash():
     assert fixed_power_answers_digest() == FIXED_POWER_ANSWERS_SHA256
+
+
+def test_fixed_power_answer_ends_its_trajectory():
+    # the solver stops where the reference greedy stops, at the worst
+    # margin the trajectory ends on, bit for bit
+    for blocklengths, worst_g, reference_m, trajectory in _fixed_power_answers():
+        assert blocklengths == reference_m
+        assert worst_g.hex() == trajectory[-1][1].hex()
