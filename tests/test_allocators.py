@@ -16,6 +16,7 @@ import pytest
 from elid_urllc import allocators, fbl_core, oracles
 from elid_urllc.allocators import (
     Allocation,
+    SolveReport,
     _build_report,
     equal_allocation_energy,
     min_energy_fixed_m,
@@ -28,6 +29,7 @@ from elid_urllc.channel_model import SystemConfig, sample_scenario
 from elid_urllc.exceptions import InfeasibleError
 from elid_urllc.fbl_core import (
     LN2,
+    ReliabilityMargin,
     min_blocklength,
     min_power_for_target,
     q_inverse,
@@ -1401,6 +1403,50 @@ class TestReportInvariants:
             )
         ]
         assert found == []
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_allocation_names_a_bad_power_anywhere(self, bad, position):
+        # first, middle or last: a fast path built on min() would miss a
+        # nan after the first entry
+        powers = [0.5, 1.0, 0.0, 2.0, 0.25]
+        powers[position] = bad
+        with pytest.raises(ValueError) as info:
+            Allocation(tuple(powers), (1, 2, 3, 4, 5))
+        assert str(info.value) == f"powers must be finite and >= 0, got {bad!r}"
+
+    def test_reports_are_the_records_their_constructors_build(self):
+        # _build_report and reliability_margin fill the slots directly;
+        # each record must be the one its dataclass __init__ would build
+        rng = np.random.default_rng(2_203)
+        scenario = feasible_joint_instance(rng, n=4)
+        fixed_m = random_feasible_minmax_instance(rng, n=3)
+        reports = [
+            symbol_sharing(scenario),
+            equal_allocation_energy(scenario),
+            solve_power_minmax_fixed_m(*fixed_m),
+            solve_symbols_minmax_fixed_p(scenario),
+            solve_joint_minmax(scenario),
+        ]
+        for report in reports:
+            fields = [getattr(report, f.name) for f in dataclasses.fields(SolveReport)]
+            built = SolveReport(*fields)
+            assert report == built and built == report
+            assert hash(report) == hash(built)
+            assert repr(report) == repr(built)
+            copy = dataclasses.replace(report)
+            assert copy == report and copy is not report
+            renamed = dataclasses.replace(report, solver_name="renamed")
+            assert renamed == SolveReport(*fields[:-1], "renamed")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                report.iterations = 0
+            for margin in report.margins:
+                twin = ReliabilityMargin(margin.g, margin.eps_log10)
+                assert margin == twin and hash(margin) == hash(twin)
+                assert repr(margin) == repr(twin)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    margin.g = 0.0
+        assert len({report.solver_name for report in reports}) == 5
 
     def test_allocation_validation(self):
         with pytest.raises(ValueError):

@@ -380,6 +380,91 @@ class TestMinPowerForTarget:
             min_power_for_target(1.0, 100, 160, math.nan)
 
 
+NAN, INF = math.nan, math.inf
+
+# Every bad value of one argument, the others valid, with the error the
+# checks raise. A nan or inf blocklength or payload passes the named
+# checks; reliability_margin then rejects its non-finite g.
+MARGIN_REJECTIONS = [
+    *[((bad, 33, 160), f"snr must be finite and nonnegative, got {bad!r}")
+      for bad in (NAN, INF, -INF, -1, -0.5)],
+    ((12.5, NAN, 160), "eps_log10_from_margin requires finite g, got nan"),
+    ((12.5, INF, 160), "eps_log10_from_margin requires finite g, got inf"),
+    *[((12.5, bad, 160), f"blocklength must be >= 1, got {bad}") for bad in (-INF, 0, -1)],
+    ((12.5, 33, NAN), "eps_log10_from_margin requires finite g, got nan"),
+    ((12.5, 33, INF), "eps_log10_from_margin requires finite g, got -inf"),
+    *[((12.5, 33, bad), f"payload_bits must be >= 1, got {bad}") for bad in (-INF, 0, -1)],
+]
+POWER_REJECTIONS = [
+    *[((bad, 33, 160, 6.0), f"norm_gain must be positive, got {bad!r}")
+      for bad in (NAN, INF, -INF, 0, -1)],
+    *[((1.5, bad, 160, 6.0), f"blocklength must be >= 1, got {bad}") for bad in (-INF, 0, -1)],
+    *[((1.5, 33, bad, 6.0), f"payload_bits must be >= 1, got {bad}") for bad in (-INF, 0, -1)],
+    *[((1.5, 33, 160, bad), f"g_target must be finite, got {bad!r}") for bad in (NAN, INF, -INF)],
+]
+# what min_power_for_target returns for the nan or inf blocklengths and
+# payloads its checks let through
+POWER_PASSED = [
+    ((1.5, NAN, 160, 6.0), NAN),
+    ((1.5, INF, 160, 6.0), 0.0),
+    ((1.5, 33, NAN, 6.0), NAN),
+    ((1.5, 33, INF, 6.0), INF),
+]
+
+
+class TestCheckedFastPaths:
+    """The public primitives test the common case in one chained
+    comparison and run the named checks only when it fails; each bad
+    argument must still raise its own message."""
+
+    @pytest.mark.parametrize("args, message", MARGIN_REJECTIONS, ids=repr)
+    def test_reliability_margin_rejections(self, args, message):
+        with pytest.raises(ValueError) as info:
+            reliability_margin(*args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("args, message", POWER_REJECTIONS, ids=repr)
+    def test_min_power_for_target_rejections(self, args, message):
+        with pytest.raises(ValueError) as info:
+            min_power_for_target(*args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("args, expected", POWER_PASSED, ids=repr)
+    def test_min_power_for_target_passes_what_its_checks_pass(self, args, expected):
+        power = min_power_for_target(*args)
+        assert power == expected or (math.isnan(power) and math.isnan(expected))
+
+    def test_snr_checked_before_blocklength_and_payload(self):
+        with pytest.raises(ValueError, match="^snr must"):
+            reliability_margin(NAN, 0, 0)
+        with pytest.raises(ValueError, match="^norm_gain must"):
+            min_power_for_target(0.0, 0, 0, NAN)
+
+    def test_power_kernel_is_min_power_for_target(self):
+        # the unchecked kernel that min_energy_fixed_m prices through
+        rng = np.random.default_rng(2201)
+        outcomes = {"inf": 0, "zero": 0, "positive": 0}
+        for d in (1, 32, 160, 1000):
+            ms = [1, 2, 3000, *rng.integers(1, 3001, size=40).tolist()]
+            for m in ms:
+                gains = 10.0 ** rng.uniform(-6, 6, size=3)
+                margins = [
+                    0.0, 1000.0,
+                    *rng.uniform(-40.0, -1e-3, size=3), *rng.uniform(1e-3, 40.0, size=3),
+                ]
+                for h in gains.tolist():
+                    for g in margins:
+                        g = float(g)
+                        p = fbl_core._power(h, m, d, g)
+                        assert p.hex() == min_power_for_target(h, m, d, g).hex()
+                        key = "inf" if p == math.inf else "zero" if p == 0.0 else "positive"
+                        outcomes[key] += 1
+        # exponents past 709 (D = 1000 at one symbol) and clamped powers
+        assert fbl_core._power(1.0, 1, 1000, 20.0) == math.inf
+        assert fbl_core._power(1.0, 3000, 1, -5.0) == 0.0
+        assert min(outcomes.values()) >= 20, outcomes
+
+
 class TestMinBlocklength:
     def test_worked_boundary(self):
         # Required energy-gain product: 503.1510111833636 at m = 44 and
