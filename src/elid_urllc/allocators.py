@@ -293,10 +293,10 @@ def _check_floor_sum(floors: list[int], m_total: int) -> None:
 _split_tables = functools.lru_cache(maxsize=16)(_build_split_tables)
 
 
-def _least_energy_split(tables, gains, floors) -> list[int]:
-    """Blocklengths m >= floors with sum(m) <= M that minimize
-    sum(table[m_i - 1] / gains[i]), for tables = (table, steps, m_star)
-    of length M from fbl_core._build_split_tables.
+class _SplitSetup:
+    """The least-energy split of one solve: blocklengths m >= floors with
+    sum(m) <= M that minimize sum(table[m_i - 1] / gains[i]), for tables
+    = (table, steps, m_star) of length M from fbl_core._build_split_tables.
 
     Every vehicle starts at its floor, and each spare symbol goes to the
     largest positive marginal saving steps[m - 1] / h_i, ties to the
@@ -309,19 +309,49 @@ def _least_energy_split(tables, gains, floors) -> list[int]:
     at most w = min(spare, m_star - 1) symbols, so only its window
     steps[f_i - 1 : f_i - 1 + w] is sorted; no window passes index M - 2,
     because spare <= M - sum(floors).
+
+    What does not depend on the margin is built once per solve: the
+    floors, the spare symbols, the column of negated gains and the
+    window index. step(tables) splits at one table; the index grows
+    only when a table needs a wider window than any before it (m_star
+    mostly grows with g), and a narrower one reads its leading columns.
+    symbol_sharing sets up and steps once (_least_energy_split); the
+    joint solver sets up once and steps every round.
     """
-    table, steps, m_star = tables
-    gains = np.asarray(gains, dtype=float)
-    floors = np.asarray(floors)
-    spare = table.size - int(floors.sum())
-    width = min(spare, m_star - 1)
-    m_vec = floors
-    if width > 0:
-        savings = steps[(floors - 1)[:, None] + np.arange(width)] / gains[:, None]
-        order = (-savings).argsort(axis=None, kind="stable")[:spare]
-        granted = order[savings.ravel()[order] > 0.0] // width
-        m_vec = floors + np.bincount(granted, minlength=len(floors))
-    return m_vec.tolist()
+
+    __slots__ = ("gains", "floors", "spare", "neg_gains", "index")
+
+    def __init__(self, gains, floors, m_total: int) -> None:
+        self.gains = np.asarray(gains, dtype=float)
+        self.floors = np.asarray(floors)
+        self.spare = m_total - int(self.floors.sum())
+        self.neg_gains = -self.gains[:, None]
+        self.index = None
+
+    def step(self, tables) -> np.ndarray:
+        """The split at tables as an int array of blocklengths."""
+        _, steps, m_star = tables
+        width = min(self.spare, m_star - 1)
+        if width <= 0:
+            return self.floors
+        index = self.index
+        if index is None or width > index.shape[1]:
+            # row i is f_i - 1 + arange(width)
+            index = self.index = self.floors[:, None] + np.arange(-1, width - 1)
+        elif width < index.shape[1]:
+            index = index[:, :width]
+        # -(steps / h) bit for bit; the stable sort puts the largest
+        # savings first, and only the positive ones are granted
+        neg_savings = steps[index] / self.neg_gains
+        order = neg_savings.argsort(axis=None, kind="stable")[: self.spare]
+        granted = order[neg_savings.ravel()[order] < 0.0] // width
+        return self.floors + np.bincount(granted, minlength=self.floors.size)
+
+
+def _least_energy_split(tables, gains, floors) -> list[int]:
+    """The least-energy split at one table (_SplitSetup), set up and
+    stepped once."""
+    return _SplitSetup(gains, floors, tables[0].size).step(tables).tolist()
 
 
 def symbol_sharing(scenario: Scenario) -> SolveReport:
@@ -329,7 +359,7 @@ def symbol_sharing(scenario: Scenario) -> SolveReport:
     on every link.
 
     The blocklengths are the least-energy split at g over the
-    energy-budget floors (see _least_energy_split): exact, and it stops
+    energy-budget floors (see _SplitSetup): exact, and it stops
     each vehicle at max(m*, its floor), where m* minimizes c_g (365 at
     D=160, eps=1e-9 when M >= 365), so fewer than M symbols may be spent.
     The split reads the (D, g, M) tables from a bounded cache, so
@@ -476,9 +506,9 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
     """Max-min margin over powers and integer blocklengths jointly.
 
     A margin g is reachable exactly when the least energy that gives
-    every link margin g within the symbol budget (_least_energy_split
-    over _minmax_floors) fits the energy budget; the answer is the
-    largest such g. Each round takes the least-energy split at the
+    every link margin g within the symbol budget (the split of
+    _SplitSetup over _minmax_floors) fits the energy budget; the answer
+    is the largest such g. Each round takes the least-energy split at the
     current g, then the largest g that split affords (_split_margin),
     as Dinkelbach (1967) alternates for fractional programs; both steps
     are exact, the split by Fox and Federgruen & Groenevelt. Round 1
@@ -494,30 +524,30 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
     is False only if the round cap ended the loop. Powers are the
     closed-form minimum for g at the last split, as the margin solve of
     that split returns them (_split_margin); their energy fits the budget.
+    The split is set up once per solve, and each round, the start
+    included, is one step of it at that round's table.
     """
     cfg = scenario.config
     d = cfg.payload_bits
     m_total = cfg.symbol_budget
     budget = cfg.energy_budget
-    floors = _minmax_floors(scenario)
     gains = [link.norm_gain for link in scenario.links]
-    # the split's arrays; _split_margin runs on the python floats
-    gain_arr = np.array(gains)
-    floor_arr = np.array(floors)
+    # one split setup for every round; _split_margin runs on the python
+    # floats
+    split = _SplitSetup(gains, _minmax_floors(scenario), m_total)
 
-    m_vec = _least_energy_split(
-        _split_tables(d, q_inverse(cfg.target_eps), m_total), gain_arr, floor_arr
-    )
+    m_vec = split.step(_split_tables(d, q_inverse(cfg.target_eps), m_total)).tolist()
     g, powers, _ = _split_margin(m_vec, gains, d, budget)
     converged = False
     for rounds in range(2, _MAX_SPLIT_ROUNDS + 1):
         tables = _build_split_tables(d, g, m_total)
-        next_m = _least_energy_split(tables, gain_arr, floor_arr)
+        next_arr = split.step(tables)
+        next_m = next_arr.tolist()
         unchanged = next_m == m_vec
         if not unchanged:
             # its least energy at g: at most the budget, so finite, since
             # the last split, which affords g, was a candidate
-            least = float((tables[0][np.array(next_m) - 1] / gain_arr).sum())
+            least = float((tables[0][next_arr - 1] / split.gains).sum())
             m_vec = next_m
             g, powers, _ = _split_margin(m_vec, gains, d, budget)
         if unchanged or not least < budget * (1.0 - _REL_IMPROVEMENT):

@@ -144,6 +144,14 @@ def _check_snr(snr: float) -> None:
         raise ValueError(f"snr must be finite and nonnegative, got {snr!r}")
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a blocklength or payload below 1, nan or inf, naming it."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    if not value < math.inf:  # nan and inf pass the test above
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True, slots=True)
 class ShortPacketParams:
     """One short-packet operating point.
@@ -233,24 +241,32 @@ def reliability_margin(
     whole bracket by sqrt(v), which preserves that fixed point and stays
     consistent with achievable_rate. Strictly increasing in snr and in
     blocklength, in both modes.
+
+    Raises ValueError naming the argument for an snr that is negative or
+    not finite, and for a blocklength or payload below 1, nan or inf. An
+    inf blocklength or payload is caught only once its g is found not
+    finite, so the common case pays one chained test.
     """
     # one chained test for the common case; the checks below name the
     # argument
     if not (0.0 <= snr < math.inf and blocklength >= 1 and payload_bits >= 1):
         _check_snr(snr)
-        if blocklength < 1:
-            raise ValueError(f"blocklength must be >= 1, got {blocklength}")
-        if payload_bits < 1:
-            raise ValueError(f"payload_bits must be >= 1, got {payload_bits}")
+        _check_count("blocklength", blocklength)
+        _check_count("payload_bits", payload_bits)
     m = float(blocklength)
     g = math.sqrt(m) * (math.log1p(snr) - LN2 * payload_bits / m)
     if dispersion_mode is _EXACT:
         g /= math.sqrt(_dispersion_for(snr, dispersion_mode))
-    # eps_log10_from_margin rejects the g of an inf or nan blocklength or
-    # payload, which the checks above let through
     margin = object.__new__(ReliabilityMargin)
     _set_g(margin, g)
-    _set_eps_log10(margin, eps_log10_from_margin(g))
+    try:
+        _set_eps_log10(margin, eps_log10_from_margin(g))
+    except ValueError:
+        # the non-finite g of an inf blocklength or payload, which the
+        # chained test lets through: name the argument
+        _check_count("blocklength", blocklength)
+        _check_count("payload_bits", payload_bits)
+        raise
     return margin
 
 
@@ -268,22 +284,23 @@ def min_power_for_target(
         p = (exp(ln(2) * D / m + g_target / sqrt(m)) - 1) / norm_gain
 
     clamped below at zero (a margin already met at p = 0 costs nothing).
-    Returns inf when the required SNR overflows double precision.
+    Returns inf when the required SNR overflows double precision. Raises
+    ValueError naming the argument for a norm_gain that is not positive
+    and finite, a blocklength or payload below 1, nan or inf, and a
+    g_target that is not finite.
     """
     # one chained test for the common case; the checks below name the
     # argument
     if not (
         0.0 < norm_gain < math.inf
-        and blocklength >= 1
-        and payload_bits >= 1
+        and 1 <= blocklength < math.inf
+        and 1 <= payload_bits < math.inf
         and -math.inf < g_target < math.inf
     ):
         if not (math.isfinite(norm_gain) and norm_gain > 0.0):
             raise ValueError(f"norm_gain must be positive, got {norm_gain!r}")
-        if blocklength < 1:
-            raise ValueError(f"blocklength must be >= 1, got {blocklength}")
-        if payload_bits < 1:
-            raise ValueError(f"payload_bits must be >= 1, got {payload_bits}")
+        _check_count("blocklength", blocklength)
+        _check_count("payload_bits", payload_bits)
         if not math.isfinite(g_target):
             raise ValueError(f"g_target must be finite, got {g_target!r}")
     return _power(norm_gain, blocklength, payload_bits, g_target)
@@ -405,21 +422,39 @@ def _build_split_tables(
     m_star is the first minimizer of table. inf - inf is taken as inf: a
     step that stays inside the overflow region must still be taken to
     leave it. A table that is inf everywhere therefore takes every step,
-    and its m_star is m_total. One np.errstate covers the whole pass.
+    and its m_star is m_total.
+
+    The exponent ln2 * D / m + g / sqrt(m) is a convex quadratic in
+    1 / sqrt(m) (D >= 1), so over m = 1..m_total it peaks at m = 1 or at
+    m = m_total. While that peak plus ln(m_total) stays below 709, no
+    entry passes 709 and m * expm1 of any entry stays below e^709, so
+    the pass runs without its guards: the np.errstate, the > 709 mask
+    and the fmin of inf - inf. Otherwise one np.errstate covers the
+    guarded pass. Both give every entry the same arithmetic.
     """
     ms, base, roots = _table_axes(payload_bits, m_total)
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = base + g_target / roots
-        table[table > _EXP_OVERFLOW] = np.inf
-        np.expm1(table, out=table)
-        table *= ms
-        np.maximum(table, 0.0, out=table)
-        steps = table[:-1] - table[1:]
-        np.fmin(steps, np.inf, out=steps)  # the nan of inf - inf reads inf
+    table = base + g_target / roots
+    if max(table[0], table[-1]) + math.log(m_total) < _EXP_OVERFLOW:
+        steps = _costs_in_place(table, ms)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            table[table > _EXP_OVERFLOW] = np.inf
+            steps = _costs_in_place(table, ms)
+            np.fmin(steps, np.inf, out=steps)  # the nan of inf - inf reads inf
     first = int(table.argmin())
     m_star = first + 1 if math.isfinite(table[first]) else m_total
     table.flags.writeable = steps.flags.writeable = False
     return table, steps, m_star
+
+
+def _costs_in_place(table: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """Both passes of _build_split_tables: turn the exponents in table
+    into max(0, ms * expm1(exponent)) in place, and return the steps
+    table[:-1] - table[1:]."""
+    np.expm1(table, out=table)
+    table *= ms
+    np.maximum(table, 0.0, out=table)
+    return table[:-1] - table[1:]
 
 
 def _margin_matrix(snrs, payload_bits: int, m_total: int, width: int) -> np.ndarray:

@@ -12,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elid_urllc import allocators, fbl_core, oracles
 from elid_urllc.allocators import (
@@ -327,6 +329,77 @@ class TestLeastEnergySplitTables:
                 payload_bits, 6.0, m_total, [2.0] * n, floors
             )
             assert m_vec[0] == m_total - (n - 1)
+
+    def _assert_steps_match(self, setup, tables_seq, gains, floors, m_total):
+        widths = []
+        for tables in tables_seq:
+            with np.errstate(over="ignore"):  # huge steps over tiny gains
+                expected = reference_least_energy_split(tables[0], gains, floors, m_total)
+                got = setup.step(tables).tolist()
+            assert got == expected, (tables[2], gains, floors)
+            widths.append(0 if setup.index is None else setup.index.shape[1])
+        return widths
+
+    def test_one_setup_serves_tables_at_rising_margins(self):
+        # a joint solve's rounds: M = 1000, D = 160 and g rising from the
+        # target, so m_star grows and the window widens between rounds;
+        # m_star - 1 stays below the spare symbols throughout
+        m_total = 1000
+        gains = [0.02, 3.5, 3.5, 170.0]
+        floors = [40, 2, 2, 1]
+        spare = m_total - sum(floors)
+        margins = [G_TARGET_1E9, 11.5, 17.0, 26.0]
+        tables_seq = [fbl_core._build_split_tables(160, g, m_total) for g in margins]
+        m_stars = [tables[2] for tables in tables_seq]
+        assert m_stars == sorted(set(m_stars)) and m_stars[-1] - 1 < spare
+        setup = allocators._SplitSetup(gains, floors, m_total)
+        widths = self._assert_steps_match(setup, tables_seq, gains, floors, m_total)
+        assert widths == [m_star - 1 for m_star in m_stars]
+        # a narrower window after a wider one reads the index's leading
+        # columns and keeps the index; m_star is 362 at g = 8, below the
+        # target's 365
+        back = [fbl_core._build_split_tables(160, 8.0, m_total), tables_seq[1]]
+        assert back[0][2] < m_stars[0]
+        widths = self._assert_steps_match(setup, back, gains, floors, m_total)
+        assert widths == [m_stars[-1] - 1] * 2
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_one_setup_serves_the_all_inf_table(self, n):
+        # the all-inf table needs the widest window, the whole spare, and
+        # finite tables stepped after it read its leading columns
+        m_total = 2000
+        gains = (10.0 ** np.linspace(-2.0, 2.0, n)).tolist()
+        floors = [1] * n
+        spare = m_total - n
+        all_inf = fbl_core._build_split_tables(1024 * m_total, 6.0, m_total)
+        assert all_inf[2] == m_total
+        tables_seq = [
+            fbl_core._build_split_tables(160, G_TARGET_1E9, m_total),
+            all_inf,
+            fbl_core._build_split_tables(160, 20.0, m_total),
+        ]
+        setup = allocators._SplitSetup(gains, floors, m_total)
+        widths = self._assert_steps_match(setup, tables_seq, gains, floors, m_total)
+        assert widths == [tables_seq[0][2] - 1, spare, spare]
+
+    def test_one_setup_serves_random_tables(self):
+        # one setup per instance, stepped at tables of several margins in
+        # random order, so windows widen, narrow and vanish (spare 0)
+        rng = np.random.default_rng(2301)
+        widened = narrowed = 0
+        for _ in range(300):
+            payload_bits, _, m_total, gains, floors = _random_split_instance(rng)
+            margins = rng.uniform(-20.0, 40.0, size=5).tolist()
+            tables_seq = [
+                fbl_core._build_split_tables(payload_bits, g, m_total) for g in margins
+            ]
+            setup = allocators._SplitSetup(gains, floors, m_total)
+            widths = self._assert_steps_match(setup, tables_seq, gains, floors, m_total)
+            spare = m_total - sum(floors)
+            needed = [min(spare, tables[2] - 1) for tables in tables_seq]
+            widened += len(set(widths) - {0}) > 1
+            narrowed += any(0 < w < widths[-1] for w in needed)
+        assert widened >= 30 and narrowed >= 50, (widened, narrowed)
 
     def test_symbol_sharing_builds_its_tables_once(self):
         allocators._split_tables.cache_clear()
@@ -966,23 +1039,24 @@ class TestJointMinmax:
         assert feasible >= 100
 
     def test_within_budget_in_few_split_rounds(self, monkeypatch):
-        # iterations counts the split rounds, and each round that changes
-        # the split affords a strictly larger margin
+        # iterations counts the split rounds, each one step of the solve's
+        # split setup, and each round that changes the split affords a
+        # strictly larger margin
         calls = []
         margins = []
-        split = allocators._least_energy_split
+        step = allocators._SplitSetup.step
         solve_margin = allocators._split_margin
 
         def counted(*args):
             calls.append(1)
-            return split(*args)
+            return step(*args)
 
         def recorded(*args):
             result = solve_margin(*args)
             margins.append(result[0])
             return result
 
-        monkeypatch.setattr(allocators, "_least_energy_split", counted)
+        monkeypatch.setattr(allocators._SplitSetup, "step", counted)
         monkeypatch.setattr(allocators, "_split_margin", recorded)
         solved = 0
         for scenario in _joint_minmax_sweep():
@@ -1243,6 +1317,54 @@ def _package_trees():
         if name.endswith(".py"):
             with open(os.path.join(package, name), encoding="utf-8") as handle:
                 yield name, ast.parse(handle.read(), filename=name)
+
+
+# Fixed, seed-free example sets: each run tests the same instances, and
+# no example database is written.
+_MONOTONE_RELATION = settings(
+    derandomize=True, max_examples=220, deadline=None, database=None
+)
+_joint_instances = st.tuples(
+    st.integers(1, 10),  # vehicles
+    st.integers(20, 400),  # symbol budget
+    st.floats(-1.5, 1.5),  # log10 of the energy budget in J
+    st.integers(0, 2**32 - 1),  # scenario seed
+)
+
+
+def _joint_margin(n, m_total, energy_budget, seed):
+    """The joint min-max worst margin of one sampled scenario, or None
+    when it is infeasible."""
+    config = SystemConfig(symbol_budget=m_total, energy_budget=energy_budget)
+    try:
+        report = solve_joint_minmax(sample_scenario(config, n, seed))
+    except InfeasibleError:
+        return None
+    return report.worst_margin.g
+
+
+class TestJointMonotoneRelations:
+    """The joint optimum can only rise with either budget: every split
+    and power vector feasible under E and M stays feasible under a larger
+    E or M, whose floors are the same or lower."""
+
+    @_MONOTONE_RELATION
+    @given(_joint_instances)
+    def test_more_energy_never_lowers_the_margin(self, instance):
+        n, m_total, log_budget, seed = instance
+        budget = 10.0**log_budget
+        g = _joint_margin(n, m_total, budget, seed)
+        if g is not None:
+            assert _joint_margin(n, m_total, 1.5 * budget, seed) >= g
+
+    @_MONOTONE_RELATION
+    @given(_joint_instances)
+    def test_more_symbols_never_lower_the_margin(self, instance):
+        n, m_total, log_budget, seed = instance
+        budget = 10.0**log_budget
+        g = _joint_margin(n, m_total, budget, seed)
+        if g is not None:
+            assert _joint_margin(n, m_total + 50, budget, seed) >= g
 
 
 class TestReportInvariants:

@@ -383,32 +383,23 @@ class TestMinPowerForTarget:
 NAN, INF = math.nan, math.inf
 
 # Every bad value of one argument, the others valid, with the error the
-# checks raise. A nan or inf blocklength or payload passes the named
-# checks; reliability_margin then rejects its non-finite g.
+# checks raise; each names its argument.
 MARGIN_REJECTIONS = [
     *[((bad, 33, 160), f"snr must be finite and nonnegative, got {bad!r}")
       for bad in (NAN, INF, -INF, -1, -0.5)],
-    ((12.5, NAN, 160), "eps_log10_from_margin requires finite g, got nan"),
-    ((12.5, INF, 160), "eps_log10_from_margin requires finite g, got inf"),
+    *[((12.5, bad, 160), f"blocklength must be finite, got {bad}") for bad in (NAN, INF)],
     *[((12.5, bad, 160), f"blocklength must be >= 1, got {bad}") for bad in (-INF, 0, -1)],
-    ((12.5, 33, NAN), "eps_log10_from_margin requires finite g, got nan"),
-    ((12.5, 33, INF), "eps_log10_from_margin requires finite g, got -inf"),
+    *[((12.5, 33, bad), f"payload_bits must be finite, got {bad}") for bad in (NAN, INF)],
     *[((12.5, 33, bad), f"payload_bits must be >= 1, got {bad}") for bad in (-INF, 0, -1)],
 ]
 POWER_REJECTIONS = [
     *[((bad, 33, 160, 6.0), f"norm_gain must be positive, got {bad!r}")
       for bad in (NAN, INF, -INF, 0, -1)],
+    *[((1.5, bad, 160, 6.0), f"blocklength must be finite, got {bad}") for bad in (NAN, INF)],
     *[((1.5, bad, 160, 6.0), f"blocklength must be >= 1, got {bad}") for bad in (-INF, 0, -1)],
+    *[((1.5, 33, bad, 6.0), f"payload_bits must be finite, got {bad}") for bad in (NAN, INF)],
     *[((1.5, 33, bad, 6.0), f"payload_bits must be >= 1, got {bad}") for bad in (-INF, 0, -1)],
     *[((1.5, 33, 160, bad), f"g_target must be finite, got {bad!r}") for bad in (NAN, INF, -INF)],
-]
-# what min_power_for_target returns for the nan or inf blocklengths and
-# payloads its checks let through
-POWER_PASSED = [
-    ((1.5, NAN, 160, 6.0), NAN),
-    ((1.5, INF, 160, 6.0), 0.0),
-    ((1.5, 33, NAN, 6.0), NAN),
-    ((1.5, 33, INF, 6.0), INF),
 ]
 
 
@@ -428,11 +419,6 @@ class TestCheckedFastPaths:
         with pytest.raises(ValueError) as info:
             min_power_for_target(*args)
         assert str(info.value) == message
-
-    @pytest.mark.parametrize("args, expected", POWER_PASSED, ids=repr)
-    def test_min_power_for_target_passes_what_its_checks_pass(self, args, expected):
-        power = min_power_for_target(*args)
-        assert power == expected or (math.isnan(power) and math.isnan(expected))
 
     def test_snr_checked_before_blocklength_and_payload(self):
         with pytest.raises(ValueError, match="^snr must"):
@@ -463,6 +449,84 @@ class TestCheckedFastPaths:
         assert fbl_core._power(1.0, 1, 1000, 20.0) == math.inf
         assert fbl_core._power(1.0, 3000, 1, -5.0) == 0.0
         assert min(outcomes.values()) >= 20, outcomes
+
+
+def guarded_split_tables(payload_bits, g, m_total):
+    """_build_split_tables' pass with every overflow guard on, as it ran
+    on every table before the guards were skipped below the switch."""
+    ms, base, roots = fbl_core._table_axes(payload_bits, m_total)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = base + g / roots
+        table[table > 709.0] = np.inf
+        np.expm1(table, out=table)
+        table *= ms
+        np.maximum(table, 0.0, out=table)
+        steps = table[:-1] - table[1:]
+        np.fmin(steps, np.inf, out=steps)
+    first = int(table.argmin())
+    m_star = first + 1 if math.isfinite(table[first]) else m_total
+    return table, steps, m_star
+
+
+class TestSplitTableGuards:
+    """_build_split_tables runs its guarded pass only when the exponent's
+    larger endpoint plus ln M reaches 709; both passes must give every
+    entry the same bits."""
+
+    @staticmethod
+    def _switch_cases():
+        # g puts the m = 1 or the m = M exponent plus ln M at 709 + delta
+        for m_total in (1, 2, 3, 40, 200, 1000, 5000):
+            log_m = math.log(m_total)
+            for payload_bits in (1, 160, 1000, 1023, 2500):
+                for delta in (*np.linspace(-1.0, 1.0, 9).tolist(), -40.0, 3.0, 40.0):
+                    target = 709.0 + delta - log_m
+                    yield payload_bits, target - LN2 * payload_bits, m_total
+                    at_m = target - LN2 * payload_bits / m_total
+                    yield payload_bits, math.sqrt(m_total) * at_m, m_total
+        # g < 0 with D = 1: the exponent peaks at m = M
+        for m_total in (200, 1000, 5000):
+            for g in (-1.0, -5.0, -40.0):
+                yield 1, g, m_total
+        for payload_bits in (1, 1022, 1023, 1024, 5000):
+            for g in (-800.0, -1.0, 0.0, 6.0, 700.0):
+                yield payload_bits, g, 1
+
+    def test_matches_the_guarded_pass(self, monkeypatch):
+        errstate = np.errstate
+        guarded_calls = []
+
+        def counted(*args, **kwargs):
+            guarded_calls.append(1)
+            return errstate(*args, **kwargs)
+
+        near = {"guarded": 0, "free": 0}
+        free = guarded = overflowed = peak_at_m = 0
+        for payload_bits, g, m_total in self._switch_cases():
+            _, base, roots = fbl_core._table_axes(payload_bits, m_total)
+            exponent = base + g / roots
+            peak = max(exponent[0], exponent[-1]) + math.log(m_total)
+            # the convex quadratic in 1 / sqrt(m) peaks at an endpoint
+            assert exponent.max() <= max(exponent[0], exponent[-1])
+            expected = guarded_split_tables(payload_bits, g, m_total)
+            before = len(guarded_calls)
+            monkeypatch.setattr(np, "errstate", counted)
+            got = fbl_core._build_split_tables(payload_bits, g, m_total)
+            monkeypatch.setattr(np, "errstate", errstate)
+            ran_guarded = len(guarded_calls) > before
+            assert ran_guarded == (peak >= 709.0), (payload_bits, g, m_total)
+            for new, old in zip(got[:2], expected[:2]):
+                assert new.tobytes() == old.tobytes(), (payload_bits, g, m_total)
+            assert got[2] == expected[2]
+            guarded += ran_guarded
+            free += not ran_guarded
+            if abs(peak - 709.0) <= 1.0:
+                near["guarded" if ran_guarded else "free"] += 1
+            overflowed += bool(np.isinf(expected[0]).any())
+            peak_at_m += m_total > 1 and g < 0 and exponent[-1] > exponent[0]
+        assert near["guarded"] >= 100 and near["free"] >= 100, near
+        assert free >= 200 and guarded >= 300 and overflowed >= 50, (free, guarded, overflowed)
+        assert peak_at_m >= 9
 
 
 class TestMinBlocklength:
