@@ -9,13 +9,13 @@ energy c_g(m) / h, where c_g(m) = m * expm1(ln2 * D / m + g / sqrt(m))
 (clamped at zero) does not depend on h. fbl_core owns every evaluation
 of c_g and its inverse: the split tables, the fixed-power margin matrix,
 and the min-max solvers' common-margin solve (_split_margin), whose
-powers the reports take as they are. c_g is convex and decreasing up to
-its first minimizer m*, and past m* it does not decrease. Least total
-energy is therefore a separable convex allocation of symbols, and
-granting symbols one at a time to the largest marginal saving
-(c_g(m) - c_g(m + 1)) / h_i is exact (Fox 1966; Federgruen & Groenevelt
-1986). No saving past m* is positive, so no vehicle gets more than
-max(m*, its floor) symbols and the budget is not always spent.
+powers and total energy the reports take as they are. c_g is convex
+and decreasing up to its first minimizer m*, and past m* it does not
+decrease. Least total energy is therefore a separable convex allocation
+of symbols, and granting symbols one at a time to the largest marginal
+saving (c_g(m) - c_g(m + 1)) / h_i is exact (Fox 1966; Federgruen &
+Groenevelt 1986). No saving past m* is positive, so no vehicle gets more
+than max(m*, its floor) symbols and the budget is not always spent.
 
 Energy minimization: that primitive at the target margin, with powers in
 closed form per vehicle.
@@ -66,8 +66,8 @@ from .fbl_core import (
     reliability_margin,
 )
 
-# The margin searches stop once the energy they settle on is within this
-# fraction of the budget.
+# The joint rounds and the min-max oracle's bisection stop once the energy
+# is within this fraction of the budget; _split_margin stops at <= budget.
 _REL_IMPROVEMENT = 1e-12
 # Safety cap; the joint min-max solve takes about three split rounds.
 _MAX_SPLIT_ROUNDS = 64
@@ -164,12 +164,12 @@ def _build_report(
     iterations: int,
     converged: bool,
     enforce_energy_budget: bool,
-    total_energy: float | None = None,
+    total_energy: float,
 ) -> SolveReport:
     """The report of one answer, every record built positionally in field
-    order. total_energy is the sum of powers times blocklengths; an
-    energy answer passes the one min_energy_fixed_m already summed, and
-    a min-max answer leaves it to be summed here."""
+    order. total_energy is math.fsum of powers times blocklengths, summed
+    once where the answer is priced: min_energy_fixed_m, _split_margin,
+    or the fixed-power solver and the oracles themselves."""
     cfg = scenario.config
     d = cfg.payload_bits
     allocation = Allocation(tuple(powers), tuple(blocklengths))
@@ -177,10 +177,6 @@ def _build_report(
         reliability_margin(p * link.norm_gain, m, d)
         for link, p, m in zip(scenario.links, allocation.powers, allocation.blocklengths)
     ])
-    if total_energy is None:
-        total_energy = math.fsum(
-            map(operator.mul, allocation.powers, allocation.blocklengths)
-        )
     # solver invariants, checked explicitly so they also hold under python -O
     if sum(allocation.blocklengths) > cfg.symbol_budget:
         raise RuntimeError(
@@ -417,18 +413,18 @@ def solve_power_minmax_fixed_m(scenario: Scenario, blocklengths) -> SolveReport:
     margin is maximized by spending the whole energy budget on a common
     margin, the largest g whose closed-form powers fit the budget, found
     by Newton steps on their energy (_split_margin, the joint solver's
-    per-split step), within a few ulps. The powers are the ones that
-    solve settles on; they fit the budget, and at g >= 0 every one is
-    positive. Raises ValueError as _checked_blocklengths does, and
-    InfeasibleError, giving that largest g, when it is below margin 0
-    (eps 0.5).
+    per-split step), within a few ulps. The powers and their total
+    energy are the ones that solve settles on; they fit the budget, and
+    at g >= 0 every power is positive. Raises ValueError as
+    _checked_blocklengths does, and InfeasibleError, giving that largest
+    g, when it is below margin 0 (eps 0.5).
     """
     cfg = scenario.config
     m_vec = _checked_blocklengths(scenario, blocklengths)
     d = cfg.payload_bits
     budget = cfg.energy_budget
     gains = [link.norm_gain for link in scenario.links]
-    g, powers, evaluations = _split_margin(m_vec, gains, d, budget)
+    g, powers, energy, evaluations = _split_margin(m_vec, gains, d, budget)
     if g < 0.0:
         raise InfeasibleError(
             f"energy budget {budget:.6g} J affords at most margin g = {g:.6g} "
@@ -442,6 +438,7 @@ def solve_power_minmax_fixed_m(scenario: Scenario, blocklengths) -> SolveReport:
         iterations=evaluations,
         converged=True,
         enforce_energy_budget=True,
+        total_energy=energy,
     )
 
 
@@ -474,15 +471,17 @@ def solve_symbols_minmax_fixed_p(scenario: Scenario) -> SolveReport:
     snrs = [p_common * link.norm_gain for link in scenario.links]
     flat = _margin_matrix(snrs, cfg.payload_bits, m_total, grants + 1).ravel()
     granted = flat.argsort(kind="stable")[:grants] // (grants + 1)
-    m_vec = 1 + np.bincount(granted, minlength=n)
+    m_vec = (1 + np.bincount(granted, minlength=n)).tolist()
+    powers = [p_common] * n
     return _build_report(
         scenario,
-        [p_common] * n,
-        m_vec.tolist(),
+        powers,
+        m_vec,
         solver_name="symbols_minmax_fixed_p",
         iterations=grants,
         converged=True,
         enforce_energy_budget=True,
+        total_energy=math.fsum(map(operator.mul, powers, m_vec)),
     )
 
 
@@ -523,7 +522,8 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
     strictly in g where it is positive, so no larger g fits. converged
     is False only if the round cap ended the loop. Powers are the
     closed-form minimum for g at the last split, as the margin solve of
-    that split returns them (_split_margin); their energy fits the budget.
+    that split returns them with their energy (_split_margin), which fits
+    the budget.
     The split is set up once per solve, and each round, the start
     included, is one step of it at that round's table.
     """
@@ -537,7 +537,7 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
     split = _SplitSetup(gains, _minmax_floors(scenario), m_total)
 
     m_vec = split.step(_split_tables(d, q_inverse(cfg.target_eps), m_total)).tolist()
-    g, powers, _ = _split_margin(m_vec, gains, d, budget)
+    g, powers, energy, _ = _split_margin(m_vec, gains, d, budget)
     converged = False
     for rounds in range(2, _MAX_SPLIT_ROUNDS + 1):
         tables = _build_split_tables(d, g, m_total)
@@ -549,7 +549,7 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
             # the last split, which affords g, was a candidate
             least = float((tables[0][next_arr - 1] / split.gains).sum())
             m_vec = next_m
-            g, powers, _ = _split_margin(m_vec, gains, d, budget)
+            g, powers, energy, _ = _split_margin(m_vec, gains, d, budget)
         if unchanged or not least < budget * (1.0 - _REL_IMPROVEMENT):
             converged = True
             break
@@ -561,4 +561,5 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
         iterations=rounds,
         converged=converged,
         enforce_energy_budget=True,
+        total_energy=energy,
     )

@@ -14,6 +14,7 @@ noise_power(noise_psd_dbm_hz, bandwidth); neither is stored.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,10 +104,15 @@ class SystemConfig:
     common_power: float | None = None
 
     def __post_init__(self) -> None:
-        if self.payload_bits < 1:
-            raise ValueError(f"payload_bits must be >= 1, got {self.payload_bits}")
-        if self.symbol_budget < 1:
-            raise ValueError(f"symbol_budget must be >= 1, got {self.symbol_budget}")
+        # integer counts >= 1 (operator.index: no floats; numpy ints pass)
+        for name in ("payload_bits", "symbol_budget", "max_vehicles"):
+            value = getattr(self, name)
+            try:
+                count = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if count < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if not (math.isfinite(self.energy_budget) and self.energy_budget > 0.0):
             raise ValueError(f"energy_budget must be > 0, got {self.energy_budget!r}")
         if not 0.0 < self.target_eps < 1.0:
@@ -123,8 +129,6 @@ class SystemConfig:
             raise ValueError(f"mount_height must be > 0, got {self.mount_height!r}")
         if not math.isfinite(self.rician_k_db):
             raise ValueError(f"rician_k_db must be finite, got {self.rician_k_db!r}")
-        if self.max_vehicles < 1:
-            raise ValueError(f"max_vehicles must be >= 1, got {self.max_vehicles}")
         if self.common_power is not None and not (
             math.isfinite(self.common_power) and self.common_power > 0.0
         ):

@@ -15,7 +15,8 @@ the energy-gain product that meets margin g in m channel uses, and its
 inverse, the margin, as scalars, as min_blocklength's c_0 table, as the
 allocators' numpy tables (_build_split_tables, _margin_matrix), and as
 the min-max solvers' common-margin Newton solve (_split_margin), which
-also returns the closed-form powers at the margin it settles on.
+also returns the closed-form powers at the margin it settles on and
+their total energy.
 
 All reliability arithmetic happens on the margin g, the argument of the
 Gaussian Q-function in eps = Q(g). Operating points of interest sit at
@@ -186,14 +187,6 @@ class ReliabilityMargin:
     g: float
     eps_log10: float
 
-    @property
-    def eps(self) -> float:
-        # Q(g) directly while it is representable; this keeps exact
-        # fixed points (g = 0 -> 0.5) instead of 10**log10 rounding.
-        if abs(self.g) < 37.0:
-            return q_function(self.g)
-        return 10.0 ** self.eps_log10
-
 
 # reliability_margin fills a margin's slots through their descriptors,
 # as the frozen __init__ does: about 0.26 us a margin against 0.46 us for
@@ -321,77 +314,71 @@ def _power(
     return snr_required / norm_gain
 
 
-# Safety cap; a margin solve takes about seven Newton steps.
+# Safety cap on a margin solve's Newton evaluations; it takes about seven.
 _MAX_NEWTON_STEPS = 100
 
 
 def _split_margin(
     m_vec, gains, payload_bits: int, budget: float
-) -> tuple[float, list[float], int]:
+) -> tuple[float, list[float], float, int]:
     """Largest margin g whose closed-form energy at blocklengths m_vec,
     E(g) = sum(max(0, m_i * expm1(ln2 * D / m_i + g / sqrt(m_i))) / h_i),
-    fits the budget; returns (g, powers, number of evaluations of E).
+    fits the budget; returns (g, powers, energy, evaluations of E).
 
     E is convex and nondecreasing in g, so Newton steps started right of
     the root fall monotonically onto it. They start at the least margin
     any one vehicle reaches spending the whole budget alone: no term
     exceeds the budget there, so nothing overflows, and E is at least
-    the budget. The returned g is within a few ulps of the largest
-    affordable float: the next float up is still affordable in a quarter
-    to a third of solves, and near g = 0 by up to about 1e-14.
+    the budget. The Newton iterate is taken while it lies strictly below
+    g and fewer than _MAX_NEWTON_STEPS evaluations have been made. Once
+    rounding stalls the steps a few ulps right of the root, or the cap
+    is reached, a walk leaves the last g, just found over budget, by
+    steps that double from one ulp: g - ulp, g - 3 ulp, ... until E
+    fits. The returned g is within a few ulps of the largest affordable
+    float: the next float up is still affordable in a quarter to a third
+    of solves, and near g = 0 by up to about 1e-14.
 
-    powers are those of the evaluation that stops, 0.0 where a vehicle
-    is clamped. Each is expm1(ln2 * D / m_i + g / sqrt(m_i)) / h_i, the
-    operations of min_power_for_target in its order and with its > 0
-    clamp, so it equals min_power_for_target(h_i, m_i, D, g) bit for bit
-    (past exponent 709, where that returns inf, this keeps the finite
-    power). Their energy is summed as _build_report sums it, so the
-    powers fit the budget in the report's own arithmetic. The loop does
-    not call min_power_for_target: a checked call costs about 0.45 us a
-    term by timeit on a 2-core VM, its unchecked kernel _power 0.33 us
-    and the inline expression 0.12 us, so at about seven evaluations per
-    link it would add some 12 us to a 35 us fixed-m solve at n = 5.
+    powers and energy are those of the evaluation that stops, 0.0 where
+    a vehicle is clamped. Each power is expm1(ln2 * D / m_i + g /
+    sqrt(m_i)) / h_i, the operations of min_power_for_target in its
+    order and with its > 0 clamp, so it equals min_power_for_target(h_i,
+    m_i, D, g) bit for bit (past exponent 709, where that returns inf,
+    this keeps the finite power). energy is math.fsum of powers times
+    blocklengths: the report takes it as its total, so the answer is
+    summed once and fits the budget in the report's own arithmetic. The
+    loop does not call min_power_for_target: a checked call costs about
+    0.45 us a term by timeit on a 2-core VM, its unchecked kernel _power
+    0.33 us and the inline expression 0.12 us, so at about seven
+    evaluations per link it would add some 12 us to a 35 us fixed-m
+    solve at n = 5.
     """
     ms = list(map(float, m_vec))
     links = [(LN2 * payload_bits / m, math.sqrt(m), m, h) for m, h in zip(ms, gains)]
-
-    def evaluate(margin: float) -> tuple[list[float], float, float]:
+    g = min(root * (math.log1p(budget * h / m) - base) for base, root, m, h in links)
+    evaluations = 0
+    walk = 0.0  # the walk's next step; 0.0 until a walk starts
+    while True:
         powers = []
         slope = 0.0
         for base, root, m, h in links:
-            snr = math.expm1(base + margin / root)
+            snr = math.expm1(base + g / root)
             if snr > 0.0:
                 powers.append(snr / h)
                 slope += (snr + 1.0) / h * m / root
             else:
                 powers.append(0.0)
-        return powers, math.fsum(map(operator.mul, powers, ms)), slope
-
-    g = min(root * (math.log1p(budget * h / m) - base) for base, root, m, h in links)
-    evaluations = 0
-    for _ in range(_MAX_NEWTON_STEPS):
-        powers, energy, slope = evaluate(g)
+        energy = math.fsum(map(operator.mul, powers, ms))
         evaluations += 1
         if energy <= budget:
-            return g, powers, evaluations
-        step = (energy - budget) / slope
-        if not g - step < g:
-            # rounding stalled the steps a few ulps right of the root, at
-            # a g just found over budget: the walk starts one ulp below it
-            step = math.ulp(g)
-            g -= step
-            step *= 2.0
-            break
-        g -= step
-    else:
-        step = math.ulp(g)  # the step cap left this g unevaluated
-    while True:
-        evaluations += 1
-        powers, energy, _ = evaluate(g)
-        if energy <= budget:
-            return g, powers, evaluations
-        g -= step
-        step *= 2.0
+            return g, powers, energy, evaluations
+        if not walk:
+            step = (energy - budget) / slope
+            if g - step < g and evaluations < _MAX_NEWTON_STEPS:
+                g -= step
+                continue
+            walk = math.ulp(g)
+        g -= walk
+        walk *= 2.0
 
 
 @functools.lru_cache(maxsize=16)

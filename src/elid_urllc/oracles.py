@@ -16,6 +16,7 @@ tests import this module.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -112,6 +113,7 @@ def brute_force_energy(scenario: Scenario) -> SolveReport:
         iterations=compared,
         converged=True,
         enforce_energy_budget=False,
+        total_energy=math.fsum(map(operator.mul, powers, best_m)),
     )
 
 
@@ -230,6 +232,7 @@ def brute_force_minmax(scenario: Scenario) -> SolveReport:
         iterations=len(vectors),
         converged=True,
         enforce_energy_budget=True,
+        total_energy=math.fsum(map(operator.mul, powers, best_m)),
     )
 
 

@@ -32,6 +32,7 @@ from elid_urllc.fbl_core import (
     achievable_rate,
     min_blocklength,
     min_power_for_target,
+    q_function,
     q_inverse,
     reliability_margin,
     shannon_capacity,
@@ -97,7 +98,7 @@ def test_01_shannon_limit_recovery(verdict):
 def test_02_margin_fixed_point_and_power_round_trip(verdict):
     start = time.perf_counter()
     margin = reliability_margin(1.0, 160, 160)
-    fixed_point_ok = margin.g == 0.0 and margin.eps == 0.5
+    fixed_point_ok = margin.g == 0.0 and q_function(margin.g) == 0.5
 
     rng = np.random.default_rng(20260817)
     worst = 0.0

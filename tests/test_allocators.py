@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import itertools
 import math
+import operator
 import os
 import re
 import subprocess
@@ -700,7 +701,7 @@ class TestPowerMinmaxFixedM:
         # and the report flags it.
         m_vec = [16, 1600]
         budget = 16.0 * math.expm1(LN2 * 10 - 1)
-        g, powers, _ = fbl_core._split_margin(m_vec, [1.0, 1.0], 160, budget)
+        g, powers, energy, _ = fbl_core._split_margin(m_vec, [1.0, 1.0], 160, budget)
         assert g == pytest.approx(-4.0, abs=1e-9)
         scenario = make_scenario(
             [1.0, 1.0], symbol_budget=2000, energy_budget=budget, payload_bits=160
@@ -708,6 +709,7 @@ class TestPowerMinmaxFixedM:
         report = _build_report(
             scenario, powers, m_vec, solver_name="joint_minmax",
             iterations=1, converged=True, enforce_energy_budget=True,
+            total_energy=energy,
         )
         assert report.clamped == (1,)
         assert report.allocation.powers[1] == 0.0
@@ -723,9 +725,10 @@ class TestPowerMinmaxFixedM:
         monkeypatch.setattr(math, "ulp", lambda x: stalls.append(x) or ulp(x))
         clamped = 0
         for m_vec, gains, d, budget in _margin_solve_cases():
-            g, powers, _ = fbl_core._split_margin(m_vec, gains, d, budget)
+            g, powers, energy, _ = fbl_core._split_margin(m_vec, gains, d, budget)
             expected = [min_power_for_target(h, m, d, g) for h, m in zip(gains, m_vec)]
             assert [p.hex() for p in powers] == [p.hex() for p in expected]
+            assert energy == math.fsum(map(operator.mul, powers, m_vec)) <= budget
             clamped += powers.count(0.0)
         assert clamped >= 10
         assert len(stalls) >= 3
@@ -750,13 +753,42 @@ class TestPowerMinmaxFixedM:
         monkeypatch.setattr(math, "ulp", lambda x: stalls.append(x) or ulp(x))
         for m_vec, gains, d, budget in _margin_solve_cases():
             margins.clear()
-            g, _, evaluations = fbl_core._split_margin(m_vec, gains, d, budget)
+            g, _, _, evaluations = fbl_core._split_margin(m_vec, gains, d, budget)
             n = len(m_vec)
             evaluated = margins[::n]
             assert margins == [x for x in evaluated for _ in range(n)]
             assert len(evaluated) == evaluations and evaluated[-1] == g
             assert len(set(evaluated)) == evaluations, (m_vec, gains, d, budget)
         assert len(stalls) >= 3
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_split_margin_step_cap_walks_from_the_last_margin(self, monkeypatch, cap):
+        # No solve reaches the Newton step cap (about seven evaluations
+        # against 100), so it is lowered here. A solve that needs more
+        # evaluations than the cap walks down from the last g it
+        # evaluated, found over budget, and must still return an
+        # affordable g priced as min_power_for_target prices it; a solve
+        # that needs no more keeps its answer.
+        cases = _margin_solve_cases()
+        free = [fbl_core._split_margin(*case) for case in cases]
+        walks = []
+        ulp = math.ulp
+        monkeypatch.setattr(math, "ulp", lambda x: walks.append(x) or ulp(x))
+        monkeypatch.setattr(fbl_core, "_MAX_NEWTON_STEPS", cap)
+        capped = 0
+        for (m_vec, gains, d, budget), answer in zip(cases, free):
+            walks.clear()
+            g, powers, energy, evaluations = fbl_core._split_margin(m_vec, gains, d, budget)
+            if answer[3] <= cap:
+                assert (g, powers, energy, evaluations) == answer
+                continue
+            capped += 1
+            assert evaluations > cap
+            assert len(walks) == 1 and walks[0] > g
+            expected = [min_power_for_target(h, m, d, g) for h, m in zip(gains, m_vec)]
+            assert [p.hex() for p in powers] == [p.hex() for p in expected]
+            assert energy == math.fsum(map(operator.mul, powers, m_vec)) <= budget
+        assert capped >= 30
 
     def test_powers_past_the_overflow_exponent_stay_finite(self):
         # One symbol and a budget near the float limit need an SNR above
@@ -1073,6 +1105,45 @@ class TestJointMinmax:
             assert all(a < b for a, b in zip(margins, margins[1:])), margins
             assert report.worst_margin.g == pytest.approx(margins[-1], abs=1e-9)
         assert solved >= 100
+
+    def test_least_energy_stop(self, monkeypatch):
+        # Every joint solve here stops on an unchanged split. A looser
+        # _REL_IMPROVEMENT makes the other stop fire: a changed split
+        # whose least energy at g is within that fraction of the budget.
+        # The report is that split's, converged and within the budget,
+        # and it counts the rounds, the last one included.
+        scenarios = list(_joint_minmax_sweep())
+        splits = []
+        step = allocators._SplitSetup.step
+
+        def recorded(self, tables):
+            split = step(self, tables)
+            splits.append(split.tolist())
+            return split
+
+        expected = []
+        for scenario in scenarios:
+            try:
+                expected.append(solve_joint_minmax(scenario).worst_margin.g)
+            except InfeasibleError:
+                expected.append(None)
+        monkeypatch.setattr(allocators._SplitSetup, "step", recorded)
+        monkeypatch.setattr(allocators, "_REL_IMPROVEMENT", 0.5)
+        least_stops = 0
+        for scenario, g in zip(scenarios, expected):
+            splits.clear()
+            if g is None:
+                with pytest.raises(InfeasibleError):
+                    solve_joint_minmax(scenario)
+                continue
+            report = solve_joint_minmax(scenario)
+            assert report.converged
+            assert report.total_energy <= scenario.config.energy_budget
+            assert report.iterations == len(splits)
+            assert list(report.allocation.blocklengths) == splits[-1]
+            assert report.worst_margin.g <= g + 1e-9
+            least_stops += len(splits) >= 2 and splits[-1] != splits[-2]
+        assert least_stops >= 30
 
     def test_starts_from_the_cached_target_split(self, monkeypatch):
         # At M=200 a start from the floors builds 3.20 tables per solve; the
@@ -1436,11 +1507,13 @@ class TestReportInvariants:
             _build_report(
                 scenario, [0.1, 0.1], [100, 101], solver_name="probe",
                 iterations=1, converged=True, enforce_energy_budget=False,
+                total_energy=20.1,
             )
         with pytest.raises(RuntimeError, match="exceeds the energy budget"):
             _build_report(
                 scenario, [1.0, 1.0], [100, 100], solver_name="probe",
                 iterations=1, converged=True, enforce_energy_budget=True,
+                total_energy=200.0,
             )
 
     def test_budget_breach_raises_under_python_optimize(self):
@@ -1451,13 +1524,15 @@ class TestReportInvariants:
             "from elid_urllc.allocators import _build_report\n"
             "from elid_urllc.channel_model import SystemConfig, sample_scenario\n"
             "scenario = sample_scenario(SystemConfig(), 2, seed=0)\n"
-            "for powers, m_vec, enforce in (\n"
-            "    ([0.1, 0.1], [100, 101], False), ([1.0, 1.0], [100, 100], True)\n"
+            "for powers, m_vec, enforce, total in (\n"
+            "    ([0.1, 0.1], [100, 101], False, 20.1),\n"
+            "    ([1.0, 1.0], [100, 100], True, 200.0),\n"
             "):\n"
             "    try:\n"
             "        _build_report(scenario, powers, m_vec, solver_name='probe',\n"
             "                      iterations=1, converged=True,\n"
-            "                      enforce_energy_budget=enforce)\n"
+            "                      enforce_energy_budget=enforce,\n"
+            "                      total_energy=total)\n"
             "    except RuntimeError as exc:\n"
             "        print(exc)\n"
             "print('optimize', sys.flags.optimize)\n"

@@ -149,11 +149,41 @@ class TestSystemConfig:
             {"mount_height": 0.0},
             {"max_vehicles": 0},
             {"common_power": 0.0},
+            {"symbol_budget": 200.5},
+            {"symbol_budget": 200.0},
+            {"symbol_budget": math.inf},
+            {"payload_bits": math.nan},
+            {"payload_bits": "160"},
+            {"max_vehicles": -math.inf},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SystemConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"symbol_budget": 200.5}, "symbol_budget must be an integer, got 200.5"),
+            ({"symbol_budget": math.inf}, "symbol_budget must be an integer, got inf"),
+            ({"payload_bits": math.nan}, "payload_bits must be an integer, got nan"),
+            ({"max_vehicles": 2.0}, "max_vehicles must be an integer, got 2.0"),
+            ({"payload_bits": 0}, "payload_bits must be >= 1, got 0"),
+            ({"symbol_budget": -3}, "symbol_budget must be >= 1, got -3"),
+            ({"max_vehicles": np.int64(0)}, "max_vehicles must be >= 1, got 0"),
+        ],
+    )
+    def test_counts_are_integers_named_in_the_error(self, kwargs, message):
+        # one rule for the three counts: operator.index, then >= 1
+        with pytest.raises(ValueError) as raised:
+            SystemConfig(**kwargs)
+        assert str(raised.value) == message
+
+    def test_numpy_integer_counts_pass(self):
+        cfg = SystemConfig(
+            payload_bits=np.int64(160), symbol_budget=np.int32(200), max_vehicles=np.uint8(3)
+        )
+        assert cfg == SystemConfig(max_vehicles=3)
 
 
 class TestSampleScenario:
