@@ -75,7 +75,13 @@ _MAX_SPLIT_ROUNDS = 64
 
 @dataclass(frozen=True, slots=True)
 class Allocation:
-    """Per-vehicle transmit powers (W) and integer blocklengths."""
+    """Per-vehicle transmit powers (W) and integer blocklengths.
+
+    The constructor checks every entry: equal, nonzero lengths, powers
+    finite and >= 0, blocklengths ints >= 1. _build_report fills the
+    slots of a solver's answer without that per-entry loop; each solver
+    hands it float powers and int blocklengths that pass these checks.
+    """
 
     powers: tuple[float, ...]
     blocklengths: tuple[int, ...]
@@ -132,7 +138,10 @@ class SolveReport:
 
 # _build_report fills a report's slots through their descriptors, as the
 # frozen __init__ does: about 0.5 us against 1.0 us for SolveReport(...)
-# (timeit on a 2-core VM)
+# (timeit on a 2-core VM), and an allocation's the same way, without
+# Allocation.__post_init__'s per-entry checks
+_set_powers = Allocation.powers.__set__
+_set_blocklengths = Allocation.blocklengths.__set__
 _set_allocation = SolveReport.allocation.__set__
 _set_margins = SolveReport.margins.__set__
 _set_total_energy = SolveReport.total_energy.__set__
@@ -169,18 +178,32 @@ def _build_report(
     """The report of one answer, every record built positionally in field
     order. total_energy is math.fsum of powers times blocklengths, summed
     once where the answer is priced: min_energy_fixed_m, _split_margin,
-    or the fixed-power solver and the oracles themselves."""
+    or the fixed-power solver and the oracles themselves.
+
+    No record's constructor runs here: the Allocation, SolveReport and
+    ReliabilityMargin (reliability_margin) slots are filled through their
+    descriptors. So the allocation skips Allocation's per-entry checks,
+    and each caller passes one float power (finite, >= 0) and one int
+    blocklength (>= 1) per vehicle; tests re-box every solver's and
+    oracle's answer through Allocation(...) to hold them to that. The
+    budget checks below do run, under python -O too.
+    """
     cfg = scenario.config
     d = cfg.payload_bits
-    allocation = Allocation(tuple(powers), tuple(blocklengths))
+    powers = tuple(powers)
+    blocklengths = tuple(blocklengths)
+    allocation = object.__new__(Allocation)
+    _set_powers(allocation, powers)
+    _set_blocklengths(allocation, blocklengths)
     margins = tuple([
         reliability_margin(p * link.norm_gain, m, d)
-        for link, p, m in zip(scenario.links, allocation.powers, allocation.blocklengths)
+        for link, p, m in zip(scenario.links, powers, blocklengths)
     ])
     # solver invariants, checked explicitly so they also hold under python -O
-    if sum(allocation.blocklengths) > cfg.symbol_budget:
+    spent = sum(blocklengths)
+    if spent > cfg.symbol_budget:
         raise RuntimeError(
-            f"{solver_name}: blocklengths sum to {sum(allocation.blocklengths)}, "
+            f"{solver_name}: blocklengths sum to {spent}, "
             f"exceeding the symbol budget {cfg.symbol_budget}"
         )
     if enforce_energy_budget and total_energy > cfg.energy_budget * (1.0 + 1e-9):
@@ -320,7 +343,7 @@ class _SplitSetup:
     def __init__(self, gains, floors, m_total: int) -> None:
         self.gains = np.asarray(gains, dtype=float)
         self.floors = np.asarray(floors)
-        self.spare = m_total - int(self.floors.sum())
+        self.spare = m_total - sum(floors)
         self.neg_gains = -self.gains[:, None]
         self.index = None
 
@@ -337,10 +360,12 @@ class _SplitSetup:
         elif width < index.shape[1]:
             index = index[:, :width]
         # -(steps / h) bit for bit; the stable sort puts the largest
-        # savings first, and only the positive ones are granted
+        # savings first, every positive one ahead of the rest, and only
+        # the positive ones are granted
         neg_savings = steps[index] / self.neg_gains
-        order = neg_savings.argsort(axis=None, kind="stable")[: self.spare]
-        granted = order[neg_savings.ravel()[order] < 0.0] // width
+        order = neg_savings.argsort(axis=None, kind="stable")
+        positive = np.count_nonzero(neg_savings < 0.0)
+        granted = order[: min(self.spare, positive)] // width
         return self.floors + np.bincount(granted, minlength=self.floors.size)
 
 

@@ -14,11 +14,12 @@ noise_power(noise_psd_dbm_hz, bandwidth); neither is stored.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
+
+from .fbl_core import _check_index
 
 # Log-distance model floor. Below this the near-field expression is not
 # trusted, so distances clamp to it.
@@ -104,15 +105,9 @@ class SystemConfig:
     common_power: float | None = None
 
     def __post_init__(self) -> None:
-        # integer counts >= 1 (operator.index: no floats; numpy ints pass)
+        # integer counts >= 1 (fbl_core's count rule; numpy ints pass)
         for name in ("payload_bits", "symbol_budget", "max_vehicles"):
-            value = getattr(self, name)
-            try:
-                count = operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-            if count < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            _check_index(name, getattr(self, name))
         if not (math.isfinite(self.energy_budget) and self.energy_budget > 0.0):
             raise ValueError(f"energy_budget must be > 0, got {self.energy_budget!r}")
         if not 0.0 < self.target_eps < 1.0:

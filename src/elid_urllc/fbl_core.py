@@ -27,12 +27,12 @@ reporting and only through the log domain.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import functools
 import math
 import operator
 import statistics
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,37 +94,31 @@ def q_inverse(eps: float) -> float:
     return -_STD_NORMAL.inv_cdf(eps)
 
 
-def _log_q(g: float) -> float:
-    """Natural log of Q(g) for finite g, in three branches.
-
-    g < 0: log1p(-Q(-g)), since Q(g) = 1 - Q(-g) is near 1 and log of it
-    would lose the small Q(-g) (by 4e-8 relative near g = -6).
-    0 <= g < 30: log(erfc(g / sqrt 2) / 2) directly.
-    g >= 30: the asymptotic series of Mills' ratio,
-    -g^2/2 - ln g - ln(2 pi)/2 + ln(sum_{k=0..6} (-1)^k (2k-1)!! / g^(2k)),
-    whose first omitted term is below 3e-16 at g = 30.
-    """
-    if g < 0.0:
-        return math.log1p(-0.5 * math.erfc(-g / _SQRT2))
-    if g < _LOG_Q_SERIES_FROM:
-        return math.log(0.5 * math.erfc(g / _SQRT2))
-    x = 1.0 / (g * g)
-    series = 1.0 + x * (-1.0 + x * (3.0 + x * (-15.0 + x * (
-        105.0 + x * (-945.0 + x * 10395.0)))))
-    return -0.5 * g * g - math.log(g) - _HALF_LN_2PI + math.log(series)
-
-
 def eps_log10_from_margin(g: float) -> float:
     """log10 of the error probability Q(g), finite for every finite g.
 
-    Works in the log domain (see _log_q), so margins far beyond the
-    underflow point of q_function still report a meaningful magnitude.
+    Works in the log domain, so margins far beyond the underflow point of
+    q_function still report a meaningful magnitude. ln Q(g) has three
+    branches, the common one tested first:
+    0 <= g < 30: log(erfc(g / sqrt 2) / 2) directly.
+    g < 0: log1p(-Q(-g)), since Q(g) = 1 - Q(-g) is near 1 and log of it
+    would lose the small Q(-g) (by 4e-8 relative near g = -6).
+    g >= 30: the asymptotic series of Mills' ratio,
+    -g^2/2 - ln g - ln(2 pi)/2 + ln(sum_{k=0..6} (-1)^k (2k-1)!! / g^(2k)),
+    whose first omitted term is below 3e-16 at g = 30.
     Against 50-digit mpmath its worst relative error on g in [-30, 1e4]
-    is about 1.3e-13.
+    is about 1.3e-13. reliability_margin runs the first branch inline.
     """
+    if 0.0 <= g < _LOG_Q_SERIES_FROM:
+        return math.log(0.5 * math.erfc(g / _SQRT2)) / LN10
     if not math.isfinite(g):
         raise ValueError(f"eps_log10_from_margin requires finite g, got {g!r}")
-    return _log_q(g) / LN10
+    if g < 0.0:
+        return math.log1p(-0.5 * math.erfc(-g / _SQRT2)) / LN10
+    x = 1.0 / (g * g)
+    series = 1.0 + x * (-1.0 + x * (3.0 + x * (-15.0 + x * (
+        105.0 + x * (-945.0 + x * 10395.0)))))
+    return (-0.5 * g * g - math.log(g) - _HALF_LN_2PI + math.log(series)) / LN10
 
 
 def shannon_capacity(snr: float) -> float:
@@ -153,6 +147,20 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_index(name: str, value) -> int:
+    """The count rule of SystemConfig, ShortPacketParams and
+    min_blocklength: an integer (operator.index, so no floats, nan or
+    inf; numpy integers pass) and >= 1. Returns it as an int; raises
+    ValueError naming it otherwise."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return count
+
+
 @dataclass(frozen=True, slots=True)
 class ShortPacketParams:
     """One short-packet operating point.
@@ -160,6 +168,7 @@ class ShortPacketParams:
     payload_bits: information bits per packet.
     blocklength: channel uses available for the packet.
     snr: received signal-to-noise ratio, linear.
+    Both counts are integers >= 1 (_check_index), as in SystemConfig.
     """
 
     payload_bits: int
@@ -168,10 +177,8 @@ class ShortPacketParams:
     dispersion_mode: DispersionMode = DispersionMode.UNIT
 
     def __post_init__(self) -> None:
-        if self.payload_bits < 1:
-            raise ValueError(f"payload_bits must be >= 1, got {self.payload_bits}")
-        if self.blocklength < 1:
-            raise ValueError(f"blocklength must be >= 1, got {self.blocklength}")
+        _check_index("payload_bits", self.payload_bits)
+        _check_index("blocklength", self.blocklength)
         _check_snr(self.snr)
 
 
@@ -233,7 +240,9 @@ def reliability_margin(
     g = 0, eps = 0.5 fixed point is bit-exact. EXACT mode divides the
     whole bracket by sqrt(v), which preserves that fixed point and stays
     consistent with achievable_rate. Strictly increasing in snr and in
-    blocklength, in both modes.
+    blocklength, in both modes. eps_log10 is eps_log10_from_margin(g):
+    for 0 <= g < 30, the common case, its first branch runs inline, the
+    same operations without the call; every other g goes through it.
 
     Raises ValueError naming the argument for an snr that is negative or
     not finite, and for a blocklength or payload below 1, nan or inf. An
@@ -252,6 +261,10 @@ def reliability_margin(
         g /= math.sqrt(_dispersion_for(snr, dispersion_mode))
     margin = object.__new__(ReliabilityMargin)
     _set_g(margin, g)
+    if 0.0 <= g < _LOG_Q_SERIES_FROM:
+        # eps_log10_from_margin's first branch, the same operations
+        _set_eps_log10(margin, math.log(0.5 * math.erfc(g / _SQRT2)) / LN10)
+        return margin
     try:
         _set_eps_log10(margin, eps_log10_from_margin(g))
     except ValueError:
@@ -502,17 +515,28 @@ def min_blocklength(
     m = max_symbols fails. symbol_budget has no upper bound, so the
     search must stay table-free up to 10^9 symbols, where a table of
     every m would take 8 GB.
+
+    Raises ValueError naming the argument for an energy_budget_gain that
+    is not positive and finite, and for a payload_bits or max_symbols
+    that breaks the count rule (_check_index): not an integer, or below
+    1. The common case, both counts Python ints, pays one chained test.
     """
-    if not (math.isfinite(energy_budget_gain) and energy_budget_gain > 0.0):
-        raise ValueError(
-            f"energy_budget_gain must be positive, got {energy_budget_gain!r}"
-        )
-    if payload_bits < 1:
-        raise ValueError(f"payload_bits must be >= 1, got {payload_bits}")
-    if max_symbols < 1:
-        raise ValueError(f"max_symbols must be >= 1, got {max_symbols}")
+    # one chained test for the common case; the checks below name the
+    # argument
+    if not (
+        0.0 < energy_budget_gain < math.inf
+        and type(payload_bits) is type(max_symbols) is int
+        and payload_bits >= 1
+        and max_symbols >= 1
+    ):
+        if not (math.isfinite(energy_budget_gain) and energy_budget_gain > 0.0):
+            raise ValueError(
+                f"energy_budget_gain must be positive, got {energy_budget_gain!r}"
+            )
+        payload_bits = _check_index("payload_bits", payload_bits)
+        max_symbols = _check_index("max_symbols", max_symbols)
     if max_symbols <= _C0_TABLE_MAX:
-        m = bisect.bisect_right(
+        m = bisect_right(
             _neg_min_energy_gains(payload_bits, max_symbols), -energy_budget_gain
         ) + 1
         return m if m <= max_symbols else None

@@ -30,6 +30,7 @@ from elid_urllc.allocators import (
 )
 from elid_urllc.channel_model import SystemConfig, sample_scenario
 from elid_urllc.exceptions import InfeasibleError
+from elid_urllc.experiments import SOLVER_NAMES, run_solver
 from elid_urllc.fbl_core import (
     LN2,
     ReliabilityMargin,
@@ -51,6 +52,7 @@ from oracle_utils import (
     reference_power_minmax_fixed_m,
     reference_symbols_minmax_fixed_p,
 )
+from test_solver_hashes import _block
 
 G_TARGET_1E9 = 5.9978070150076869
 
@@ -1654,3 +1656,83 @@ class TestReportInvariants:
             Allocation(powers=(1.0,), blocklengths=(0,))
         with pytest.raises(ValueError):
             Allocation(powers=(math.inf,), blocklengths=(1,))
+
+
+def _reboxed(report) -> Allocation:
+    """The report's allocation rebuilt by the public constructor, after
+    holding each entry to the types and bounds that constructor checks.
+    _build_report fills the slots without those checks."""
+    allocation = report.allocation
+    assert type(allocation.powers) is tuple and type(allocation.blocklengths) is tuple
+    for p in allocation.powers:
+        assert type(p) is float and math.isfinite(p) and p >= 0.0, (report.solver_name, p)
+    for m in allocation.blocklengths:
+        assert type(m) is int and m >= 1, (report.solver_name, m)
+    return Allocation(allocation.powers, allocation.blocklengths)
+
+
+class TestSolverAllocationsPassThePublicChecks:
+    """Every answer's allocation is one the public Allocation(...) accepts
+    and equals: the checks _build_report skips would all have passed."""
+
+    def test_on_the_pinned_request_block(self):
+        answers = 0
+        for scenario in _block():
+            for solver in SOLVER_NAMES:
+                try:
+                    report = run_solver(solver, scenario)
+                except InfeasibleError:
+                    continue
+                assert _reboxed(report) == report.allocation
+                answers += 1
+        assert answers >= 500
+
+    def test_on_random_instances_with_both_oracles(self):
+        # 300 seeded instances small enough for the min-max oracle, some
+        # of them infeasible for the budgeted solvers
+        rng = np.random.default_rng(2_502)
+        solvers = (
+            symbol_sharing,
+            equal_allocation_energy,
+            solve_symbols_minmax_fixed_p,
+            solve_joint_minmax,
+            brute_force_energy,
+            brute_force_minmax,
+        )
+        answered = dict.fromkeys([solve.__name__ for solve in solvers], 0)
+        answered["solve_power_minmax_fixed_m"] = 0
+        zero_powers = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 4))
+            m_total = int(rng.integers(n, 41))
+            payload_bits = int(rng.choice([8, 32, 160]))
+            scenario = feasible_joint_instance(
+                rng, n=n, m_total=m_total, payload_bits=payload_bits
+            )
+            config = scenario.config
+            if rng.random() < 0.25:  # a budget the min-max solvers may not meet
+                config = dataclasses.replace(
+                    config, energy_budget=float(10.0 ** rng.uniform(-6.0, -1.0))
+                )
+            if rng.random() < 0.25:  # a negative target margin, met at zero power
+                config = dataclasses.replace(config, target_eps=float(rng.uniform(0.6, 0.99)))
+            scenario = dataclasses.replace(scenario, config=config)
+            reports = []
+            for solve in solvers:
+                try:
+                    reports.append(solve(scenario))
+                except InfeasibleError:
+                    continue
+                answered[solve.__name__] += 1
+            m_vec = (1 + rng.multinomial(m_total - n, np.full(n, 1.0 / n))).tolist()
+            try:
+                reports.append(solve_power_minmax_fixed_m(scenario, m_vec))
+                answered["solve_power_minmax_fixed_m"] += 1
+            except InfeasibleError:
+                pass
+            for report in reports:
+                assert _reboxed(report) == report.allocation
+                zero_powers += report.allocation.powers.count(0.0)
+        assert min(answered.values()) >= 100, answered
+        assert zero_powers > 0
+

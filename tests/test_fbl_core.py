@@ -69,8 +69,8 @@ QINV_TABLE = [
     (0.25, 0.67448975019608174),
 ]
 
-# log10(Q(g)) on each branch of fbl_core._log_q and at its seams: g < 0
-# (log1p), 0 <= g < 30 (erfc) and g >= 30 (asymptotic series).
+# log10(Q(g)) on each branch of eps_log10_from_margin and at its seams:
+# g < 0 (log1p), 0 <= g < 30 (erfc) and g >= 30 (asymptotic series).
 LOG10Q_BRANCH_TABLE = [
     (-37.0, -2.4865839876864793e-300),
     (-8.0, -2.7017288495439213e-16),
@@ -181,6 +181,35 @@ class TestEpsLog10:
         with pytest.raises(ValueError):
             eps_log10_from_margin(math.inf)
 
+    @pytest.mark.parametrize(
+        "g", [-0.0, 0.0, 5e-324, math.nextafter(30.0, 0.0), 30.0, -6.0, -40.0, 1e4]
+    )
+    def test_reliability_margin_eps_is_eps_log10_from_margin(self, monkeypatch, g):
+        # reliability_margin runs the 0 <= g < 30 branch inline and sends
+        # every other g through eps_log10_from_margin; both must give its
+        # bits. With ln 2 read as -g, m = 1 and D = 1, the margin is
+        # sqrt(1) * (log1p(snr) + g), exactly g at snr = +-0.0 (the sign
+        # of g, so that -0.0 stays -0.0)
+        monkeypatch.setattr(fbl_core, "LN2", -g)
+        margin = reliability_margin(math.copysign(0.0, g), 1, 1)
+        assert margin.g.hex() == g.hex()
+        assert margin.eps_log10.hex() == eps_log10_from_margin(g).hex()
+
+    def test_reliability_margin_eps_on_every_branch(self):
+        # the same identity on the margins of real links, g from -250 to
+        # past 600, with each of the three branches hit
+        rng = np.random.default_rng(2501)
+        branches = {"negative": 0, "inline": 0, "series": 0}
+        for _ in range(3000):
+            snr = float(10.0 ** rng.uniform(-4.0, 4.0))
+            m = int(rng.integers(1, 5000))
+            d = int(rng.integers(1, 500))
+            margin = reliability_margin(snr, m, d)
+            assert margin.eps_log10.hex() == eps_log10_from_margin(margin.g).hex()
+            g = margin.g
+            branches["negative" if g < 0.0 else "inline" if g < 30.0 else "series"] += 1
+        assert min(branches.values()) >= 300, branches
+
 
 class TestScipyStaysOutOfTheProduct:
     def test_package_import_leaves_scipy_unloaded(self):
@@ -264,6 +293,29 @@ class TestAchievableRate:
             math.sqrt(channel_dispersion(10.0)), rel=1e-12
         )
 
+    @pytest.mark.parametrize("field", ["payload_bits", "blocklength"])
+    @pytest.mark.parametrize("bad", [math.nan, 2.5, math.inf, 10.0, "10", None])
+    def test_params_counts_must_be_integers(self, field, bad):
+        # SystemConfig's count rule: a float count, even a whole one, is
+        # rejected before achievable_rate can read it
+        counts = {"payload_bits": 10, "blocklength": 10, field: bad}
+        with pytest.raises(ValueError) as info:
+            ShortPacketParams(**counts, snr=1.0)
+        assert str(info.value) == f"{field} must be an integer, got {bad!r}"
+
+    @pytest.mark.parametrize("field", ["payload_bits", "blocklength"])
+    @pytest.mark.parametrize("bad", [0, -3, np.int64(0)])
+    def test_params_counts_must_be_at_least_one(self, field, bad):
+        counts = {"payload_bits": 10, "blocklength": 10, field: bad}
+        with pytest.raises(ValueError) as info:
+            ShortPacketParams(**counts, snr=1.0)
+        assert str(info.value) == f"{field} must be >= 1, got {bad}"
+
+    def test_params_take_numpy_integer_counts(self):
+        params = ShortPacketParams(payload_bits=np.int64(160), blocklength=np.int32(200), snr=10.0)
+        plain = ShortPacketParams(payload_bits=160, blocklength=200, snr=10.0)
+        assert achievable_rate(params, 1e-9) == achievable_rate(plain, 1e-9)
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             ShortPacketParams(payload_bits=0, blocklength=10, snr=1.0)
@@ -314,7 +366,7 @@ class TestReliabilityMargin:
         for _ in range(200):
             snr = float(10.0 ** rng.uniform(-2, 4))
             m = int(rng.integers(1, 2000))
-            d = int(rng.integers(1, 2000))
+            d = int(rng.integers(1, 500))
             g0 = reliability_margin(snr, m, d, dispersion_mode=mode).g
             g_more_symbols = reliability_margin(snr, m + 1, d, dispersion_mode=mode).g
             g_more_snr = reliability_margin(
@@ -613,4 +665,33 @@ class TestMinBlocklength:
             min_blocklength(10.0, 0, 200)
         with pytest.raises(ValueError):
             min_blocklength(10.0, 160, 0)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            *[((bad, 160, 200), f"energy_budget_gain must be positive, got {bad!r}")
+              for bad in (0.0, -1.0, math.nan, math.inf)],
+            *[((10.0, bad, 200), f"payload_bits must be an integer, got {bad!r}")
+              for bad in (160.5, 160.0, math.nan, math.inf)],
+            *[((10.0, 160, bad), f"max_symbols must be an integer, got {bad!r}")
+              for bad in (math.inf, math.nan, 2.5, 200.0, 1e9)],
+            ((10.0, 0, 200), "payload_bits must be >= 1, got 0"),
+            ((10.0, 160, -5), "max_symbols must be >= 1, got -5"),
+            # the table-free path past _C0_TABLE_MAX checks the same way
+            ((10.0, 160.5, 10**6), "payload_bits must be an integer, got 160.5"),
+        ],
+        ids=repr,
+    )
+    def test_counts_follow_the_count_rule(self, args, message):
+        # each bad argument is named, before any c_0 is computed
+        with pytest.raises(ValueError) as info:
+            min_blocklength(*args)
+        assert str(info.value) == message
+
+    def test_numpy_integer_counts_pass(self):
+        for budget in (1.0, 500.0, 503.2, 1e4):
+            plain = min_blocklength(budget, 160, 200)
+            boxed = min_blocklength(budget, np.int64(160), np.int32(200))
+            assert boxed == plain and type(boxed) is type(plain)
+        assert min_blocklength(500.0, True, 200) == min_blocklength(500.0, 1, 200)
 
