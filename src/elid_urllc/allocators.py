@@ -184,9 +184,10 @@ def _build_report(
     ReliabilityMargin (reliability_margin) slots are filled through their
     descriptors. So the allocation skips Allocation's per-entry checks,
     and each caller passes one float power (finite, >= 0) and one int
-    blocklength (>= 1) per vehicle; tests re-box every solver's and
-    oracle's answer through Allocation(...) to hold them to that. The
-    budget checks below do run, under python -O too.
+    blocklength (>= 1) per vehicle; tests re-box every solver's answer
+    through Allocation(...) to hold them to that, and the two oracles
+    pass theirs through it first. The budget checks below do run, under
+    python -O too.
     """
     cfg = scenario.config
     d = cfg.payload_bits

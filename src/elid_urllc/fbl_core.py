@@ -262,7 +262,8 @@ def reliability_margin(
     margin = object.__new__(ReliabilityMargin)
     _set_g(margin, g)
     if 0.0 <= g < _LOG_Q_SERIES_FROM:
-        # eps_log10_from_margin's first branch, the same operations
+        # eps_log10_from_margin's first branch, the same operations; the
+        # saved call is 3% of solve_m200's equal_allocation p50 (BENCH_25)
         _set_eps_log10(margin, math.log(0.5 * math.erfc(g / _SQRT2)) / LN10)
         return margin
     try:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .allocators import (
     _REL_IMPROVEMENT,
+    Allocation,
     SolveReport,
     _build_report,
     _check_symbol_cover,
@@ -105,10 +106,12 @@ def brute_force_energy(scenario: Scenario) -> SolveReport:
         min_power_for_target(link.norm_gain, m, d, gt)
         for link, m in zip(scenario.links, best_m)
     ]
+    # the public constructor's per-entry checks, which _build_report skips
+    answer = Allocation(tuple(powers), tuple(best_m))
     return _build_report(
         scenario,
-        powers,
-        best_m,
+        answer.powers,
+        answer.blocklengths,
         solver_name="brute_force_energy",
         iterations=compared,
         converged=True,
@@ -224,10 +227,12 @@ def brute_force_minmax(scenario: Scenario) -> SolveReport:
     best_m = vectors[best]
     # priced by min_power_for_target, not by the solvers' margin solve
     powers = [min_power_for_target(h, m, d, best_g) for h, m in zip(gains, best_m)]
+    # the public constructor's per-entry checks, which _build_report skips
+    answer = Allocation(tuple(powers), tuple(best_m))
     return _build_report(
         scenario,
-        powers,
-        best_m,
+        answer.powers,
+        answer.blocklengths,
         solver_name="brute_force_minmax",
         iterations=len(vectors),
         converged=True,
