@@ -302,9 +302,11 @@ def sample_scenario(
     Each link makes two draws on its generator, in this order: its
     position road_length * random(), then the real and imaginary parts
     of its scatter, one standard_normal(2) call. The order is part of
-    the seeding contract.
+    the seeding contract. n_vehicles follows the count rule
+    (_check_index) and is at most config.max_vehicles.
     """
-    if not 1 <= n_vehicles <= config.max_vehicles:
+    n_vehicles = _check_index("n_vehicles", n_vehicles)
+    if n_vehicles > config.max_vehicles:
         raise ValueError(
             f"n_vehicles must be in 1..{config.max_vehicles}, got {n_vehicles}"
         )

@@ -28,6 +28,7 @@ from .allocators import (
 )
 from .channel_model import Scenario, SystemConfig
 from .exceptions import InfeasibleError
+from .fbl_core import _check_index
 
 SOLVER_NAMES = (
     "joint_minmax",
@@ -128,10 +129,8 @@ class SweepSpec:
             parse_metric(metric)
         if len(set(self.outputs)) < len(self.outputs):
             raise ValueError(f"metrics must be distinct, got {self.outputs!r}")
-        if self.num_seeds < 1:
-            raise ValueError(f"num_seeds must be >= 1, got {self.num_seeds}")
-        if self.n_vehicles < 1:
-            raise ValueError(f"n_vehicles must be >= 1, got {self.n_vehicles}")
+        _check_index("num_seeds", self.num_seeds)
+        _check_index("n_vehicles", self.n_vehicles)
 
 
 @dataclass(frozen=True, slots=True)

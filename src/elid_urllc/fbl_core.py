@@ -139,19 +139,11 @@ def _check_snr(snr: float) -> None:
         raise ValueError(f"snr must be finite and nonnegative, got {snr!r}")
 
 
-def _check_count(name: str, value) -> None:
-    """Reject a blocklength or payload below 1, nan or inf, naming it."""
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    if not value < math.inf:  # nan and inf pass the test above
-        raise ValueError(f"{name} must be finite, got {value}")
-
-
 def _check_index(name: str, value) -> int:
-    """The count rule of SystemConfig, ShortPacketParams and
-    min_blocklength: an integer (operator.index, so no floats, nan or
-    inf; numpy integers pass) and >= 1. Returns it as an int; raises
-    ValueError naming it otherwise."""
+    """The count rule of SystemConfig, ShortPacketParams, SweepSpec,
+    sample_scenario and this module's primitives: an integer
+    (operator.index, so no floats, nan or inf; numpy integers pass) and
+    >= 1. Returns it as an int; raises ValueError naming it otherwise."""
     try:
         count = operator.index(value)
     except TypeError:
@@ -245,16 +237,22 @@ def reliability_margin(
     same operations without the call; every other g goes through it.
 
     Raises ValueError naming the argument for an snr that is negative or
-    not finite, and for a blocklength or payload below 1, nan or inf. An
-    inf blocklength or payload is caught only once its g is found not
-    finite, so the common case pays one chained test.
+    not finite, and for a blocklength or payload that breaks the count
+    rule (_check_index): not an integer, or below 1. The common case,
+    both counts Python ints, pays one chained test.
     """
     # one chained test for the common case; the checks below name the
     # argument
-    if not (0.0 <= snr < math.inf and blocklength >= 1 and payload_bits >= 1):
+    if not (
+        0.0 <= snr < math.inf
+        and isinstance(blocklength, int)
+        and isinstance(payload_bits, int)
+        and blocklength >= 1
+        and payload_bits >= 1
+    ):
         _check_snr(snr)
-        _check_count("blocklength", blocklength)
-        _check_count("payload_bits", payload_bits)
+        blocklength = _check_index("blocklength", blocklength)
+        payload_bits = _check_index("payload_bits", payload_bits)
     m = float(blocklength)
     g = math.sqrt(m) * (math.log1p(snr) - LN2 * payload_bits / m)
     if dispersion_mode is _EXACT:
@@ -266,14 +264,7 @@ def reliability_margin(
         # saved call is 3% of solve_m200's equal_allocation p50 (BENCH_25)
         _set_eps_log10(margin, math.log(0.5 * math.erfc(g / _SQRT2)) / LN10)
         return margin
-    try:
-        _set_eps_log10(margin, eps_log10_from_margin(g))
-    except ValueError:
-        # the non-finite g of an inf blocklength or payload, which the
-        # chained test lets through: name the argument
-        _check_count("blocklength", blocklength)
-        _check_count("payload_bits", payload_bits)
-        raise
+    _set_eps_log10(margin, eps_log10_from_margin(g))
     return margin
 
 
@@ -293,23 +284,15 @@ def min_power_for_target(
     clamped below at zero (a margin already met at p = 0 costs nothing).
     Returns inf when the required SNR overflows double precision. Raises
     ValueError naming the argument for a norm_gain that is not positive
-    and finite, a blocklength or payload below 1, nan or inf, and a
-    g_target that is not finite.
+    and finite, a blocklength or payload that breaks the count rule
+    (_check_index), and a g_target that is not finite.
     """
-    # one chained test for the common case; the checks below name the
-    # argument
-    if not (
-        0.0 < norm_gain < math.inf
-        and 1 <= blocklength < math.inf
-        and 1 <= payload_bits < math.inf
-        and -math.inf < g_target < math.inf
-    ):
-        if not (math.isfinite(norm_gain) and norm_gain > 0.0):
-            raise ValueError(f"norm_gain must be positive, got {norm_gain!r}")
-        _check_count("blocklength", blocklength)
-        _check_count("payload_bits", payload_bits)
-        if not math.isfinite(g_target):
-            raise ValueError(f"g_target must be finite, got {g_target!r}")
+    if not (math.isfinite(norm_gain) and norm_gain > 0.0):
+        raise ValueError(f"norm_gain must be positive, got {norm_gain!r}")
+    blocklength = _check_index("blocklength", blocklength)
+    payload_bits = _check_index("payload_bits", payload_bits)
+    if not math.isfinite(g_target):
+        raise ValueError(f"g_target must be finite, got {g_target!r}")
     return _power(norm_gain, blocklength, payload_bits, g_target)
 
 
@@ -520,22 +503,14 @@ def min_blocklength(
     Raises ValueError naming the argument for an energy_budget_gain that
     is not positive and finite, and for a payload_bits or max_symbols
     that breaks the count rule (_check_index): not an integer, or below
-    1. The common case, both counts Python ints, pays one chained test.
+    1.
     """
-    # one chained test for the common case; the checks below name the
-    # argument
-    if not (
-        0.0 < energy_budget_gain < math.inf
-        and type(payload_bits) is type(max_symbols) is int
-        and payload_bits >= 1
-        and max_symbols >= 1
-    ):
-        if not (math.isfinite(energy_budget_gain) and energy_budget_gain > 0.0):
-            raise ValueError(
-                f"energy_budget_gain must be positive, got {energy_budget_gain!r}"
-            )
-        payload_bits = _check_index("payload_bits", payload_bits)
-        max_symbols = _check_index("max_symbols", max_symbols)
+    if not (math.isfinite(energy_budget_gain) and energy_budget_gain > 0.0):
+        raise ValueError(
+            f"energy_budget_gain must be positive, got {energy_budget_gain!r}"
+        )
+    payload_bits = _check_index("payload_bits", payload_bits)
+    max_symbols = _check_index("max_symbols", max_symbols)
     if max_symbols <= _C0_TABLE_MAX:
         m = bisect_right(
             _neg_min_energy_gains(payload_bits, max_symbols), -energy_budget_gain

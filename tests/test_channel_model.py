@@ -238,6 +238,9 @@ class TestSampleScenario:
             sample_scenario(cfg, 0, seed=1)
         with pytest.raises(ValueError):
             sample_scenario(cfg, 11, seed=1)
+        for bad in (2.5, 2.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^n_vehicles must be an integer"):
+                sample_scenario(cfg, bad, seed=3)
 
     def test_seed_validation(self):
         cfg = SystemConfig()

@@ -119,7 +119,13 @@ class TestSweepSpecValidation:
             {"outputs": ("not_a_metric",)},
             {"outputs": ("total_energy", "total_energy")},
             {"num_seeds": 0},
+            {"num_seeds": 2.5},
+            {"num_seeds": math.nan},
+            {"num_seeds": math.inf},
             {"n_vehicles": 0},
+            {"n_vehicles": 2.5},
+            {"n_vehicles": math.nan},
+            {"n_vehicles": math.inf},
         ],
     )
     def test_rejects(self, overrides):

@@ -428,30 +428,34 @@ class TestMinPowerForTarget:
 NAN, INF = math.nan, math.inf
 
 # Every bad value of one argument, the others valid, with the error the
-# checks raise; each names its argument.
+# checks raise; each names its argument. A count that is not an integer
+# (a fraction, nan or either inf) breaks the count rule, _check_index.
+NOT_COUNTS = (2.5, 160.5, NAN, INF, -INF)
 MARGIN_REJECTIONS = [
     *[((bad, 33, 160), f"snr must be finite and nonnegative, got {bad!r}")
       for bad in (NAN, INF, -INF, -1, -0.5)],
-    *[((12.5, bad, 160), f"blocklength must be finite, got {bad}") for bad in (NAN, INF)],
-    *[((12.5, bad, 160), f"blocklength must be >= 1, got {bad}") for bad in (-INF, 0, -1)],
-    *[((12.5, 33, bad), f"payload_bits must be finite, got {bad}") for bad in (NAN, INF)],
-    *[((12.5, 33, bad), f"payload_bits must be >= 1, got {bad}") for bad in (-INF, 0, -1)],
+    *[((12.5, bad, 160), f"blocklength must be an integer, got {bad!r}") for bad in NOT_COUNTS],
+    *[((12.5, bad, 160), f"blocklength must be >= 1, got {bad}") for bad in (0, -1)],
+    *[((12.5, 33, bad), f"payload_bits must be an integer, got {bad!r}") for bad in NOT_COUNTS],
+    *[((12.5, 33, bad), f"payload_bits must be >= 1, got {bad}") for bad in (0, -1)],
 ]
 POWER_REJECTIONS = [
     *[((bad, 33, 160, 6.0), f"norm_gain must be positive, got {bad!r}")
       for bad in (NAN, INF, -INF, 0, -1)],
-    *[((1.5, bad, 160, 6.0), f"blocklength must be finite, got {bad}") for bad in (NAN, INF)],
-    *[((1.5, bad, 160, 6.0), f"blocklength must be >= 1, got {bad}") for bad in (-INF, 0, -1)],
-    *[((1.5, 33, bad, 6.0), f"payload_bits must be finite, got {bad}") for bad in (NAN, INF)],
-    *[((1.5, 33, bad, 6.0), f"payload_bits must be >= 1, got {bad}") for bad in (-INF, 0, -1)],
+    *[((1.5, bad, 160, 6.0), f"blocklength must be an integer, got {bad!r}") for bad in NOT_COUNTS],
+    *[((1.5, bad, 160, 6.0), f"blocklength must be >= 1, got {bad}") for bad in (0, -1)],
+    *[((1.5, 33, bad, 6.0), f"payload_bits must be an integer, got {bad!r}") for bad in NOT_COUNTS],
+    *[((1.5, 33, bad, 6.0), f"payload_bits must be >= 1, got {bad}") for bad in (0, -1)],
     *[((1.5, 33, 160, bad), f"g_target must be finite, got {bad!r}") for bad in (NAN, INF, -INF)],
 ]
 
 
 class TestCheckedFastPaths:
-    """The public primitives test the common case in one chained
-    comparison and run the named checks only when it fails; each bad
-    argument must still raise its own message."""
+    """Each bad argument of the public primitives raises its own
+    message. reliability_margin tests the common case (a finite snr >= 0
+    and both counts Python ints >= 1) in one chained comparison and runs
+    the named checks only when it fails; min_power_for_target runs its
+    named checks on every call."""
 
     @pytest.mark.parametrize("args, message", MARGIN_REJECTIONS, ids=repr)
     def test_reliability_margin_rejections(self, args, message):
