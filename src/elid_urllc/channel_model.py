@@ -14,6 +14,7 @@ noise_power(noise_psd_dbm_hz, bandwidth); neither is stored.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,9 +218,16 @@ def _hash(value: np.ndarray, xor: int, mult: int) -> np.ndarray:
     return value ^ (value >> np.uint32(_XSHIFT))
 
 
-def _check_seed(seed) -> None:
-    if not isinstance(seed, int) or seed < 0 or seed >= 2**64:
+def _check_seed(seed) -> int:
+    """A seed is an integer (operator.index, so numpy integers pass) in
+    [0, 2^64); returns it as an int."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if not 0 <= value < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    return value
 
 
 def stream_words(seeds, n_vehicles: int) -> np.ndarray:
@@ -233,9 +241,7 @@ def stream_words(seeds, n_vehicles: int) -> np.ndarray:
     2^32 (zero included) and [low word, high word, v] above, then padded
     with zeros to the pool size, as the hash itself pads short entropy.
     """
-    seeds = list(seeds)
-    for seed in seeds:
-        _check_seed(seed)
+    seeds = [_check_seed(seed) for seed in seeds]
     if n_vehicles < 0:
         raise ValueError(f"n_vehicles must be >= 0, got {n_vehicles}")
     seed64 = np.array(seeds, dtype=np.uint64).reshape(-1, 1)
@@ -273,17 +279,19 @@ def stream_words(seeds, n_vehicles: int) -> np.ndarray:
 
 
 class _Words(ISeedSequence):
-    """Hands a bit generator seed words that stream_words computed, so
-    numpy still does the generator's own seeding from them."""
+    """Hands a bit generator the four uint64 seed words that
+    stream_words computed for one substream, so numpy still does the
+    generator's own seeding from them. PCG64 asks for exactly those."""
+
+    __slots__ = ("words",)
 
     def __init__(self, words: np.ndarray):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != len(self.words) or np.dtype(dtype) != self.words.dtype:
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError(
-                f"holds {len(self.words)} {self.words.dtype} words, "
-                f"asked for {n_words} {np.dtype(dtype)}"
+                f"holds 4 uint64 words, asked for {n_words} {np.dtype(dtype)}"
             )
         return self.words
 
@@ -310,7 +318,7 @@ def sample_scenario(
         raise ValueError(
             f"n_vehicles must be in 1..{config.max_vehicles}, got {n_vehicles}"
         )
-    _check_seed(seed)
+    seed = _check_seed(seed)
     if streams is None:
         rngs = (np.random.default_rng([seed, vid]) for vid in range(n_vehicles))
     else:
@@ -320,7 +328,7 @@ def sample_scenario(
                 f"streams must be a ({n_vehicles}, 4) uint64 array, got "
                 f"{words.shape} {words.dtype}"
             )
-        rngs = (np.random.Generator(np.random.PCG64(_Words(row))) for row in words)
+        rngs = map(np.random.Generator, map(np.random.PCG64, map(_Words, words)))
     sigma2 = noise_power(config.noise_psd_dbm_hz, config.bandwidth)
     road_length = config.road_length
     midpoint = road_length / 2.0

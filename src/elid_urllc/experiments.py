@@ -10,6 +10,7 @@ cells were scheduled.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 import re
@@ -116,9 +117,11 @@ class SweepSpec:
             )
         if not self.values:
             raise ValueError("values must be non-empty")
-        for v in self.values:
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"swept values must be positive integers, got {v!r}")
+        # stored as ints, so cell seeds and the CSV text never see a
+        # numpy integer's type
+        object.__setattr__(
+            self, "values", tuple(_check_index("values", v) for v in self.values)
+        )
         if len(set(self.values)) < len(self.values):
             raise ValueError(f"swept values must be distinct, got {self.values!r}")
         if self.solver not in SOLVER_NAMES:
@@ -131,6 +134,19 @@ class SweepSpec:
             raise ValueError(f"metrics must be distinct, got {self.outputs!r}")
         _check_index("num_seeds", self.num_seeds)
         _check_index("n_vehicles", self.n_vehicles)
+        # the vehicle counts sample_scenario would reject, before any
+        # cell is solved
+        max_vehicles = self.base_config.max_vehicles
+        if self.swept_variable == "n_vehicles":
+            for v in self.values:
+                if v > max_vehicles:
+                    raise ValueError(
+                        f"swept n_vehicles must be in 1..{max_vehicles}, got {v}"
+                    )
+        elif self.n_vehicles > max_vehicles:
+            raise ValueError(
+                f"n_vehicles must be in 1..{max_vehicles}, got {self.n_vehicles}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,28 +218,64 @@ def energy_saved_percent(e_equal: float, e_shared: float) -> float:
     return 100.0 * (e_equal - e_shared) / e_equal
 
 
-def _metric_value(base: str, solver: str, scenario: Scenario, cache: dict) -> float:
-    if base == "energy_saved_pct":
-        shared = symbol_sharing(scenario)
-        equal = equal_allocation_energy(scenario)
-        return energy_saved_percent(equal.total_energy, shared.total_energy)
-    key = (solver, scenario.config)
-    if key not in cache:
-        cache[key] = run_solver(solver, scenario)
-    report = cache[key]
-    if base == "min_blocklength":
-        return float(min(report.allocation.blocklengths))
-    if base == "max_blocklength":
-        return float(max(report.allocation.blocklengths))
-    if base == "min_power":
-        return min(report.allocation.powers)
-    if base == "max_power":
-        return max(report.allocation.powers)
-    if base == "total_energy":
-        return report.total_energy
-    if base == "worst_eps_log10":
-        return report.worst_margin.eps_log10
-    raise ValueError(f"unknown metric {base!r}")
+# each metric's value from its solve slots' reports; energy_saved_pct
+# reads the (symbol_sharing, equal_allocation) pair, the others one report
+_EXTRACT = {
+    "min_blocklength": lambda report: float(min(report.allocation.blocklengths)),
+    "max_blocklength": lambda report: float(max(report.allocation.blocklengths)),
+    "min_power": lambda report: min(report.allocation.powers),
+    "max_power": lambda report: max(report.allocation.powers),
+    "total_energy": lambda report: report.total_energy,
+    "worst_eps_log10": lambda report: report.worst_margin.eps_log10,
+    "energy_saved_pct": lambda shared, equal: energy_saved_percent(
+        equal.total_energy, shared.total_energy
+    ),
+}
+
+
+def _solve_slots(spec: SweepSpec, cell_config: SystemConfig):
+    """Resolve the sweep's metrics for one swept value.
+
+    Returns (configs, slots, metrics). configs holds each distinct
+    config once, the cell's own first. slots holds one (solve, config
+    index) per distinct (solver, config), where solve takes a scenario;
+    the solvers are looked up here, by their names in this module, so a
+    caller that rebinds those names sees every solve. metrics holds
+    (metric, units, extract, slot indices) in metric-name order.
+    energy_saved_pct solves through symbol_sharing and
+    equal_allocation_energy, the others through run_solver.
+    """
+    configs = [cell_config]
+    slot_of: dict[tuple[str, int], int] = {}
+    slots = []
+    metrics = []
+    for metric in sorted(spec.outputs):
+        base, mods = parse_metric(metric)
+        config = cell_config
+        if "symbol_budget" in mods:
+            config = dataclasses.replace(
+                cell_config, symbol_budget=int(mods["symbol_budget"])
+            )
+        if config not in configs:
+            configs.append(config)
+        config_index = configs.index(config)
+        if base == "energy_saved_pct":
+            wanted = (
+                ("symbol_sharing", symbol_sharing),
+                ("equal_allocation", equal_allocation_energy),
+            )
+        else:
+            solver = mods.get("solver", spec.solver)
+            wanted = ((solver, functools.partial(run_solver, solver)),)
+        ids = []
+        for solver, solve in wanted:
+            key = (solver, config_index)
+            if key not in slot_of:
+                slot_of[key] = len(slots)
+                slots.append((solve, config_index))
+            ids.append(slot_of[key])
+        metrics.append((metric, METRIC_UNITS[base], _EXTRACT[base], tuple(ids)))
+    return configs, slots, metrics
 
 
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
@@ -233,51 +285,49 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     a swept value's substreams are hashed in one batch
     (channel_model.stream_words). A metric with a symbol_budget modifier
     gets the same links under its own config: the channel draws do not
-    depend on the budgets. Metrics that share a solver and config share
-    one solve. Infeasible cells are recorded with a None value rather
-    than aborting the sweep. Rows come back sorted by (swept_value,
-    seed, metric) so serialization never depends on evaluation order.
+    depend on the budgets. Each swept value resolves its metrics once
+    into solve slots (_solve_slots), and each cell solves every slot
+    once, an infeasible one included: the slot then holds None, and
+    every metric that reads it records None rather than aborting the
+    sweep. Values and metric names are iterated sorted, so rows come
+    out in (swept_value, seed, metric) order whatever the spec's order,
+    and serialization never depends on it.
     """
-    parsed = [(metric, *parse_metric(metric)) for metric in spec.outputs]
     rows = []
-    for value in spec.values:
+    for value in sorted(spec.values):
         if spec.swept_variable == "n_vehicles":
             n_vehicles = value
             cell_config = spec.base_config
         else:
             n_vehicles = spec.n_vehicles
             cell_config = dataclasses.replace(spec.base_config, symbol_budget=value)
-        metrics = []
-        for metric, base, mods in parsed:
-            config = cell_config
-            if "symbol_budget" in mods:
-                config = dataclasses.replace(
-                    config, symbol_budget=int(mods["symbol_budget"])
-                )
-            metrics.append(
-                (metric, base, mods.get("solver", spec.solver), config, METRIC_UNITS[base])
-            )
+        configs, slots, metrics = _solve_slots(spec, cell_config)
         seeds = [cell_seed(spec.name, value, i) for i in range(spec.num_seeds)]
         words = channel_model.stream_words(seeds, n_vehicles)
         for seed_index, seed in enumerate(seeds):
             drawn = channel_model.sample_scenario(
                 cell_config, n_vehicles, seed, streams=words[seed_index]
             )
-            cache: dict = {}
-            for metric, base, solver, config, units in metrics:
-                scenario = (
-                    drawn
-                    if config is cell_config
-                    else dataclasses.replace(drawn, config=config)
-                )
+            scenarios = [drawn]
+            for config in configs[1:]:
+                scenarios.append(Scenario(config, drawn.links, seed))
+            solved = []
+            for solve, config_index in slots:
                 try:
-                    metric_value = _metric_value(base, solver, scenario, cache)
+                    solved.append(solve(scenarios[config_index]))
                 except InfeasibleError:
+                    # None, not the error: its traceback would keep the
+                    # solver's frames alive until the next cell
+                    solved.append(None)
+            for metric, units, extract, ids in metrics:
+                reports = [solved[i] for i in ids]
+                if any(report is None for report in reports):
                     metric_value = None
+                else:
+                    metric_value = extract(*reports)
                 rows.append(
                     ResultRow(spec.name, value, seed_index, metric, metric_value, units)
                 )
-    rows.sort(key=lambda r: (r.swept_value, r.seed, r.metric_name))
     return rows
 
 

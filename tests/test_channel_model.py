@@ -9,6 +9,7 @@ from elid_urllc.channel_model import (
     Scenario,
     SystemConfig,
     VehicleLink,
+    _Words,
     _fading_gain,
     _rician_amplitudes,
     noise_power,
@@ -366,6 +367,15 @@ class TestStreamWords:
     def test_rejects_misshapen_streams(self, streams):
         with pytest.raises(ValueError):
             sample_scenario(SystemConfig(), 3, 11, streams=streams)
+
+    def test_seed_words_serve_only_the_request_they_hold(self):
+        row = stream_words([11], 1)[0, 0]
+        words = _Words(row)
+        assert words.generate_state(4, np.uint64) is row
+        assert words.generate_state(4, np.dtype("uint64")) is row
+        for n_words, dtype in [(4, np.uint32), (8, np.uint64), (2, np.uint64), (4, float)]:
+            with pytest.raises(ValueError, match="holds 4 uint64 words"):
+                words.generate_state(n_words, dtype)
 
 
 class TestLinkDistance:

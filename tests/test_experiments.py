@@ -1,10 +1,12 @@
 """Tests for the sweep harness: seeding, cardinality, CSV stability."""
 
+import collections
 import dataclasses
 import math
 
 import pytest
 
+from elid_urllc import experiments
 from elid_urllc.allocators import symbol_sharing
 from elid_urllc.channel_model import SystemConfig, sample_scenario
 from elid_urllc.exceptions import InfeasibleError
@@ -28,6 +30,15 @@ from elid_urllc.experiments import (
     write_csv,
 )
 from elid_urllc.fbl_core import q_inverse
+
+# the solver names run_sweep looks up in experiments, by solver
+SWEEP_BINDINGS = {
+    "solve_joint_minmax": "joint_minmax",
+    "solve_power_minmax_fixed_m": "power_minmax_fixed_m",
+    "solve_symbols_minmax_fixed_p": "symbols_minmax_fixed_p",
+    "symbol_sharing": "symbol_sharing",
+    "equal_allocation_energy": "equal_allocation",
+}
 
 
 class TestCellSeed:
@@ -132,6 +143,24 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError):
             self._spec(**overrides)
 
+    def test_swept_vehicle_count_above_max_fails_when_built(self):
+        # so no cell of a valid value is solved first
+        with pytest.raises(ValueError) as info:
+            self._spec(values=(1, 11))
+        assert str(info.value) == "swept n_vehicles must be in 1..10, got 11"
+        # the cap is the config's, not a constant
+        with pytest.raises(ValueError, match="in 1..3, got 4"):
+            self._spec(base_config=SystemConfig(max_vehicles=3), values=(4,))
+
+    def test_fixed_vehicle_count_above_max_fails_on_a_budget_sweep(self):
+        with pytest.raises(ValueError) as info:
+            self._spec(swept_variable="symbol_budget", values=(200,), n_vehicles=11)
+        assert str(info.value) == "n_vehicles must be in 1..10, got 11"
+        # budgets above max_vehicles are fine, and an n_vehicles sweep
+        # ignores the fixed count
+        assert self._spec(swept_variable="symbol_budget", values=(200, 1000))
+        assert self._spec(n_vehicles=11).values == (1, 2)
+
 
 class TestRunSweep:
     def test_cardinality_single_cell(self):
@@ -159,6 +188,75 @@ class TestRunSweep:
         rows = run_sweep(preset_fig6(num_seeds=2))
         keys = [(r.swept_value, r.seed, r.metric_name) for r in rows]
         assert keys == sorted(keys)
+
+    def test_row_order_does_not_depend_on_spec_order(self):
+        def spec(values, outputs):
+            return SweepSpec(
+                name="t",
+                base_config=SystemConfig(),
+                swept_variable="n_vehicles",
+                values=values,
+                solver="symbol_sharing",
+                outputs=outputs,
+                num_seeds=2,
+            )
+
+        outputs = (
+            "total_energy[symbol_budget=1000]",
+            "max_blocklength",
+            "worst_eps_log10[solver=power_minmax_fixed_m]",
+            "energy_saved_pct",
+        )
+        rows = run_sweep(spec((3, 1, 2), outputs))
+        keys = [(r.swept_value, r.seed, r.metric_name) for r in rows]
+        assert keys == sorted(keys)
+        assert rows == run_sweep(spec((1, 2, 3), tuple(sorted(outputs))))
+
+    def test_each_solve_runs_once_per_cell_infeasible_included(self, monkeypatch):
+        # fig5 reads two metrics from one power_minmax_fixed_m solve; at
+        # n=10 some cells are infeasible, and those too are solved once
+        calls = []
+        solve = experiments.solve_power_minmax_fixed_m
+
+        def counted(scenario, *args):
+            calls.append(scenario.links)
+            return solve(scenario, *args)
+
+        monkeypatch.setattr(experiments, "solve_power_minmax_fixed_m", counted)
+        spec = preset_fig5(num_seeds=30)
+        rows = run_sweep(spec)
+        assert len(calls) == len(spec.values) * spec.num_seeds
+        assert len(set(calls)) == len(calls)
+        infeasible = {(r.swept_value, r.seed) for r in rows if r.metric_value is None}
+        assert infeasible
+        # both of an infeasible cell's metrics come from its one solve
+        assert sum(r.metric_value is None for r in rows) == 2 * len(infeasible)
+
+    @pytest.mark.parametrize(
+        "preset, expected",
+        [
+            (preset_fig4, {"symbols_minmax_fixed_p": 20}),
+            (preset_fig5, {"power_minmax_fixed_m": 20}),
+            (preset_fig6, {"power_minmax_fixed_m": 20, "symbols_minmax_fixed_p": 20}),
+            (preset_fig7, {"symbol_sharing": 40}),
+            (preset_fig8, {"symbol_sharing": 10, "equal_allocation": 10}),
+        ],
+        ids=["fig4", "fig5", "fig6", "fig7", "fig8"],
+    )
+    def test_rebound_solver_names_see_every_answer(self, monkeypatch, preset, expected):
+        # perfbench's check_sweep_answers checks every sweep answer by
+        # rebinding these names
+        seen = collections.Counter()
+        for binding, solver in SWEEP_BINDINGS.items():
+
+            def counted(scenario, *args, _solve=getattr(experiments, binding),
+                        _solver=solver):
+                seen[_solver] += 1
+                return _solve(scenario, *args)
+
+            monkeypatch.setattr(experiments, binding, counted)
+        run_sweep(preset(num_seeds=2))
+        assert seen == expected
 
     def test_cell_matches_direct_solver_call(self):
         spec = SweepSpec(
