@@ -335,8 +335,8 @@ class _SplitSetup:
     window index. step(tables) splits at one table; the index grows
     only when a table needs a wider window than any before it (m_star
     mostly grows with g), and a narrower one reads its leading columns.
-    symbol_sharing sets up and steps once (_least_energy_split); the
-    joint solver sets up once and steps every round.
+    symbol_sharing sets up and steps once; the joint solver sets up
+    once and steps every round.
     """
 
     __slots__ = ("gains", "floors", "spare", "neg_gains", "index")
@@ -370,12 +370,6 @@ class _SplitSetup:
         return self.floors + np.bincount(granted, minlength=self.floors.size)
 
 
-def _least_energy_split(tables, gains, floors) -> list[int]:
-    """The least-energy split at one table (_SplitSetup), set up and
-    stepped once."""
-    return _SplitSetup(gains, floors, tables[0].size).step(tables).tolist()
-
-
 def symbol_sharing(scenario: Scenario) -> SolveReport:
     """Minimize total energy at the target margin g = q_inverse(target_eps)
     on every link.
@@ -391,15 +385,12 @@ def symbol_sharing(scenario: Scenario) -> SolveReport:
     split has finite energy (min_energy_fixed_m).
     """
     cfg = scenario.config
-    gt = q_inverse(cfg.target_eps)
+    m_total = cfg.symbol_budget
     floors = [1 if m is None else m for m in _energy_floors(scenario)]
-    _check_floor_sum(floors, cfg.symbol_budget)
-    m_vec = _least_energy_split(
-        _split_tables(cfg.payload_bits, gt, cfg.symbol_budget),
-        [link.norm_gain for link in scenario.links],
-        floors,
-    )
-    return _energy_report(scenario, m_vec, solver_name="symbol_sharing")
+    _check_floor_sum(floors, m_total)
+    tables = _split_tables(cfg.payload_bits, q_inverse(cfg.target_eps), m_total)
+    split = _SplitSetup([link.norm_gain for link in scenario.links], floors, m_total)
+    return _energy_report(scenario, split.step(tables).tolist(), solver_name="symbol_sharing")
 
 
 def equal_allocation_energy(scenario: Scenario) -> SolveReport:

@@ -14,7 +14,7 @@ import typing
 
 import numpy as np
 
-from .allocators import SolveReport, solve_joint_minmax, symbol_sharing
+from .allocators import SolveReport
 from .channel_model import Scenario, SystemConfig, sample_scenario
 from .exceptions import ConfigError, InfeasibleError
 from .experiments import (
@@ -228,7 +228,7 @@ def cmd_oracle_check(args) -> int:
         n = args.n_values[k % len(args.n_values)]
         seed = int(rng.integers(0, 2**63))
         scenario = sample_scenario(SystemConfig(), n, seed)
-        shared = symbol_sharing(scenario)
+        shared = run_solver("symbol_sharing", scenario)
         oracle = brute_force_energy(scenario)
         gap = shared.total_energy / oracle.total_energy - 1.0
         if -1e-12 <= gap <= 1e-9:
@@ -256,7 +256,7 @@ def cmd_oracle_check(args) -> int:
         budget = feasible_gain / h_min * 10.0 ** float(rng.uniform(0.3, 2.0))
         config = dataclasses.replace(base, energy_budget=float(budget))
         scenario = sample_scenario(config, n, seed)
-        local = solve_joint_minmax(scenario)
+        local = run_solver("joint_minmax", scenario)
         oracle = brute_force_minmax(scenario)
         gap = local.worst_margin.g - oracle.worst_margin.g
         if abs(gap) <= 1e-6:

@@ -10,7 +10,6 @@ cells were scheduled.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import math
 import re
@@ -193,7 +192,12 @@ def cell_seed(sweep_name: str, swept_value: int, seed_index: int) -> int:
 
 def run_solver(solver: str, scenario: Scenario) -> SolveReport:
     """Dispatch a solver by name; the restricted min-max solvers get the
-    equal symbol split / config common power as their fixed resource."""
+    equal symbol split / config common power as their fixed resource.
+
+    The one place outside allocators that maps a name to a solver: every
+    sweep solve and the CLI reach the solvers here. The functions are
+    looked up by their names in this module at each call, so a caller
+    that rebinds those names sees every solve."""
     if solver == "joint_minmax":
         return solve_joint_minmax(scenario)
     if solver == "power_minmax_fixed_m":
@@ -237,17 +241,14 @@ def _solve_slots(spec: SweepSpec, cell_config: SystemConfig):
     """Resolve the sweep's metrics for one swept value.
 
     Returns (configs, slots, metrics). configs holds each distinct
-    config once, the cell's own first. slots holds one (solve, config
-    index) per distinct (solver, config), where solve takes a scenario;
-    the solvers are looked up here, by their names in this module, so a
-    caller that rebinds those names sees every solve. metrics holds
-    (metric, units, extract, slot indices) in metric-name order.
-    energy_saved_pct solves through symbol_sharing and
-    equal_allocation_energy, the others through run_solver.
+    config once, the cell's own first. slots holds each distinct
+    (solver name, config index) once, to be solved through run_solver.
+    metrics holds (metric, units, extract, slot indices) in metric-name
+    order; energy_saved_pct reads the symbol_sharing and
+    equal_allocation slots, the others their one solver's.
     """
     configs = [cell_config]
     slot_of: dict[tuple[str, int], int] = {}
-    slots = []
     metrics = []
     for metric in sorted(spec.outputs):
         base, mods = parse_metric(metric)
@@ -260,22 +261,15 @@ def _solve_slots(spec: SweepSpec, cell_config: SystemConfig):
             configs.append(config)
         config_index = configs.index(config)
         if base == "energy_saved_pct":
-            wanted = (
-                ("symbol_sharing", symbol_sharing),
-                ("equal_allocation", equal_allocation_energy),
-            )
+            solvers = ("symbol_sharing", "equal_allocation")
         else:
-            solver = mods.get("solver", spec.solver)
-            wanted = ((solver, functools.partial(run_solver, solver)),)
-        ids = []
-        for solver, solve in wanted:
-            key = (solver, config_index)
-            if key not in slot_of:
-                slot_of[key] = len(slots)
-                slots.append((solve, config_index))
-            ids.append(slot_of[key])
-        metrics.append((metric, METRIC_UNITS[base], _EXTRACT[base], tuple(ids)))
-    return configs, slots, metrics
+            solvers = (mods.get("solver", spec.solver),)
+        ids = tuple(
+            slot_of.setdefault((solver, config_index), len(slot_of))
+            for solver in solvers
+        )
+        metrics.append((metric, METRIC_UNITS[base], _EXTRACT[base], ids))
+    return configs, list(slot_of), metrics
 
 
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
@@ -287,11 +281,11 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     gets the same links under its own config: the channel draws do not
     depend on the budgets. Each swept value resolves its metrics once
     into solve slots (_solve_slots), and each cell solves every slot
-    once, an infeasible one included: the slot then holds None, and
-    every metric that reads it records None rather than aborting the
-    sweep. Values and metric names are iterated sorted, so rows come
-    out in (swept_value, seed, metric) order whatever the spec's order,
-    and serialization never depends on it.
+    once through run_solver, an infeasible one included: the slot then
+    holds None, and every metric that reads it records None rather than
+    aborting the sweep. Values and metric names are iterated sorted, so
+    rows come out in (swept_value, seed, metric) order whatever the
+    spec's order, and serialization never depends on it.
     """
     rows = []
     for value in sorted(spec.values):
@@ -312,9 +306,9 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
             for config in configs[1:]:
                 scenarios.append(Scenario(config, drawn.links, seed))
             solved = []
-            for solve, config_index in slots:
+            for solver, config_index in slots:
                 try:
-                    solved.append(solve(scenarios[config_index]))
+                    solved.append(run_solver(solver, scenarios[config_index]))
                 except InfeasibleError:
                     # None, not the error: its traceback would keep the
                     # solver's frames alive until the next cell

@@ -11,7 +11,7 @@ import numpy as np
 
 from elid_urllc.allocators import (
     _REL_IMPROVEMENT,
-    _least_energy_split,
+    _SplitSetup,
     _minmax_floors,
 )
 from elid_urllc.channel_model import (
@@ -158,7 +158,7 @@ def compositions(total, n):
 
 
 def reference_least_energy_split(table, gains, floors, m_total):
-    """Masked form of allocators._least_energy_split over the raw c_g
+    """Masked form of allocators._SplitSetup's split over the raw c_g
     table: every vehicle's whole row of the n x (m_total - 1) saving
     matrix, with the steps below its floor set to zero, in one stable
     sort. Returns the blocklengths as the split does.
@@ -227,7 +227,7 @@ def reference_symbols_minmax_fixed_p(scenario):
 
 def reference_joint_minmax(scenario):
     """Expand-and-bisect search of the joint min-max problem: the largest
-    margin g whose least-energy split (_least_energy_split over
+    margin g whose least-energy split (_SplitSetup over
     _minmax_floors) fits the energy budget, bisected on g from
     g = -ln2 * D, where every link needs zero power. Returns
     (blocklengths, g) with the blocklengths of the split at that g.
@@ -242,7 +242,7 @@ def reference_joint_minmax(scenario):
 
     def split_at(margin):
         tables = _build_split_tables(d, margin, m_total)
-        m_vec = _least_energy_split(tables, gains, floors)
+        m_vec = _SplitSetup(gains, floors, m_total).step(tables).tolist()
         # a sum past the float range reads as inf, as an inf entry does
         with np.errstate(over="ignore"):
             return m_vec, float(np.sum(tables[0][np.array(m_vec) - 1] / gain_arr))

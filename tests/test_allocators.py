@@ -300,7 +300,7 @@ class TestLeastEnergySplitTables:
     def _assert_matches(self, payload_bits, g, m_total, gains, floors):
         tables = fbl_core._build_split_tables(payload_bits, g, m_total)
         expected = reference_least_energy_split(tables[0], gains, floors, m_total)
-        got = allocators._least_energy_split(tables, gains, floors)
+        got = allocators._SplitSetup(gains, floors, m_total).step(tables).tolist()
         assert got == expected, (payload_bits, g, m_total, gains, floors)
         return got
 
@@ -614,14 +614,14 @@ class TestBruteForceEnergy:
             (fbl_core, "_build_split_tables"),
             (allocators, "_build_split_tables"),
             (allocators, "_split_tables"),
-            (allocators, "_least_energy_split"),
+            (allocators, "_SplitSetup"),
         ):
             monkeypatch.setattr(module, name, forbidden)
         for scenario, shared in zip(instances, expected):
             oracle = brute_force_energy(scenario)
             assert oracle.total_energy == pytest.approx(shared.total_energy, rel=1e-9)
         # a name the oracles bound themselves would escape the patch above
-        for name in ("_build_split_tables", "_split_tables", "_least_energy_split"):
+        for name in ("_build_split_tables", "_split_tables", "_SplitSetup"):
             assert not hasattr(oracles, name), name
 
     def test_guards(self):
@@ -1212,7 +1212,7 @@ class TestBruteForceMinmaxGuards:
             oracle = brute_force_minmax(scenario)
             assert oracle.worst_margin.g == pytest.approx(local.worst_margin.g, abs=1e-6)
         # a name the oracles bound themselves would escape the patch above
-        for name in ("_split_margin", "_least_energy_split"):
+        for name in ("_split_margin", "_SplitSetup"):
             assert not hasattr(oracles, name), name
 
     def test_matches_scalar_bisection(self):
@@ -1440,6 +1440,32 @@ class TestJointMonotoneRelations:
             assert _joint_margin(n, m_total + 50, budget, seed) >= g
 
 
+_equal_split_instances = st.tuples(
+    st.integers(1, 10),  # vehicles
+    st.sampled_from((40, 100, 200, 400, 1000)),  # symbol budget
+    st.floats(-1.5, 2.0),  # log10 of the energy budget in J
+    st.integers(0, 2**32 - 1),  # scenario seed
+)
+
+
+class TestJointOverTheEqualSplit:
+    @_MONOTONE_RELATION
+    @given(_equal_split_instances)
+    def test_never_below_the_fixed_m_margin(self, instance):
+        # the equal split is one of the joint problem's candidates, so
+        # wherever fixed-m can fund it the joint optimum is at least as high
+        n, m_total, log_budget, seed = instance
+        config = SystemConfig(symbol_budget=m_total, energy_budget=10.0**log_budget)
+        scenario = sample_scenario(config, n, seed)
+        try:
+            fixed = solve_power_minmax_fixed_m(
+                scenario, allocators._equal_split(m_total, n)
+            )
+        except InfeasibleError:
+            return
+        assert solve_joint_minmax(scenario).worst_margin.g >= fixed.worst_margin.g
+
+
 class TestReportInvariants:
     def test_energy_and_worst_margin_consistency(self):
         rng = np.random.default_rng(9_000)
@@ -1581,6 +1607,42 @@ class TestReportInvariants:
                 and "SolveReport" in (getattr(node.func, a, None) for a in ("id", "attr"))
                 and id(node) not in allowed
             ]
+        assert found == []
+
+    def test_only_run_solver_dispatches_to_a_solver(self):
+        # one dispatch: outside allocators, only experiments.run_solver
+        # names a solver function, and only experiments and the package's
+        # public names import one
+        solvers = {
+            "symbol_sharing",
+            "equal_allocation_energy",
+            "solve_joint_minmax",
+            "solve_power_minmax_fixed_m",
+            "solve_symbols_minmax_fixed_p",
+        }
+        found = []
+        for name, tree in _package_trees():
+            if name == "allocators.py":
+                continue
+            allowed = set()
+            if name == "experiments.py":
+                dispatch = next(
+                    node
+                    for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "run_solver"
+                )
+                allowed = {id(node) for node in ast.walk(dispatch)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    imported = solvers & {alias.name for alias in node.names}
+                    if imported and name not in ("__init__.py", "experiments.py"):
+                        found.append(f"{name}:{node.lineno}")
+                elif (
+                    isinstance(node, (ast.Name, ast.Attribute))
+                    and solvers & {getattr(node, a, None) for a in ("id", "attr")}
+                    and id(node) not in allowed
+                ):
+                    found.append(f"{name}:{node.lineno}")
         assert found == []
 
     def test_only_fbl_core_and_oracles_evaluate_the_link_model(self):

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from elid_urllc import cli
+from elid_urllc import cli, experiments
 from elid_urllc.allocators import symbol_sharing
 from elid_urllc.channel_model import SystemConfig
 from elid_urllc.cli import build_parser, main
@@ -460,7 +460,7 @@ class TestOracleCheckCommand:
             report = symbol_sharing(scenario)
             return dataclasses.replace(report, total_energy=report.total_energy * 1.01)
 
-        monkeypatch.setattr(cli, "symbol_sharing", costlier_sharing)
+        monkeypatch.setattr(experiments, "symbol_sharing", costlier_sharing)
         dump_dir = tmp_path / "dumps"
         code = main(
             ["oracle-check", "--instances", "2", "--n-values", "1",

@@ -31,7 +31,7 @@ from elid_urllc.experiments import (
 )
 from elid_urllc.fbl_core import q_inverse
 
-# the solver names run_sweep looks up in experiments, by solver
+# the solver names run_solver looks up in experiments, by solver
 SWEEP_BINDINGS = {
     "solve_joint_minmax": "joint_minmax",
     "solve_power_minmax_fixed_m": "power_minmax_fixed_m",
@@ -39,6 +39,20 @@ SWEEP_BINDINGS = {
     "symbol_sharing": "symbol_sharing",
     "equal_allocation_energy": "equal_allocation",
 }
+
+# the solves of each preset at num_seeds=2, by solver: 10 values x 2 seeds
+# per slot, and fig8's 5 values x 2 seeds per slot
+_PRESET_SOLVES = pytest.mark.parametrize(
+    "preset, expected",
+    [
+        (preset_fig4, {"symbols_minmax_fixed_p": 20}),
+        (preset_fig5, {"power_minmax_fixed_m": 20}),
+        (preset_fig6, {"power_minmax_fixed_m": 20, "symbols_minmax_fixed_p": 20}),
+        (preset_fig7, {"symbol_sharing": 40}),
+        (preset_fig8, {"symbol_sharing": 10, "equal_allocation": 10}),
+    ],
+    ids=["fig4", "fig5", "fig6", "fig7", "fig8"],
+)
 
 
 class TestCellSeed:
@@ -232,17 +246,7 @@ class TestRunSweep:
         # both of an infeasible cell's metrics come from its one solve
         assert sum(r.metric_value is None for r in rows) == 2 * len(infeasible)
 
-    @pytest.mark.parametrize(
-        "preset, expected",
-        [
-            (preset_fig4, {"symbols_minmax_fixed_p": 20}),
-            (preset_fig5, {"power_minmax_fixed_m": 20}),
-            (preset_fig6, {"power_minmax_fixed_m": 20, "symbols_minmax_fixed_p": 20}),
-            (preset_fig7, {"symbol_sharing": 40}),
-            (preset_fig8, {"symbol_sharing": 10, "equal_allocation": 10}),
-        ],
-        ids=["fig4", "fig5", "fig6", "fig7", "fig8"],
-    )
+    @_PRESET_SOLVES
     def test_rebound_solver_names_see_every_answer(self, monkeypatch, preset, expected):
         # perfbench's check_sweep_answers checks every sweep answer by
         # rebinding these names
@@ -255,6 +259,21 @@ class TestRunSweep:
                 return _solve(scenario, *args)
 
             monkeypatch.setattr(experiments, binding, counted)
+        run_sweep(preset(num_seeds=2))
+        assert seen == expected
+
+    @_PRESET_SOLVES
+    def test_every_sweep_solve_goes_through_run_solver(self, monkeypatch, preset, expected):
+        # run_solver is the one dispatch: each slot of each cell, the two
+        # solves behind energy_saved_pct included, is one call of it
+        seen = collections.Counter()
+        solve = experiments.run_solver
+
+        def counted(solver, scenario):
+            seen[solver] += 1
+            return solve(solver, scenario)
+
+        monkeypatch.setattr(experiments, "run_solver", counted)
         run_sweep(preset(num_seeds=2))
         assert seen == expected
 
