@@ -240,10 +240,10 @@ def stream_words(seeds, n_vehicles: int) -> np.ndarray:
     is laid out as numpy coerces [seed, v]: [seed, v] for a seed below
     2^32 (zero included) and [low word, high word, v] above, then padded
     with zeros to the pool size, as the hash itself pads short entropy.
+    n_vehicles follows the count rule (_check_index).
     """
     seeds = [_check_seed(seed) for seed in seeds]
-    if n_vehicles < 0:
-        raise ValueError(f"n_vehicles must be >= 0, got {n_vehicles}")
+    n_vehicles = _check_index("n_vehicles", n_vehicles)
     seed64 = np.array(seeds, dtype=np.uint64).reshape(-1, 1)
     wide = seed64 > np.uint64(_MASK32)
     vids = np.arange(n_vehicles, dtype=np.uint32)

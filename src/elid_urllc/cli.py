@@ -15,7 +15,7 @@ import typing
 import numpy as np
 
 from .allocators import SolveReport
-from .channel_model import Scenario, SystemConfig, sample_scenario
+from .channel_model import Scenario, SystemConfig, _check_seed, sample_scenario
 from .exceptions import ConfigError, InfeasibleError
 from .experiments import (
     FIGURE_PRESETS,
@@ -95,13 +95,6 @@ def _load_config(args) -> SystemConfig:
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     return SystemConfig(**{key: value for key, (value, _) in fields.items()})
-
-
-def _u64(raw: str) -> int:
-    value = int(raw)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must be in [0, 2^64), got {raw}")
-    return value
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
@@ -218,65 +211,60 @@ def cmd_oracle_check(args) -> int:
     for n in args.n_values:
         if not 1 <= n <= 3:
             raise ConfigError(f"--n-values entries must be in 1..3, got {n}")
-    rng = np.random.default_rng(args.seed)
-    failures = []
-    energy_total = args.instances // 2
-    minmax_total = args.instances - energy_total
+    rng = np.random.default_rng(_check_seed(args.seed))
 
-    energy_pass = 0
-    for k in range(energy_total):
-        n = args.n_values[k % len(args.n_values)]
-        seed = int(rng.integers(0, 2**63))
+    # each suite body drills one instance and returns whether it passed
+    # plus the fields a failure dump records after the common ones
+    def energy(n: int, seed: int):
         scenario = sample_scenario(SystemConfig(), n, seed)
-        shared = run_solver("symbol_sharing", scenario)
-        oracle = brute_force_energy(scenario)
-        gap = shared.total_energy / oracle.total_energy - 1.0
-        if -1e-12 <= gap <= 1e-9:
-            energy_pass += 1
-        else:
-            failures.append(
-                {
-                    "suite": "energy",
-                    "scenario_seed": seed,
-                    "n_vehicles": n,
-                    "shared_energy": repr(shared.total_energy),
-                    "oracle_energy": repr(oracle.total_energy),
-                    "relative_gap": repr(gap),
-                }
-            )
+        shared = run_solver("symbol_sharing", scenario).total_energy
+        oracle = brute_force_energy(scenario).total_energy
+        gap = shared / oracle - 1.0
+        return -1e-12 <= gap <= 1e-9, {
+            "shared_energy": repr(shared),
+            "oracle_energy": repr(oracle),
+            "relative_gap": repr(gap),
+        }
 
-    minmax_pass = 0
     base = SystemConfig(symbol_budget=40, payload_bits=32)
     feasible_gain = 40 * min_power_for_target(1.0, 40, 32, 0.0)
-    for k in range(minmax_total):
-        n = args.n_values[k % len(args.n_values)]
-        seed = int(rng.integers(0, 2**63))
-        probe = sample_scenario(base, n, seed)
-        h_min = min(link.norm_gain for link in probe.links)
-        budget = feasible_gain / h_min * 10.0 ** float(rng.uniform(0.3, 2.0))
-        config = dataclasses.replace(base, energy_budget=float(budget))
-        scenario = sample_scenario(config, n, seed)
-        local = run_solver("joint_minmax", scenario)
-        oracle = brute_force_minmax(scenario)
-        gap = local.worst_margin.g - oracle.worst_margin.g
-        if abs(gap) <= 1e-6:
-            minmax_pass += 1
-        else:
-            failures.append(
-                {
-                    "suite": "minmax",
-                    "scenario_seed": seed,
-                    "n_vehicles": n,
-                    "energy_budget": repr(budget),
-                    "local_margin": repr(local.worst_margin.g),
-                    "oracle_margin": repr(oracle.worst_margin.g),
-                    "margin_gap": repr(gap),
-                }
-            )
 
-    print(f"energy oracle: {energy_pass}/{energy_total} passed")
-    print(f"minmax oracle: {minmax_pass}/{minmax_total} passed")
-    print(f"checked {energy_total + minmax_total} instances, {len(failures)} failure(s)")
+    def minmax(n: int, seed: int):
+        # the links do not depend on the energy budget, so the budget
+        # drawn from them re-wraps the same links
+        links = sample_scenario(base, n, seed).links
+        h_min = min(link.norm_gain for link in links)
+        budget = feasible_gain / h_min * 10.0 ** float(rng.uniform(0.3, 2.0))
+        scenario = Scenario(dataclasses.replace(base, energy_budget=budget), links, seed)
+        local = run_solver("joint_minmax", scenario).worst_margin.g
+        oracle = brute_force_minmax(scenario).worst_margin.g
+        gap = local - oracle
+        return abs(gap) <= 1e-6, {
+            "energy_budget": repr(budget),
+            "local_margin": repr(local),
+            "oracle_margin": repr(oracle),
+            "margin_gap": repr(gap),
+        }
+
+    failures = []
+    energy_total = args.instances // 2
+    for suite, body, total in (
+        ("energy", energy, energy_total),
+        ("minmax", minmax, args.instances - energy_total),
+    ):
+        passed = 0
+        for k in range(total):
+            n = args.n_values[k % len(args.n_values)]
+            seed = int(rng.integers(0, 2**63))
+            ok, detail = body(n, seed)
+            if ok:
+                passed += 1
+            else:
+                failures.append(
+                    {"suite": suite, "scenario_seed": seed, "n_vehicles": n, **detail}
+                )
+        print(f"{suite} oracle: {passed}/{total} passed")
+    print(f"checked {args.instances} instances, {len(failures)} failure(s)")
     if failures:
         _dump_failures(failures, args.out)
         print(f"dumped failing instances to {args.out}/", file=sys.stderr)
@@ -298,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", parents=[common], help="solve one sampled scenario")
     p_solve.add_argument("--n", type=int, default=1, help="number of vehicles")
-    p_solve.add_argument("--seed", type=_u64, default=0, help="scenario seed")
+    p_solve.add_argument("--seed", type=int, default=0, help="scenario seed")
     p_solve.add_argument("--solver", choices=SOLVER_NAMES, default="symbol_sharing")
     p_solve.add_argument("--out", default="solve_report.txt", help="machine-readable report path")
     p_solve.set_defaults(func=cmd_solve)
@@ -331,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("--instances", type=int, default=200)
     p_oracle.add_argument("--n-values", type=_int_list, default=(1, 2, 3))
-    p_oracle.add_argument("--seed", type=_u64, default=0)
+    p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.add_argument("--out", default="oracle_failures", help="dump dir on failure")
     p_oracle.set_defaults(func=cmd_oracle_check)
     return parser

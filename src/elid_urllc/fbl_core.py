@@ -141,7 +141,7 @@ def _check_snr(snr: float) -> None:
 
 def _check_index(name: str, value) -> int:
     """The count rule of SystemConfig, ShortPacketParams, SweepSpec,
-    sample_scenario and this module's primitives: an integer
+    sample_scenario, stream_words and this module's primitives: an integer
     (operator.index, so no floats, nan or inf; numpy integers pass) and
     >= 1. Returns it as an int; raises ValueError naming it otherwise."""
     try:

@@ -72,27 +72,22 @@ def brute_force_energy(scenario: Scenario) -> SolveReport:
     with np.errstate(over="ignore"):
         # after[i][k]: the least energy of the vehicles after vehicle i
         # within k symbols, for k = 0..M. Nothing comes after the last
-        # vehicle, so its table is zero; the one before it gets the least
-        # of the last row's first k entries; every earlier vehicle gets
-        # the min-plus product of the next row with the table after it.
-        after = [
-            np.concatenate(([np.inf], np.minimum.accumulate(rows[-1]))),
-            np.zeros(m_total + 1),
-        ]
-        compared = m_total
-        for row in rows[-2:0:-1]:
-            tail = after[0]
-            least = [_terms(row, tail, k).min(initial=np.inf) for k in range(m_total + 1)]
+        # vehicle, so its table is zero, and each vehicle from the last
+        # to the second adds its row by one min-plus step: the least of
+        # its terms at each k, inf at k = 0 where it has none
+        after = [np.zeros(m_total + 1)]
+        compared = 0
+        for row in rows[:0:-1]:
+            least = [_terms(row, after[0], k).min(initial=np.inf) for k in range(m_total + 1)]
             after.insert(0, np.array(least))
             compared += m_total * (m_total + 1) // 2
 
         # walk the vehicles in order, each taking the first blocklength of
-        # least energy with the symbols the ones before it left; a lone
-        # vehicle reads the zero table, not its own
-        best_energy = float(_terms(rows[0], after[-n], m_total).min())
+        # least energy with the symbols the ones before it left
+        best_energy = float(_terms(rows[0], after[0], m_total).min())
         best_m = []
         left = m_total
-        for row, tail in zip(rows, after[-n:]):
+        for row, tail in zip(rows, after):
             best_m.append(int(np.argmin(_terms(row, tail, left))) + 1)
             compared += left
             left -= best_m[-1]

@@ -1037,25 +1037,6 @@ class TestJointMinmax:
                 ceiling = cfg.symbol_budget - (total_floor - floor)
                 assert floor <= m <= ceiling
 
-    def test_never_below_power_minmax_on_equal_split(self):
-        # the joint optimum includes the equal split whenever that split
-        # is feasible, for every n, also beyond the brute force's n <= 3
-        rng = np.random.default_rng(517)
-        for m_total in (200, 1000):
-            cfg = SystemConfig(symbol_budget=m_total)
-            for n in range(1, 11):
-                for _ in range(3):
-                    scenario = sample_scenario(
-                        cfg, n, seed=int(rng.integers(0, 2**63))
-                    )
-                    try:
-                        equal = equal_allocation_energy(scenario).allocation
-                        fixed = solve_power_minmax_fixed_m(scenario, equal.blocklengths)
-                    except InfeasibleError:
-                        continue
-                    joint = solve_joint_minmax(scenario)
-                    assert joint.worst_margin.g >= fixed.worst_margin.g - 1e-9
-
     def test_matches_reference_bisection(self):
         feasible = 0
         for scenario in _joint_minmax_sweep():

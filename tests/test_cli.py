@@ -1,15 +1,17 @@
 """CLI tests: config parsing, exit codes, file outputs, determinism."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
-from elid_urllc import cli, experiments
+from elid_urllc import cli, experiments, oracles
 from elid_urllc.allocators import symbol_sharing
 from elid_urllc.channel_model import SystemConfig
 from elid_urllc.cli import build_parser, main
 from elid_urllc.exceptions import ConfigError
 from elid_urllc.experiments import SweepSpec, cell_seed, run_sweep
+from elid_urllc.fbl_core import ReliabilityMargin
 
 
 def read_report(path):
@@ -182,9 +184,17 @@ class TestExitCodes:
         assert main(["figure", "9"]) == 1
         assert main(["not-a-command"]) == 1
         assert main([]) == 1
-        assert main(["solve", "--seed", "-1"]) == 1
-        assert main(["solve", "--seed", str(2**64)]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["solve", "oracle-check"])
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["-1", "2**64"])
+    def test_seed_out_of_range_is_one_with_the_seed_rule(
+        self, command, seed, tmp_path, capsys
+    ):
+        # both commands leave the seed to channel_model's one seed rule
+        assert main([command, "--seed", str(seed), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"seed must be an integer in [0, 2^64), got {seed}" in err
 
     def test_config_errors_are_one(self, tmp_path, capsys):
         assert main(["solve", "--set", "bogus=1", "--out", str(tmp_path / "r")]) == 1
@@ -431,6 +441,22 @@ class TestSweepCommand:
         capsys.readouterr()
 
 
+# sha256 of `oracle-check` stdout at its defaults, and of stdout plus the
+# dump files when the named suites are forced to fail
+DEFAULT_STDOUT_SHA256 = "308376259680ad930fa289d44859e7a0a729a6f99f26260fea9adb1b6547e80d"
+FORCED_FAILURE_SHA256 = {
+    ("energy",): "60dfa38b15d779c92c0e10503f18466dfa13aa700aa73e20fc7e96d0d32892d6",
+    ("minmax",): "f2087cb4c01173f3ee71062ba72ea87b907a8f22a8decac7ae6ae9746c8d7eae",
+    ("energy", "minmax"): "415f66e8efef4db9289e3e605004b40ced6df69de927436a341cff242df95603",
+}
+
+
+def _costlier_sharing(scenario):
+    # symbol_sharing's answer, reported 1% costlier: fails the energy suite
+    report = symbol_sharing(scenario)
+    return dataclasses.replace(report, total_energy=report.total_energy * 1.01)
+
+
 class TestOracleCheckCommand:
     def test_small_run_passes(self, capsys):
         assert main(["oracle-check", "--instances", "6", "--n-values", "1,2",
@@ -444,6 +470,7 @@ class TestOracleCheckCommand:
         out = capsys.readouterr().out
         assert "energy oracle: 100/100 passed" in out
         assert "minmax oracle: 100/100 passed" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == DEFAULT_STDOUT_SHA256
 
     def test_default_instance_count(self):
         args = build_parser().parse_args(["oracle-check"])
@@ -456,11 +483,7 @@ class TestOracleCheckCommand:
         capsys.readouterr()
 
     def test_force_fail_dumps_and_exits_one(self, tmp_path, monkeypatch, capsys):
-        def costlier_sharing(scenario):
-            report = symbol_sharing(scenario)
-            return dataclasses.replace(report, total_energy=report.total_energy * 1.01)
-
-        monkeypatch.setattr(experiments, "symbol_sharing", costlier_sharing)
+        monkeypatch.setattr(experiments, "symbol_sharing", _costlier_sharing)
         dump_dir = tmp_path / "dumps"
         code = main(
             ["oracle-check", "--instances", "2", "--n-values", "1",
@@ -470,6 +493,34 @@ class TestOracleCheckCommand:
         dump = (dump_dir / "failure_0.txt").read_text()
         assert "suite=energy" in dump
         capsys.readouterr()
+
+    @pytest.mark.parametrize("broken", sorted(FORCED_FAILURE_SHA256), ids="+".join)
+    def test_forced_failures_match_the_pinned_dumps(
+        self, broken, tmp_path, monkeypatch, capsys
+    ):
+        # each suite's draws, checks and failure records, in order, as
+        # stdout plus every dump file: the drill loop's whole contract
+        if "energy" in broken:
+            monkeypatch.setattr(experiments, "symbol_sharing", _costlier_sharing)
+        if "minmax" in broken:
+            real_oracle = oracles.brute_force_minmax
+
+            def higher_oracle(scenario):
+                report = real_oracle(scenario)
+                margins = tuple(
+                    ReliabilityMargin(m.g + 0.5, m.eps_log10) for m in report.margins
+                )
+                return dataclasses.replace(report, margins=margins)
+
+            monkeypatch.setattr(oracles, "brute_force_minmax", higher_oracle)
+        dump_dir = tmp_path / "dumps"
+        code = main(["oracle-check", "--instances", "20", "--seed", "29",
+                     "--out", str(dump_dir)])
+        assert code == 1
+        digest = hashlib.sha256(capsys.readouterr().out.encode())
+        for path in sorted(dump_dir.iterdir()):
+            digest.update(f"\n{path.name}\n".encode() + path.read_bytes())
+        assert digest.hexdigest() == FORCED_FAILURE_SHA256[broken]
 
     def test_config_flags_rejected(self, tmp_path, capsys):
         # the self-check runs at its own built-in configs, so config

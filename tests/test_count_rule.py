@@ -52,6 +52,7 @@ CALLS = [
     ("SweepSpec", "n_vehicles", 3, lambda c: _sweep(n_vehicles=c)),
     ("SweepSpec", "values", 200, lambda c: _sweep(budget=c)),
     ("sample_scenario", "n_vehicles", 3, lambda c: sample_scenario(SystemConfig(), c, 7)),
+    ("stream_words", "n_vehicles", 3, lambda c: stream_words([7, 2**40], c).tolist()),
 ]
 ENTRY_POINTS = [
     pytest.param(count, valid, call, id=f"{entry}-{count}")
