@@ -34,8 +34,10 @@ from the least-energy split at the target margin q_inverse(target_eps),
 whose tables symbol_sharing caches. The fixed-m variant is one such
 Newton margin solve at its fixed blocklengths. The fixed-power variant
 grants each spare symbol to the worst link; margins rise strictly with
-blocklength, so that greedy is one stable sort of the margin matrix, the
-same merge the primitive makes of its savings.
+blocklength, so that greedy takes the smallest entries of the margin
+matrix, as the primitive takes the largest of its savings: both grants
+are one selection (np.partition, _counts_at_most), ties in row-major
+order.
 
 Every solver reads its targets from the scenario's config: the energy
 solvers meet margin q_inverse(target_eps), and the fixed-power solver
@@ -313,6 +315,25 @@ def _check_floor_sum(floors: list[int], m_total: int) -> None:
 _split_tables = functools.lru_cache(maxsize=16)(_build_split_tables)
 
 
+def _counts_at_most(matrix: np.ndarray, t, k: int) -> np.ndarray:
+    """Per row of matrix, how many of its k smallest entries it holds,
+    where t is the k-th smallest entry (np.partition(matrix, k - 1,
+    axis=None)[k - 1]) and ties go in row-major order: bit for bit
+    np.bincount(matrix.argsort(axis=None, kind="stable")[:k] // width),
+    whatever the order within rows. Every entry below t counts; when the
+    entries equal to t overshoot k, the surplus comes off the last rows
+    first.
+    """
+    counts = (matrix <= t).sum(axis=1)
+    surplus = int(counts.sum()) - k
+    if surplus > 0:
+        ties = (matrix == t).sum(axis=1)
+        # ties in the rows after each row, then what that row gives back
+        later = ties[::-1].cumsum()[::-1] - ties
+        counts -= np.clip(surplus - later, 0, ties)
+    return counts
+
+
 class _SplitSetup:
     """The least-energy split of one solve: blocklengths m >= floors with
     sum(m) <= M that minimize sum(table[m_i - 1] / gains[i]), for tables
@@ -324,11 +345,12 @@ class _SplitSetup:
     each vehicle's savings only fall as it gains symbols and the greedy
     is exact; past m_star no saving is positive. Granting one symbol at a
     time to the largest saving takes the same steps as taking the
-    largest spare entries of the savings at once, which is one stable
-    sort, ties to the lowest id and then the lowest m. A vehicle takes
-    at most w = min(spare, m_star - 1) symbols, so only its window
-    steps[f_i - 1 : f_i - 1 + w] is sorted; no window passes index M - 2,
-    because spare <= M - sum(floors).
+    largest spare entries of the savings at once, which is one selection
+    (np.partition, _counts_at_most), ties in row-major order: to the
+    lowest id and then the lowest m. A vehicle takes at most
+    w = min(spare, m_star - 1) symbols, so only its window
+    steps[f_i - 1 : f_i - 1 + w] is selected from; no window passes index
+    M - 2, because spare <= M - sum(floors).
 
     What does not depend on the margin is built once per solve: the
     floors, the spare symbols, the column of negated gains and the
@@ -360,14 +382,18 @@ class _SplitSetup:
             index = self.index = self.floors[:, None] + np.arange(-1, width - 1)
         elif width < index.shape[1]:
             index = index[:, :width]
-        # -(steps / h) bit for bit; the stable sort puts the largest
-        # savings first, every positive one ahead of the rest, and only
-        # the positive ones are granted
+        # -(steps / h) bit for bit. Only positive savings are granted:
+        # when the spare-th largest saving is positive (its negation t
+        # < 0), exactly spare of them are, one selection of the smallest
+        # neg_savings, ties in row-major order; otherwise every positive
+        # one is
         neg_savings = steps[index] / self.neg_gains
-        order = neg_savings.argsort(axis=None, kind="stable")
-        positive = np.count_nonzero(neg_savings < 0.0)
-        granted = order[: min(self.spare, positive)] // width
-        return self.floors + np.bincount(granted, minlength=self.floors.size)
+        spare = self.spare
+        if spare < neg_savings.size:
+            t = np.partition(neg_savings, spare - 1, axis=None)[spare - 1]
+            if t < 0.0:
+                return self.floors + _counts_at_most(neg_savings, t, spare)
+        return self.floors + (neg_savings < 0.0).sum(axis=1)
 
 
 def symbol_sharing(scenario: Scenario) -> SolveReport:
@@ -468,8 +494,9 @@ def solve_symbols_minmax_fixed_p(scenario: Scenario) -> SolveReport:
     vehicle's margin depends only on its own blocklength, so the greedy
     is max-min optimal. Each row of the n x (M - n + 1) margin matrix
     strictly increases, so the greedy takes its entries in merged
-    ascending order: the first M - n entries of one stable sort are the
-    grants. Raises InfeasibleError when that power across all M symbols
+    ascending order: its M - n grants are the M - n smallest entries,
+    one selection (np.partition, _counts_at_most), ties in row-major
+    order. Raises InfeasibleError when that power across all M symbols
     costs more than the energy budget.
     """
     cfg = scenario.config
@@ -485,10 +512,13 @@ def solve_symbols_minmax_fixed_p(scenario: Scenario) -> SolveReport:
             f"{cfg.energy_budget:.6g} J"
         )
     grants = m_total - n
-    snrs = [p_common * link.norm_gain for link in scenario.links]
-    flat = _margin_matrix(snrs, cfg.payload_bits, m_total, grants + 1).ravel()
-    granted = flat.argsort(kind="stable")[:grants] // (grants + 1)
-    m_vec = (1 + np.bincount(granted, minlength=n)).tolist()
+    if grants:
+        snrs = [p_common * link.norm_gain for link in scenario.links]
+        margins = _margin_matrix(snrs, cfg.payload_bits, m_total, grants + 1)
+        t = np.partition(margins, grants - 1, axis=None)[grants - 1]
+        m_vec = (1 + _counts_at_most(margins, t, grants)).tolist()
+    else:
+        m_vec = [1] * n
     powers = [p_common] * n
     return _build_report(
         scenario,

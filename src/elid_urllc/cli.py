@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import sys
 import typing
 
@@ -191,6 +192,21 @@ def cmd_figure(args) -> int:
     return _write_sweep(spec, out)
 
 
+_FAILURE_DUMP = re.compile(r"failure_\d+\.txt")
+
+
+def _clear_failure_dumps(out_dir: str) -> None:
+    """Delete the failure_<k>.txt files an earlier run left in out_dir,
+    and nothing else, so the directory holds only this run's failures."""
+    try:
+        names = os.listdir(out_dir)
+    except FileNotFoundError:
+        return
+    for name in names:
+        if _FAILURE_DUMP.fullmatch(name):
+            os.remove(os.path.join(out_dir, name))
+
+
 def _dump_failures(failures, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     for k, failure in enumerate(failures):
@@ -212,6 +228,7 @@ def cmd_oracle_check(args) -> int:
         if not 1 <= n <= 3:
             raise ConfigError(f"--n-values entries must be in 1..3, got {n}")
     rng = np.random.default_rng(_check_seed(args.seed))
+    _clear_failure_dumps(args.out)
 
     # each suite body drills one instance and returns whether it passed
     # plus the fields a failure dump records after the common ones

@@ -467,6 +467,125 @@ class TestLeastEnergySplitTables:
             neg_c0[0] = 0.0
 
 
+# Fixed, seed-free example sets, as _MONOTONE_RELATION below
+_KERNEL_EXAMPLES = settings(
+    derandomize=True, max_examples=200, deadline=None, database=None
+)
+# small integers tie often, across rows too; +-0.0 compare equal, and
+# the infinities sit at either end
+_tied_entries = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([0.0, -0.0, -math.inf, math.inf]),
+)
+
+
+@st.composite
+def _tied_matrices(draw):
+    n = draw(st.integers(1, 10))
+    width = draw(st.integers(1, 12))
+    entries = draw(st.lists(_tied_entries, min_size=n * width, max_size=n * width))
+    return np.array(entries).reshape(n, width)
+
+
+def _stable_sort_counts(matrix, k):
+    """How many of the first k entries of one stable sort each row holds."""
+    n, width = matrix.shape
+    order = matrix.argsort(axis=None, kind="stable")[:k]
+    return np.bincount(order // width, minlength=n)
+
+
+def _stable_sort_step(setup, steps, m_star):
+    """_SplitSetup.step's split by its former rule: one stable sort of the
+    negated savings, granting order[:min(spare, positive)]."""
+    width = min(setup.spare, m_star - 1)
+    if width <= 0:
+        return setup.floors.tolist()
+    index = setup.floors[:, None] + np.arange(-1, width - 1)
+    neg_savings = steps[index] / setup.neg_gains
+    order = neg_savings.argsort(axis=None, kind="stable")
+    positive = np.count_nonzero(neg_savings < 0.0)
+    granted = order[: min(setup.spare, positive)] // width
+    return (setup.floors + np.bincount(granted, minlength=setup.floors.size)).tolist()
+
+
+class TestCountsAtMost:
+    """allocators._counts_at_most, the one selection behind every grant,
+    against the stable sort it replaced. The solvers' rows are monotone
+    and rarely tie across rows; these matrices are neither, so the tie
+    branch is covered here."""
+
+    @_KERNEL_EXAMPLES
+    @given(_tied_matrices())
+    def test_matches_the_stable_sort_at_every_k(self, matrix):
+        for k in range(1, matrix.size + 1):
+            t = np.partition(matrix, k - 1, axis=None)[k - 1]
+            got = allocators._counts_at_most(matrix, t, k)
+            assert got.tolist() == _stable_sort_counts(matrix, k).tolist(), (matrix, k)
+
+    @pytest.mark.parametrize(
+        "matrix, k, expected",
+        [
+            ([[1.0, 1.0], [1.0, 1.0]], 3, [2, 1]),
+            ([[2.0, 1.0], [1.0, 0.0], [1.0, 5.0]], 3, [1, 2, 0]),
+            ([[0.0, 7.0], [-0.0, -0.0]], 2, [1, 1]),
+            ([[-math.inf, 3.0], [-math.inf, -math.inf]], 2, [1, 1]),
+        ],
+    )
+    def test_ties_go_in_row_major_order(self, matrix, k, expected):
+        matrix = np.array(matrix)
+        t = np.partition(matrix, k - 1, axis=None)[k - 1]
+        assert allocators._counts_at_most(matrix, t, k).tolist() == expected
+        assert _stable_sort_counts(matrix, k).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "m_total, m_star, steps, case",
+        [
+            # 4 spare, 2 x 4 window: two positive savings, so the 4th
+            # smallest negated saving is 1.0
+            (6, 6, [2.0, -1.0, -1.0, -1.0, -1.0], "t >= 0"),
+            # the same with zero savings: their negation is -0.0
+            (6, 6, [2.0, 0.0, 0.0, 0.0, 0.0], "t = -0.0"),
+            # 8 spare, 2 x 2 window
+            (10, 3, [3.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], "spare >= N"),
+            # 4 spare, every saving positive: the selection grants
+            (6, 6, [5.0, 4.0, 3.0, 2.0, 1.0], "t < 0"),
+        ],
+    )
+    def test_step_sign_rule(self, m_total, m_star, steps, case):
+        setup = allocators._SplitSetup([1.0, 1.0], [1, 1], m_total)
+        steps = np.array(steps)
+        width = min(setup.spare, m_star - 1)
+        neg_savings = steps[setup.floors[:, None] + np.arange(-1, width - 1)] / setup.neg_gains
+        if case == "spare >= N":
+            assert setup.spare >= neg_savings.size
+        else:
+            t = np.partition(neg_savings, setup.spare - 1, axis=None)[setup.spare - 1]
+            assert {
+                "t >= 0": t >= 0.0 and math.copysign(1.0, t) > 0.0,
+                "t = -0.0": t == 0.0 and math.copysign(1.0, t) < 0.0,
+                "t < 0": t < 0.0,
+            }[case]
+        got = setup.step((None, steps, m_star)).tolist()
+        assert got == _stable_sort_step(setup, steps, m_star)
+
+    @_KERNEL_EXAMPLES
+    @given(st.integers(1, 10), st.integers(0, 30), st.data())
+    def test_step_matches_the_stable_sort(self, n, spare, data):
+        # tied savings of either sign, zeros of either sign and infinite
+        # ones, over floors that leave at least `spare` symbols spare
+        m_total = n + spare + data.draw(st.integers(0, 10))
+        floors = np.full(n, 1)
+        raised = st.lists(st.integers(0, n - 1), max_size=m_total - n - spare)
+        np.add.at(floors, data.draw(raised), 1)
+        m_star = data.draw(st.integers(1, m_total))
+        entries = st.lists(_tied_entries, min_size=m_total - 1, max_size=m_total - 1)
+        steps = np.array(data.draw(entries))
+        gains = data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=n, max_size=n))
+        setup = allocators._SplitSetup(gains, floors.tolist(), m_total)
+        got = setup.step((None, steps, m_star)).tolist()
+        assert got == _stable_sort_step(setup, steps, m_star)
+
+
 class TestEqualAllocation:
     def test_remainder_rule(self):
         scenario = make_scenario([1.0] * 4, symbol_budget=200)
@@ -940,7 +1059,7 @@ class TestSymbolsMinmaxFixedP:
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     def test_matches_reference_greedy(self):
-        # the solver takes the greedy's grants from one sort of the margin
+        # the solver takes the greedy's grants from one selection of the margin
         # matrix, which is exact only while every row strictly increases
         rng = np.random.default_rng(2_024)
         for n in range(1, 11):

@@ -522,6 +522,38 @@ class TestOracleCheckCommand:
             digest.update(f"\n{path.name}\n".encode() + path.read_bytes())
         assert digest.hexdigest() == FORCED_FAILURE_SHA256[broken]
 
+    def test_each_run_leaves_only_its_own_dumps(self, tmp_path, monkeypatch, capsys):
+        dump_dir = tmp_path / "dumps"
+        argv = ["oracle-check", "--instances", "20", "--seed", "29", "--out", str(dump_dir)]
+        # a clean run makes no dump directory
+        assert main(argv) == 0
+        assert not dump_dir.exists()
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "symbol_sharing", _costlier_sharing)
+            assert main(argv) == 1
+        assert sorted(p.name for p in dump_dir.iterdir()) == [
+            f"failure_{k}.txt" for k in range(10)
+        ]
+        # other files in the directory are not the command's to delete
+        (dump_dir / "notes.txt").write_text("kept\n")
+        (dump_dir / "failure_x.txt").write_text("kept\n")
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith("0 failure(s)\n")
+        assert sorted(p.name for p in dump_dir.iterdir()) == ["failure_x.txt", "notes.txt"]
+
+        # ten failures, then a run with two: only its two remain
+        small = ["oracle-check", "--instances", "4", "--n-values", "1", "--seed", "3",
+                 "--out", str(dump_dir)]
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "symbol_sharing", _costlier_sharing)
+            assert main(argv) == 1
+            assert main(small) == 1
+        assert sorted(p.name for p in dump_dir.iterdir()) == [
+            "failure_0.txt", "failure_1.txt", "failure_x.txt", "notes.txt"
+        ]
+        assert "suite=energy" in (dump_dir / "failure_1.txt").read_text()
+        capsys.readouterr()
+
     def test_config_flags_rejected(self, tmp_path, capsys):
         # the self-check runs at its own built-in configs, so config
         # flags are refused instead of silently ignored

@@ -110,3 +110,26 @@ def test_fixed_power_answer_ends_its_trajectory():
     for blocklengths, worst_g, reference_m, trajectory in _fixed_power_answers():
         assert blocklengths == reference_m
         assert worst_g.hex() == trajectory[-1][1].hex()
+
+
+LARGE_BUDGET_ANSWERS_SHA256 = "4985bc6768747c71b522ccc81045f2b681cb1b4f8acc85070131b18d0dc40ee9"
+
+
+def large_budget_answers_digest() -> str:
+    """The answers of the three solvers that grant spare symbols, in the
+    format of _answer, at M in {10^4, 10^5} for n = 1..10 (seed n - 1).
+    The fixed-power margin matrix is up to 10^5 columns wide there, and
+    the joint split's windows thousands, far past the M <= 5000 of the
+    hashes above."""
+    digest = hashlib.sha256()
+    for m_total in (10_000, 100_000):
+        config = SystemConfig(symbol_budget=m_total)
+        for i in range(10):
+            scenario = sample_scenario(config, i + 1, seed=i)
+            for solver in ("symbol_sharing", "joint_minmax", "symbols_minmax_fixed_p"):
+                digest.update(_answer(solver, scenario).encode("utf-8") + b"\n")
+    return digest.hexdigest()
+
+
+def test_large_budget_answers_hash():
+    assert large_budget_answers_digest() == LARGE_BUDGET_ANSWERS_SHA256
