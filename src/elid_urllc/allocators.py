@@ -36,8 +36,9 @@ Newton margin solve at its fixed blocklengths. The fixed-power variant
 grants each spare symbol to the worst link; margins rise strictly with
 blocklength, so that greedy takes the smallest entries of the margin
 matrix, as the primitive takes the largest of its savings: both grants
-are one selection (np.partition, _counts_at_most), ties in row-major
-order.
+are one selection, ties in row-major order. It partitions one flat copy
+of the matrix in place for the k-th smallest entry t (_kth_smallest),
+then counts each row's entries up to t (_counts_at_most).
 
 Every solver reads its targets from the scenario's config: the energy
 solvers meet margin q_inverse(target_eps), and the fixed-power solver
@@ -311,23 +312,39 @@ def _check_floor_sum(floors: list[int], m_total: int) -> None:
 # configuration, and the joint solver starts from those same tables at the
 # target margin, so both add one entry per configuration. The joint
 # solver's later per-round g never repeats, so those rounds call
-# _build_split_tables directly and evict nothing here.
-_split_tables = functools.lru_cache(maxsize=16)(_build_split_tables)
+# _build_split_tables directly and evict nothing here. The cached arrays
+# are shared by every caller, so they are made read-only.
+@functools.lru_cache(maxsize=16)
+def _split_tables(payload_bits: int, g_target: float, m_total: int):
+    tables = _build_split_tables(payload_bits, g_target, m_total)
+    tables[0].flags.writeable = tables[1].flags.writeable = False
+    return tables
+
+
+def _kth_smallest(matrix: np.ndarray, k: int):
+    """The k-th smallest entry of matrix: np.partition(matrix, k - 1,
+    axis=None)[k - 1], by partitioning one flat copy in place, the copy
+    that wrapper makes anyway."""
+    flat = matrix.ravel().copy()
+    flat.partition(k - 1)
+    return flat[k - 1]
 
 
 def _counts_at_most(matrix: np.ndarray, t, k: int) -> np.ndarray:
     """Per row of matrix, how many of its k smallest entries it holds,
     where t is the k-th smallest entry (np.partition(matrix, k - 1,
-    axis=None)[k - 1]) and ties go in row-major order: bit for bit
+    axis=None)[k - 1], which _kth_smallest takes from one flat copy
+    partitioned in place) and ties go in row-major order: bit for bit
     np.bincount(matrix.argsort(axis=None, kind="stable")[:k] // width),
     whatever the order within rows. Every entry below t counts; when the
     entries equal to t overshoot k, the surplus comes off the last rows
-    first.
+    first. Rows are counted by np.add.reduce of the mask, which is what
+    .sum(axis=1) reaches through two more Python frames.
     """
-    counts = (matrix <= t).sum(axis=1)
-    surplus = int(counts.sum()) - k
+    counts = np.add.reduce(matrix <= t, axis=1)
+    surplus = sum(counts.tolist()) - k
     if surplus > 0:
-        ties = (matrix == t).sum(axis=1)
+        ties = np.add.reduce(matrix == t, axis=1)
         # ties in the rows after each row, then what that row gives back
         later = ties[::-1].cumsum()[::-1] - ties
         counts -= np.clip(surplus - later, 0, ties)
@@ -346,14 +363,16 @@ class _SplitSetup:
     is exact; past m_star no saving is positive. Granting one symbol at a
     time to the largest saving takes the same steps as taking the
     largest spare entries of the savings at once, which is one selection
-    (np.partition, _counts_at_most), ties in row-major order: to the
-    lowest id and then the lowest m. A vehicle takes at most
+    (a partition of one flat copy in place, _kth_smallest, then
+    _counts_at_most), ties in row-major order: to the lowest id and then
+    the lowest m. A vehicle takes at most
     w = min(spare, m_star - 1) symbols, so only its window
     steps[f_i - 1 : f_i - 1 + w] is selected from; no window passes index
     M - 2, because spare <= M - sum(floors).
 
     What does not depend on the margin is built once per solve: the
-    floors, the spare symbols, the column of negated gains and the
+    floors, the spare symbols, the column of negated gains, whether any
+    gain is below 1 (only then can the savings' divide overflow) and the
     window index. step(tables) splits at one table; the index grows
     only when a table needs a wider window than any before it (m_star
     mostly grows with g), and a narrower one reads its leading columns.
@@ -361,13 +380,16 @@ class _SplitSetup:
     once and steps every round.
     """
 
-    __slots__ = ("gains", "floors", "spare", "neg_gains", "index")
+    __slots__ = ("gains", "floors", "spare", "neg_gains", "small_gain", "index")
 
     def __init__(self, gains, floors, m_total: int) -> None:
         self.gains = np.asarray(gains, dtype=float)
         self.floors = np.asarray(floors)
         self.spare = m_total - sum(floors)
         self.neg_gains = -self.gains[:, None]
+        # finite steps lie in [-DBL_MAX, DBL_MAX] and inf divides exactly,
+        # so only a gain below 1 can overflow the savings' divide
+        self.small_gain = min(gains) < 1.0
         self.index = None
 
     def step(self, tables) -> np.ndarray:
@@ -382,18 +404,26 @@ class _SplitSetup:
             index = self.index = self.floors[:, None] + np.arange(-1, width - 1)
         elif width < index.shape[1]:
             index = index[:, :width]
-        # -(steps / h) bit for bit. Only positive savings are granted:
-        # when the spare-th largest saving is positive (its negation t
-        # < 0), exactly spare of them are, one selection of the smallest
-        # neg_savings, ties in row-major order; otherwise every positive
-        # one is
-        neg_savings = steps[index] / self.neg_gains
+        # -(steps / h) bit for bit. A finite step over a gain below 1 can
+        # pass DBL_MAX; its saving then reads +-inf, which ranks against
+        # every finite saving as the true one does, and a saving of -inf
+        # is never granted. Entering np.errstate costs about 3 us a step,
+        # 6% of a joint solve at M=200, so it is entered only then
+        if self.small_gain:
+            with np.errstate(over="ignore"):
+                neg_savings = steps[index] / self.neg_gains
+        else:
+            neg_savings = steps[index] / self.neg_gains
+        # Only positive savings are granted: when the spare-th largest
+        # saving is positive (its negation t < 0), exactly spare of them
+        # are, one selection of the smallest neg_savings, ties in
+        # row-major order; otherwise every positive one is
         spare = self.spare
         if spare < neg_savings.size:
-            t = np.partition(neg_savings, spare - 1, axis=None)[spare - 1]
+            t = _kth_smallest(neg_savings, spare)
             if t < 0.0:
                 return self.floors + _counts_at_most(neg_savings, t, spare)
-        return self.floors + (neg_savings < 0.0).sum(axis=1)
+        return self.floors + np.add.reduce(neg_savings < 0.0, axis=1)
 
 
 def symbol_sharing(scenario: Scenario) -> SolveReport:
@@ -495,7 +525,7 @@ def solve_symbols_minmax_fixed_p(scenario: Scenario) -> SolveReport:
     is max-min optimal. Each row of the n x (M - n + 1) margin matrix
     strictly increases, so the greedy takes its entries in merged
     ascending order: its M - n grants are the M - n smallest entries,
-    one selection (np.partition, _counts_at_most), ties in row-major
+    one selection (_kth_smallest, _counts_at_most), ties in row-major
     order. Raises InfeasibleError when that power across all M symbols
     costs more than the energy budget.
     """
@@ -515,7 +545,7 @@ def solve_symbols_minmax_fixed_p(scenario: Scenario) -> SolveReport:
     if grants:
         snrs = [p_common * link.norm_gain for link in scenario.links]
         margins = _margin_matrix(snrs, cfg.payload_bits, m_total, grants + 1)
-        t = np.partition(margins, grants - 1, axis=None)[grants - 1]
+        t = _kth_smallest(margins, grants)
         m_vec = (1 + _counts_at_most(margins, t, grants)).tolist()
     else:
         m_vec = [1] * n

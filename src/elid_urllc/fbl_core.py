@@ -396,12 +396,15 @@ def _build_split_tables(
     payload_bits: int, g_target: float, m_total: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The gain-free tables of the least-energy split at margin g_target
-    over m_total symbols: (table, steps, m_star), arrays read-only.
+    over m_total symbols: (table, steps, m_star), fresh arrays. Only the
+    cached copies (allocators._split_tables) are made read-only; a joint
+    round's tables never leave its solve.
 
     table[m - 1] = c_g(m) is m * min_power_for_target at unit gain,
     clamped at zero and inf past exponent 709 like it; a vehicle's energy
     at blocklength m is table[m - 1] / norm_gain. It is built in place
-    from the cached axes (_table_axes) as ms * expm1(base + g / roots).
+    from the cached axes (_table_axes) as ms * expm1(g / roots + base),
+    the same bits as base + g / roots, since IEEE addition commutes.
     steps[k] = table[k] - table[k + 1] is the saving of symbol k + 2, and
     m_star is the first minimizer of table. inf - inf is taken as inf: a
     step that stays inside the overflow region must still be taken to
@@ -417,7 +420,8 @@ def _build_split_tables(
     guarded pass. Both give every entry the same arithmetic.
     """
     ms, base, roots = _table_axes(payload_bits, m_total)
-    table = base + g_target / roots
+    table = g_target / roots
+    table += base
     if max(table[0], table[-1]) + math.log(m_total) < _EXP_OVERFLOW:
         steps = _costs_in_place(table, ms)
     else:
@@ -427,7 +431,6 @@ def _build_split_tables(
             np.fmin(steps, np.inf, out=steps)  # the nan of inf - inf reads inf
     first = int(table.argmin())
     m_star = first + 1 if math.isfinite(table[first]) else m_total
-    table.flags.writeable = steps.flags.writeable = False
     return table, steps, m_star
 
 
