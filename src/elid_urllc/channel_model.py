@@ -125,6 +125,25 @@ class SystemConfig:
             raise ValueError(f"mount_height must be > 0, got {self.mount_height!r}")
         if not math.isfinite(self.rician_k_db):
             raise ValueError(f"rician_k_db must be finite, got {self.rician_k_db!r}")
+        # what sample_scenario derives from them: a noise power that is
+        # positive and finite (it divides every gain), and a K factor
+        try:
+            sigma2 = noise_power(self.noise_psd_dbm_hz, self.bandwidth)
+        except OverflowError:
+            sigma2 = math.inf
+        if not 0.0 < sigma2 < math.inf:
+            raise ValueError(
+                f"noise_psd_dbm_hz and bandwidth must give a positive, finite "
+                f"noise power, got {sigma2!r} W from {self.noise_psd_dbm_hz!r} "
+                f"dBm/Hz over {self.bandwidth!r} Hz"
+            )
+        try:
+            _rician_amplitudes(self.rician_k_db)
+        except OverflowError:
+            raise ValueError(
+                f"rician_k_db must give a finite K factor 10^(k_db/10), "
+                f"got {self.rician_k_db!r}"
+            ) from None
         if self.common_power is not None and not (
             math.isfinite(self.common_power) and self.common_power > 0.0
         ):
@@ -182,6 +201,19 @@ class Scenario:
     @property
     def n_vehicles(self) -> int:
         return len(self.links)
+
+
+# sample_scenario fills each link's and the scenario's slots through
+# their descriptors, as the frozen __init__ does, once its own checks
+# have covered what __post_init__ would check
+_set_vehicle_id = VehicleLink.vehicle_id.__set__
+_set_distance = VehicleLink.distance.__set__
+_set_fading_power_gain = VehicleLink.fading_power_gain.__set__
+_set_norm_gain = VehicleLink.norm_gain.__set__
+_set_config = Scenario.config.__set__
+_set_links = Scenario.links.__set__
+_set_seed = Scenario.seed.__set__
+_new = object.__new__
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) with its
@@ -312,6 +344,14 @@ def sample_scenario(
     of its scatter, one standard_normal(2) call. The order is part of
     the seeding contract. n_vehicles follows the count rule
     (_check_index) and is at most config.max_vehicles.
+
+    Past its generator and those two draws, a link costs its scalar
+    arithmetic: the distance (hypot), the path loss (path_loss_db), then
+    10 ** (-loss / 10) * fading / sigma2. Records are filled through
+    their slot descriptors, not built by their constructors: a link
+    whose fields pass VehicleLink's chained test, and the scenario,
+    whose n and dense ids hold by construction. A link that fails the
+    test is built by VehicleLink(...), whose check names the field.
     """
     n_vehicles = _check_index("n_vehicles", n_vehicles)
     if n_vehicles > config.max_vehicles:
@@ -343,8 +383,24 @@ def sample_scenario(
         re, im = rng.standard_normal(2).tolist()
         fading = _fading_gain(los, scatter, re, im)
         norm_gain = 10.0 ** (-path_loss_db(distance) / 10.0) * fading / sigma2
-        # positional, in field order: the slotted frozen dataclass then
-        # takes about 1 us to build, against about 1.5 us by keyword
-        # (timeit on a 2-core VM)
-        links.append(VehicleLink(vehicle_id, distance, fading, norm_gain))
-    return Scenario(config, tuple(links), seed)
+        # VehicleLink's chained test; its constructor names a failing field
+        if not (
+            0.0 < distance < math.inf
+            and 0.0 < fading < math.inf
+            and 0.0 < norm_gain < math.inf
+        ):
+            links.append(VehicleLink(vehicle_id, distance, fading, norm_gain))
+            continue
+        link = _new(VehicleLink)
+        _set_vehicle_id(link, vehicle_id)
+        _set_distance(link, distance)
+        _set_fading_power_gain(link, fading)
+        _set_norm_gain(link, norm_gain)
+        links.append(link)
+    # n_vehicles was checked against max_vehicles above and the ids are
+    # 0..n-1, which is all Scenario.__post_init__ checks
+    scenario = _new(Scenario)
+    _set_config(scenario, config)
+    _set_links(scenario, tuple(links))
+    _set_seed(scenario, seed)
+    return scenario

@@ -79,8 +79,10 @@ def _read_config_file(path: str) -> dict:
 
 def _load_config(args) -> SystemConfig:
     """Config precedence: built-in defaults < file < --set overrides. Each
-    SystemConfig check reads one field, so each given key is checked on
-    its own, and a value out of range is reported with where it was set."""
+    given key is checked on its own, over the defaults, so a value out of
+    range is reported with where it was set. The noise power reads two
+    fields (noise_psd_dbm_hz and bandwidth); a pair that is in range
+    alone but not together fails when the whole config is built."""
     fields: dict = {}
     if args.config is not None:
         fields.update(_read_config_file(args.config))

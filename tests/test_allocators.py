@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elid_urllc import allocators, fbl_core, oracles
@@ -1940,3 +1940,62 @@ class TestSolverAllocationsPassThePublicChecks:
         assert min(answered.values()) >= 100, answered
         assert zero_powers > 0
 
+
+# SystemConfig's validated range, as wide as every solve stays in floats:
+# payloads and budgets up to 2e4 symbols (one margin matrix row per
+# vehicle is M entries), energy budgets over 24 decades, error targets
+# down to the smallest subnormal, and geometry, noise and K factors far
+# from the figures' configs
+_ACCEPTED_CONFIGS = st.builds(
+    SystemConfig,
+    payload_bits=st.integers(1, 20_000),
+    symbol_budget=st.integers(1, 20_000),
+    energy_budget=st.floats(-12.0, 12.0).map(lambda x: 10.0**x),
+    target_eps=st.floats(-323.3, -0.01).map(lambda x: max(10.0**x, 5e-324)),
+    bandwidth=st.floats(0.0, 10.0).map(lambda x: 10.0**x),
+    noise_psd_dbm_hz=st.floats(-220.0, -120.0),
+    road_length=st.floats(-1.0, 4.0).map(lambda x: 10.0**x),
+    mount_height=st.floats(-1.0, 3.0).map(lambda x: 10.0**x),
+    rician_k_db=st.floats(-60.0, 60.0),
+    common_power=st.none() | st.floats(-9.0, 3.0).map(lambda x: 10.0**x),
+)
+
+# energy-budgeted solvers; the energy solvers price a target margin with
+# no budget on the total
+_MINMAX_SOLVERS = ("joint_minmax", "power_minmax_fixed_m", "symbols_minmax_fixed_p")
+
+
+class TestAcceptedConfigSpace:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(_ACCEPTED_CONFIGS, st.integers(1, 10), st.integers(0, 2**64 - 1))
+    # a gain below 1, whose savings overflow the split's divide
+    @example(
+        SystemConfig(
+            payload_bits=5000, symbol_budget=100, road_length=8000.0, noise_psd_dbm_hz=-150.0
+        ),
+        10,
+        3,
+    )
+    def test_every_solver_answers_or_is_infeasible(self, config, n, seed):
+        # every draw samples, and every solve either gives an answer the
+        # public checks accept, within both budgets, or raises
+        # InfeasibleError; a warning anywhere is an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scenario = sample_scenario(config, n, seed)
+            for solver in SOLVER_NAMES:
+                try:
+                    report = run_solver(solver, scenario)
+                except InfeasibleError:
+                    continue
+                allocation = report.allocation
+                assert _reboxed(report) == allocation
+                assert math.isfinite(report.total_energy), solver
+                assert report.total_energy == math.fsum(
+                    map(operator.mul, allocation.powers, allocation.blocklengths)
+                ), solver
+                for margin in report.margins:
+                    assert math.isfinite(margin.g) and math.isfinite(margin.eps_log10)
+                assert sum(allocation.blocklengths) <= config.symbol_budget
+                if solver in _MINMAX_SOLVERS:
+                    assert report.total_energy <= config.energy_budget * (1.0 + 1e-9)

@@ -180,6 +180,42 @@ class TestSystemConfig:
             SystemConfig(**kwargs)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (
+                {"noise_psd_dbm_hz": -4000.0},
+                "noise_psd_dbm_hz and bandwidth must give a positive, finite noise "
+                "power, got 0.0 W from -4000.0 dBm/Hz over 1000000.0 Hz",
+            ),
+            (
+                {"noise_psd_dbm_hz": 4000.0},
+                "noise_psd_dbm_hz and bandwidth must give a positive, finite noise "
+                "power, got inf W from 4000.0 dBm/Hz over 1000000.0 Hz",
+            ),
+            (
+                # each in range alone, the pair's noise power underflows
+                {"noise_psd_dbm_hz": -210.0, "bandwidth": 1e-300},
+                "noise_psd_dbm_hz and bandwidth must give a positive, finite noise "
+                "power, got 0.0 W from -210.0 dBm/Hz over 1e-300 Hz",
+            ),
+            (
+                {"rician_k_db": 4000.0},
+                "rician_k_db must give a finite K factor 10^(k_db/10), got 4000.0",
+            ),
+        ],
+        ids=["noise_underflow", "noise_overflow", "pair_underflow", "k_overflow"],
+    )
+    def test_derived_values_sampling_cannot_use(self, kwargs, message):
+        # a noise power of 0 divided every gain by zero, and 10.0 ** x
+        # raised OverflowError, only once a scenario was drawn
+        with pytest.raises(ValueError) as raised:
+            SystemConfig(**kwargs)
+        assert str(raised.value) == message
+        if len(kwargs) > 1:
+            for key, value in kwargs.items():
+                SystemConfig(**{key: value})
+
     def test_numpy_integer_counts_pass(self):
         cfg = SystemConfig(
             payload_bits=np.int64(160), symbol_budget=np.int32(200), max_vehicles=np.uint8(3)
@@ -292,6 +328,23 @@ class TestSampleScenario:
             assert sample_scenario(cfg, n, seed) == want, (seed, n, cfg)
             words = stream_words([seed], n)[0]
             assert sample_scenario(cfg, n, seed, streams=words) == want
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"bandwidth": 1e-300}, "norm_gain must be positive, got inf"),
+            ({"road_length": 1e300}, "norm_gain must be positive, got 0.0"),
+        ],
+    )
+    @pytest.mark.parametrize("batched", [False, True], ids=["default_rng", "streams"])
+    def test_failing_link_is_named_on_both_paths(self, kwargs, message, batched):
+        # a link outside VehicleLink's check is rejected with the
+        # constructor's message, however its generator was seeded
+        cfg = SystemConfig(**kwargs)
+        streams = stream_words([21], 4)[0] if batched else None
+        with pytest.raises(ValueError) as raised:
+            sample_scenario(cfg, 4, 21, streams=streams)
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize(
         "field", ["distance", "fading_power_gain", "norm_gain"]

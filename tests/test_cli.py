@@ -205,6 +205,28 @@ class TestExitCodes:
         )
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, item, message",
+        [
+            ("solve", "noise_psd_dbm_hz=-4000", "noise_psd_dbm_hz and bandwidth must give"),
+            ("solve", "rician_k_db=4000", "rician_k_db must give a finite K factor"),
+            ("sweep", "noise_psd_dbm_hz=4000", "noise_psd_dbm_hz and bandwidth must give"),
+        ],
+    )
+    def test_configs_sampling_cannot_use_are_one(
+        self, command, item, message, tmp_path, capsys
+    ):
+        # rejected with the config, not by a ZeroDivisionError or
+        # OverflowError from the first scenario drawn
+        argv = [command, "--set", item, "--out", str(tmp_path / "o")]
+        if command == "sweep":
+            argv += ["--values", "1,2", "--seeds", "2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: --set {item!r}: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
