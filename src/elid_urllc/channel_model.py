@@ -45,13 +45,18 @@ def noise_power(psd_dbm_hz: float, bandwidth: float) -> float:
     """Thermal noise power in watts over the given bandwidth.
 
     psd_dbm_hz is the one-sided noise power spectral density in dBm/Hz.
+    Returns inf when the power overflows double precision, and 0.0 when
+    it underflows; SystemConfig rejects both.
     """
     if not (math.isfinite(bandwidth) and bandwidth > 0.0):
         raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
     if not math.isfinite(psd_dbm_hz):
         raise ValueError(f"psd_dbm_hz must be finite, got {psd_dbm_hz!r}")
     dbm = psd_dbm_hz + 10.0 * math.log10(bandwidth)
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 # standard deviation of each quadrature of CN(0, 1)
@@ -127,10 +132,7 @@ class SystemConfig:
             raise ValueError(f"rician_k_db must be finite, got {self.rician_k_db!r}")
         # what sample_scenario derives from them: a noise power that is
         # positive and finite (it divides every gain), and a K factor
-        try:
-            sigma2 = noise_power(self.noise_psd_dbm_hz, self.bandwidth)
-        except OverflowError:
-            sigma2 = math.inf
+        sigma2 = noise_power(self.noise_psd_dbm_hz, self.bandwidth)
         if not 0.0 < sigma2 < math.inf:
             raise ValueError(
                 f"noise_psd_dbm_hz and bandwidth must give a positive, finite "

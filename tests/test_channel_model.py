@@ -56,6 +56,12 @@ class TestNoisePower:
         with pytest.raises(ValueError):
             noise_power(-180.0, 0.0)
 
+    def test_out_of_range_powers_read_inf_and_zero(self):
+        # a float result, as min_power_for_target returns inf, rather
+        # than OverflowError from 10.0 ** x
+        assert noise_power(4000.0, 1e6) == math.inf
+        assert noise_power(-4000.0, 1e6) == 0.0
+
 
 class TestRicianFading:
     # sample_scenario's fading: _fading_gain over standard normal pairs,
