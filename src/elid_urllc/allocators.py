@@ -105,6 +105,9 @@ class Allocation:
                 raise ValueError(f"blocklengths must be integers >= 1, got {m!r}")
 
 
+_margin_g = operator.attrgetter("g")
+
+
 @dataclass(frozen=True, slots=True)
 class SolveReport:
     """Solver output: the allocation plus everything needed to audit it.
@@ -136,7 +139,7 @@ class SolveReport:
     @property
     def worst_margin(self) -> ReliabilityMargin:
         """The smallest per-vehicle margin, the first on ties."""
-        return min(self.margins, key=lambda margin: margin.g)
+        return min(self.margins, key=_margin_g)
 
 
 # _build_report fills a report's slots through their descriptors, as the

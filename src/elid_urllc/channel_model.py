@@ -13,6 +13,7 @@ noise_power(noise_psd_dbm_hz, bandwidth); neither is stored.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -313,21 +314,35 @@ def stream_words(seeds, n_vehicles: int) -> np.ndarray:
 
 
 class _Words(ISeedSequence):
-    """Hands a bit generator the four uint64 seed words that
-    stream_words computed for one substream, so numpy still does the
-    generator's own seeding from them. PCG64 asks for exactly those."""
+    """Hands successive bit generators the rows of a (k, 4) uint64 array
+    of seed words that stream_words computed, one row each, in order, so
+    numpy still does each generator's own seeding from them. PCG64 asks
+    for exactly one row. One object serves a whole sample_scenario call,
+    which builds one generator per row."""
 
-    __slots__ = ("words",)
+    __slots__ = ("rows",)
 
     def __init__(self, words: np.ndarray):
-        self.words = words
+        self.rows = iter(words)
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError(
                 f"holds 4 uint64 words, asked for {n_words} {np.dtype(dtype)}"
             )
-        return self.words
+        # not StopIteration, which a map over the generators would read
+        # as its own end
+        row = next(self.rows, None)
+        if row is None:
+            raise ValueError("every row of seed words is spent")
+        return row
+
+
+# the noise power and Rician amplitudes of the config sample_scenario
+# last drew for, keyed by its identity: they depend only on the frozen
+# config, a sweep draws all the cells of a swept value from one config
+# object, and hashing a config's 11 fields costs more than deriving them
+_derived = (None, 0.0, 0.0, 0.0)
 
 
 def sample_scenario(
@@ -353,7 +368,10 @@ def sample_scenario(
     their slot descriptors, not built by their constructors: a link
     whose fields pass VehicleLink's chained test, and the scenario,
     whose n and dense ids hold by construction. A link that fails the
-    test is built by VehicleLink(...), whose check names the field.
+    test is built by VehicleLink(...), whose check names the field. With
+    streams, one seed-word object (_Words) hands each link's PCG64 its
+    row. The noise power and the Rician amplitudes are derived once per
+    config object, not per call.
     """
     n_vehicles = _check_index("n_vehicles", n_vehicles)
     if n_vehicles > config.max_vehicles:
@@ -370,12 +388,22 @@ def sample_scenario(
                 f"streams must be a ({n_vehicles}, 4) uint64 array, got "
                 f"{words.shape} {words.dtype}"
             )
-        rngs = map(np.random.Generator, map(np.random.PCG64, map(_Words, words)))
-    sigma2 = noise_power(config.noise_psd_dbm_hz, config.bandwidth)
+        rngs = map(
+            np.random.Generator,
+            map(np.random.PCG64, itertools.repeat(_Words(words), n_vehicles)),
+        )
+    global _derived
+    derived = _derived
+    if derived[0] is not config:
+        derived = _derived = (
+            config,
+            noise_power(config.noise_psd_dbm_hz, config.bandwidth),
+            *_rician_amplitudes(config.rician_k_db),
+        )
+    _, sigma2, los, scatter = derived
     road_length = config.road_length
     midpoint = road_length / 2.0
     mount_height = config.mount_height
-    los, scatter = _rician_amplitudes(config.rician_k_db)
     links = []
     for vehicle_id, rng in enumerate(rngs):
         # uniform(0, L) is 0.0 + L * random(); the distance is from the

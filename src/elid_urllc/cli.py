@@ -355,7 +355,9 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+        # MemoryError: a request too large to allocate, such as a symbol
+        # budget whose tables would need exabytes
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,7 +26,7 @@ from .allocators import (
     solve_symbols_minmax_fixed_p,
     symbol_sharing,
 )
-from .channel_model import Scenario, SystemConfig
+from .channel_model import Scenario, SystemConfig, _set_config, _set_links, _set_seed
 from .exceptions import InfeasibleError
 from .fbl_core import _check_index
 
@@ -179,6 +179,18 @@ class SummaryRow:
     infeasible_count: int
 
 
+# run_sweep fills each row's slots through their descriptors, as the
+# frozen __init__ does, once its chained test has covered what
+# __post_init__ checks
+_set_sweep_name = ResultRow.sweep_name.__set__
+_set_swept_value = ResultRow.swept_value.__set__
+_set_seed_index = ResultRow.seed.__set__
+_set_metric_name = ResultRow.metric_name.__set__
+_set_metric_value = ResultRow.metric_value.__set__
+_set_units = ResultRow.units.__set__
+_new = object.__new__
+
+
 def cell_seed(sweep_name: str, swept_value: int, seed_index: int) -> int:
     """Deterministic 64-bit scenario seed for one sweep cell.
 
@@ -287,6 +299,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     rows come out in (swept_value, seed, metric) order whatever the
     spec's order, and serialization never depends on it.
     """
+    name = spec.name
     rows = []
     for value in sorted(spec.values):
         if spec.swept_variable == "n_vehicles":
@@ -296,7 +309,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
             n_vehicles = spec.n_vehicles
             cell_config = dataclasses.replace(spec.base_config, symbol_budget=value)
         configs, slots, metrics = _solve_slots(spec, cell_config)
-        seeds = [cell_seed(spec.name, value, i) for i in range(spec.num_seeds)]
+        seeds = [cell_seed(name, value, i) for i in range(spec.num_seeds)]
         words = channel_model.stream_words(seeds, n_vehicles)
         for seed_index, seed in enumerate(seeds):
             drawn = channel_model.sample_scenario(
@@ -304,8 +317,15 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
             )
             scenarios = [drawn]
             for config in configs[1:]:
-                scenarios.append(Scenario(config, drawn.links, seed))
+                # the drawn links under another budget: n and the dense
+                # ids hold, which is all Scenario.__post_init__ checks
+                scenario = _new(Scenario)
+                _set_config(scenario, config)
+                _set_links(scenario, drawn.links)
+                _set_seed(scenario, seed)
+                scenarios.append(scenario)
             solved = []
+            feasible = True
             for solver, config_index in slots:
                 try:
                     solved.append(run_solver(solver, scenarios[config_index]))
@@ -313,23 +333,77 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
                     # None, not the error: its traceback would keep the
                     # solver's frames alive until the next cell
                     solved.append(None)
+                    feasible = False
             for metric, units, extract, ids in metrics:
                 reports = [solved[i] for i in ids]
-                if any(report is None for report in reports):
-                    metric_value = None
-                else:
+                if feasible or None not in reports:
                     metric_value = extract(*reports)
-                rows.append(
-                    ResultRow(spec.name, value, seed_index, metric, metric_value, units)
-                )
+                else:
+                    metric_value = None
+                # ResultRow's finite test; its constructor raises its message
+                if not (metric_value is None or -math.inf < metric_value < math.inf):
+                    rows.append(
+                        ResultRow(name, value, seed_index, metric, metric_value, units)
+                    )
+                    continue
+                row = _new(ResultRow)
+                _set_sweep_name(row, name)
+                _set_swept_value(row, value)
+                _set_seed_index(row, seed_index)
+                _set_metric_name(row, metric)
+                _set_metric_value(row, metric_value)
+                _set_units(row, units)
+                rows.append(row)
     return rows
+
+
+def _float_sqrt_of_frac(numerator: int, denominator: int) -> float:
+    """Square root of numerator / denominator >= 0, correctly rounded.
+
+    The integer root of the fraction scaled to at least 108 bits is
+    rounded to odd (its last bit set when the root is inexact), so the
+    one rounding to float that follows is correct: the step of Python
+    3.11's statistics._float_sqrt_of_frac.
+    """
+    shift = (numerator.bit_length() - denominator.bit_length() - 109) // 2
+    if shift >= 0:
+        denominator <<= 2 * shift
+    else:
+        numerator <<= -2 * shift
+    root = math.isqrt(numerator // denominator)
+    root |= root * root * denominator != numerator
+    if shift >= 0:
+        return float(root << shift)
+    return root / (1 << -shift)
+
+
+def _sample_stdev(values: list[float]) -> float:
+    """Sample standard deviation of two or more floats: the correctly
+    rounded square root of the exact sample variance.
+
+    Each float is a/2^k with integer a, so over the largest such 2^k
+    (D) every value is an integer a_i, and the variance is
+    (N·Σa_i² − (Σa_i)²) / (N·(N − 1)·D²) in integers. On Python 3.11
+    and later this is statistics.stdev bit for bit, which sums the same
+    squares as Fractions; 3.10's stdev rounds twice.
+    """
+    ratios = [value.as_integer_ratio() for value in values]
+    width = max([d for _, d in ratios]).bit_length()
+    scaled = [n << width - d.bit_length() for n, d in ratios]
+    total = sum(scaled)
+    count = len(scaled)
+    return _float_sqrt_of_frac(
+        count * sum([a * a for a in scaled]) - total * total,
+        count * (count - 1) << 2 * (width - 1),
+    )
 
 
 def summarize(rows: list[ResultRow]) -> list[SummaryRow]:
     """Mean and sample standard deviation per (swept_value, metric).
 
     Infeasible rows are excluded from the statistics and tallied
-    separately; a cell with a single feasible row reports sd 0.
+    separately; a cell with a single feasible row reports sd 0. The
+    mean is statistics.fmean, the sd _sample_stdev.
     """
     groups: dict[tuple[str, int, str], list[float | None]] = {}
     for row in rows:
@@ -340,7 +414,7 @@ def summarize(rows: list[ResultRow]) -> list[SummaryRow]:
         feasible = [v for v in values if v is not None]
         if feasible:
             mean = statistics.fmean(feasible)
-            sd = statistics.stdev(feasible) if len(feasible) > 1 else 0.0
+            sd = _sample_stdev(feasible) if len(feasible) > 1 else 0.0
         else:
             mean = None
             sd = None

@@ -57,6 +57,26 @@ from test_solver_hashes import _block
 G_TARGET_1E9 = 5.9978070150076869
 
 
+class TestWorstMargin:
+    def test_first_margin_on_a_tie(self):
+        # equal g, told apart by eps_log10: the first of them is the worst
+        margins = (
+            fbl_core.ReliabilityMargin(3.0, -2.0),
+            fbl_core.ReliabilityMargin(1.5, -1.0),
+            fbl_core.ReliabilityMargin(1.5, -9.0),
+            fbl_core.ReliabilityMargin(2.0, -1.5),
+        )
+        report = allocators.SolveReport(
+            allocation=Allocation(powers=(1.0,) * 4, blocklengths=(1,) * 4),
+            margins=margins,
+            total_energy=4.0,
+            iterations=1,
+            converged=True,
+            solver_name="t",
+        )
+        assert report.worst_margin is margins[1]
+
+
 class TestMinEnergyFixedM:
     def test_worked_value(self):
         scenario = make_scenario([1.0])

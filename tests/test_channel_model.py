@@ -428,13 +428,19 @@ class TestStreamWords:
             sample_scenario(SystemConfig(), 3, 11, streams=streams)
 
     def test_seed_words_serve_only_the_request_they_hold(self):
-        row = stream_words([11], 1)[0, 0]
-        words = _Words(row)
-        assert words.generate_state(4, np.uint64) is row
-        assert words.generate_state(4, np.dtype("uint64")) is row
+        # one row per request, in order, and only for 4 uint64 words; a
+        # rejected request spends no row
+        rows = stream_words([11], 3)[0]
+        words = _Words(rows)
         for n_words, dtype in [(4, np.uint32), (8, np.uint64), (2, np.uint64), (4, float)]:
             with pytest.raises(ValueError, match="holds 4 uint64 words"):
                 words.generate_state(n_words, dtype)
+        for k, dtype in enumerate([np.uint64, np.dtype("uint64"), np.uint64]):
+            row = words.generate_state(4, dtype)
+            assert row.dtype == np.uint64 and np.shares_memory(row, rows[k])
+            assert row.tolist() == rows[k].tolist()
+        with pytest.raises(ValueError, match="every row of seed words is spent"):
+            words.generate_state(4, np.uint64)
 
 
 class TestLinkDistance:

@@ -227,6 +227,26 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--set", "symbol_budget=1000000000000000000"],
+            [
+                "sweep", "--seeds", "1", "--values", "1",
+                "--metrics", "total_energy[symbol_budget=1000000000000000000]",
+            ],
+        ],
+        ids=["solve", "sweep"],
+    )
+    def test_unallocatable_symbol_budget_is_one(self, argv, tmp_path, capsys):
+        # 10^18 symbols need exabytes of tables on any machine; the
+        # allocation fails, and the command reports it like its other errors
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()

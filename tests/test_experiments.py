@@ -3,8 +3,14 @@
 import collections
 import dataclasses
 import math
+import statistics
+import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from elid_urllc import experiments
 from elid_urllc.allocators import symbol_sharing
@@ -420,6 +426,107 @@ class TestSummarize:
         assert summary["total_energy"].count == 1
         assert summary["total_energy"].infeasible_count == 1
         assert summary["max_power"].mean == 5.0
+
+
+def _correctly_rounded_sqrt(value: Fraction) -> float:
+    """The float nearest sqrt(value), ties to even, decided exactly: a
+    close start from 60-digit decimals, then stepped until the float's
+    rounding interval, whose ends are squared as Fractions, holds
+    value."""
+    if value == 0:
+        return 0.0
+    with localcontext() as context:
+        context.prec = 60
+        root = float((Decimal(value.numerator) / Decimal(value.denominator)).sqrt())
+
+    def end(r, toward):  # the end of r's rounding interval, squared
+        return ((Fraction(r) + Fraction(math.nextafter(r, toward))) / 2) ** 2
+
+    def odd(r):  # the last bit of the significand
+        return int(r.hex().split("p")[0][-1], 16) & 1
+
+    while end(root, math.inf) < value:
+        root = math.nextafter(root, math.inf)
+    while end(root, -math.inf) > value:
+        root = math.nextafter(root, -math.inf)
+    if end(root, math.inf) == value and odd(root):
+        root = math.nextafter(root, math.inf)
+    elif end(root, -math.inf) == value and odd(root):
+        root = math.nextafter(root, -math.inf)
+    return root
+
+
+def _exact_sample_variance(values) -> Fraction:
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    return sum((x - mean) ** 2 for x in exact) / (len(exact) - 1)
+
+
+class TestSampleStdev:
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(
+        st.lists(
+            st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+            min_size=2,
+            max_size=120,
+        )
+    )
+    @example([2.0, 4.0])
+    @example([0.1, 0.1, 0.1, 0.1])
+    @example([-3.5, 1.25, 7.0, -0.001])
+    @example([1e-300, 1e300])
+    @example([1e-300, -1e300, 5e-324, 0.0])
+    def test_correctly_rounded_root_of_the_exact_variance(self, values):
+        sd = experiments._sample_stdev(values)
+        assert sd == _correctly_rounded_sqrt(_exact_sample_variance(values))
+        if sys.version_info >= (3, 11):
+            # 3.11's stdev rounds the same exact variance's root once
+            assert sd.hex() == statistics.stdev(values).hex()
+
+    @pytest.mark.parametrize(
+        "values, sd",
+        [
+            ([2.0, 4.0], math.sqrt(2.0)),
+            ([0.1] * 7, 0.0),
+            ([-1.0, 1.0], math.sqrt(2.0)),
+            ([1e-300, 1e300], 1e300 / math.sqrt(2.0)),
+        ],
+        ids=["two_values", "all_equal", "mixed_signs", "tiny_and_huge"],
+    )
+    def test_named_examples(self, values, sd):
+        assert experiments._sample_stdev(values) == sd
+
+
+class TestRows:
+    def test_slot_filled_rows_equal_constructed_ones(self):
+        spec = preset_fig5(num_seeds=3)
+        rows = run_sweep(spec)
+        assert any(row.metric_value is None for row in run_sweep(
+            dataclasses.replace(spec, values=(10,), num_seeds=20)
+        ))
+        for row in rows:
+            built = ResultRow(
+                row.sweep_name, row.swept_value, row.seed, row.metric_name,
+                row.metric_value, row.units,
+            )
+            assert row == built
+            assert hash(row) == hash(built)
+            assert repr(row) == repr(built)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_metric_is_rejected(self, bad, monkeypatch):
+        monkeypatch.setitem(experiments._EXTRACT, "total_energy", lambda report: bad)
+        spec = SweepSpec(
+            name="t",
+            base_config=SystemConfig(),
+            swept_variable="n_vehicles",
+            values=(2,),
+            solver="symbol_sharing",
+            outputs=("total_energy",),
+            num_seeds=1,
+        )
+        with pytest.raises(ValueError, match="metric_value must be finite or None"):
+            run_sweep(spec)
 
 
 class TestCsv:

@@ -1,14 +1,20 @@
-"""Behaviour gate: the figure presets' CSVs at their default 100 seeds.
+"""Behaviour gate: the figure presets' CSVs and printed summaries at
+their default 100 seeds.
 
-A solver or sweep change that moves any figure value changes its hash;
-such a change must be deliberate and recorded with the new hash.
+A solver or sweep change that moves any figure value changes its CSV
+hash, and a change to the summary statistics that moves a printed digit
+changes its summary hash; such a change must be deliberate and recorded
+with the new hash.
 """
 
+import contextlib
+import functools
 import hashlib
+import io
 
 import pytest
 
-from elid_urllc import channel_model
+from elid_urllc import channel_model, cli
 from elid_urllc.experiments import FIGURE_PRESETS, format_csv, run_sweep
 
 FIGURE_SHA256 = {
@@ -20,11 +26,36 @@ FIGURE_SHA256 = {
 }
 
 
+# the text cli._print_summary prints for each preset's rows
+SUMMARY_SHA256 = {
+    4: "156e5ecf78feed853ee5b96d701b831b008cc22652dd9a50da5ee37940adbddd",
+    5: "9ee61a9f10b6e0df46ac11dd3b7a0e2b4a7c4e3fbb7f92eea0baa66bcc507b22",
+    6: "01e3295f15938c26c1af1411a0d7c338fa0e5cce9840bf3d59912821a6061e43",
+    7: "a3c4145031e21941a9aed8f2dc8506089f968cfc32a1631bf49edc7731b7ac2e",
+    8: "0575771fbc4ca7055d52ef2daf1e211bcb9cc0829a7c4438cb60bb0753cf2702",
+}
+
+
+@functools.cache
+def _preset_rows(figure_id):
+    return run_sweep(FIGURE_PRESETS[figure_id]())
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("figure_id", sorted(FIGURE_SHA256))
 def test_preset_csv_hash(figure_id):
-    text = format_csv(run_sweep(FIGURE_PRESETS[figure_id]()))
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert digest == FIGURE_SHA256[figure_id]
+    assert _sha256(format_csv(_preset_rows(figure_id))) == FIGURE_SHA256[figure_id]
+
+
+@pytest.mark.parametrize("figure_id", sorted(SUMMARY_SHA256))
+def test_preset_summary_hash(figure_id):
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        cli._print_summary(_preset_rows(figure_id))
+    assert _sha256(printed.getvalue()) == SUMMARY_SHA256[figure_id]
 
 
 @pytest.mark.parametrize("figure_id", sorted(FIGURE_PRESETS))

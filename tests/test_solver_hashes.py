@@ -12,10 +12,14 @@ is derived from them: the per-symbol greedy that ends at those
 blocklengths passes through it, and it ends at that worst margin. A
 second hash pins the solver's blocklengths and that trajectory, taken
 from the reference greedy, over a wider range of payloads and budgets.
+A last hash pins every solver's answers on requests drawn over the
+whole accepted config space.
 """
 
 import functools
 import hashlib
+
+import numpy as np
 
 from elid_urllc.channel_model import SystemConfig, sample_scenario
 from elid_urllc.exceptions import InfeasibleError
@@ -133,3 +137,46 @@ def large_budget_answers_digest() -> str:
 
 def test_large_budget_answers_hash():
     assert large_budget_answers_digest() == LARGE_BUDGET_ANSWERS_SHA256
+
+
+ACCEPTED_SPACE_ANSWERS_SHA256 = "f551c995f5d16b6f8fa8629f57872e5b83d7450de512e468a95dc73911ff6cb2"
+
+
+def accepted_space_requests(count: int = 160, seed: int = 0):
+    """(config, n, seed) requests drawn over the ranges of the accepted
+    config space test (test_allocators._ACCEPTED_CONFIGS): payloads and
+    budgets up to 2e4 symbols, energy budgets over 24 decades, error
+    targets down to the smallest subnormal, wide geometry, noise and K
+    factors, and an explicit common power in 30% of draws. A fixed numpy
+    generator draws them, so they do not depend on Hypothesis'
+    example generation."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        config = SystemConfig(
+            payload_bits=int(rng.integers(1, 20_001)),
+            symbol_budget=int(rng.integers(1, 20_001)),
+            energy_budget=10.0 ** rng.uniform(-12.0, 12.0),
+            target_eps=max(10.0 ** rng.uniform(-323.3, -0.01), 5e-324),
+            bandwidth=10.0 ** rng.uniform(0.0, 10.0),
+            noise_psd_dbm_hz=rng.uniform(-220.0, -120.0),
+            road_length=10.0 ** rng.uniform(-1.0, 4.0),
+            mount_height=10.0 ** rng.uniform(-1.0, 3.0),
+            rician_k_db=rng.uniform(-60.0, 60.0),
+            common_power=10.0 ** rng.uniform(-9.0, 3.0) if rng.random() < 0.3 else None,
+        )
+        yield config, int(rng.integers(1, 11)), int(rng.integers(0, 2**64, dtype=np.uint64))
+
+
+def accepted_space_answers_digest() -> str:
+    """Every solver's answer, in the format of _answer, on each request
+    of accepted_space_requests."""
+    digest = hashlib.sha256()
+    for config, n, seed in accepted_space_requests():
+        scenario = sample_scenario(config, n, seed)
+        for solver in SOLVER_NAMES:
+            digest.update(_answer(solver, scenario).encode("utf-8") + b"\n")
+    return digest.hexdigest()
+
+
+def test_accepted_space_answers_hash():
+    assert accepted_space_answers_digest() == ACCEPTED_SPACE_ANSWERS_SHA256
