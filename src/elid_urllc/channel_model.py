@@ -330,12 +330,7 @@ class _Words(ISeedSequence):
             raise ValueError(
                 f"holds 4 uint64 words, asked for {n_words} {np.dtype(dtype)}"
             )
-        # not StopIteration, which a map over the generators would read
-        # as its own end
-        row = next(self.rows, None)
-        if row is None:
-            raise ValueError("every row of seed words is spent")
-        return row
+        return next(self.rows)
 
 
 # the noise power and Rician amplitudes of the config sample_scenario

@@ -360,10 +360,11 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
 def _float_sqrt_of_frac(numerator: int, denominator: int) -> float:
     """Square root of numerator / denominator >= 0, correctly rounded.
 
-    The integer root of the fraction scaled to at least 108 bits is
-    rounded to odd (its last bit set when the root is inexact), so the
-    one rounding to float that follows is correct: the step of Python
-    3.11's statistics._float_sqrt_of_frac.
+    The fraction is scaled by a power of four to at least 2^108, so its
+    integer root has at least 55 bits. That root is rounded to odd (its
+    last bit set when the root is inexact), so the one rounding to float
+    that follows is correct: the step of Python 3.11's
+    statistics._float_sqrt_of_frac.
     """
     shift = (numerator.bit_length() - denominator.bit_length() - 109) // 2
     if shift >= 0:
@@ -389,12 +390,12 @@ def _sample_stdev(values: list[float]) -> float:
     """
     ratios = [value.as_integer_ratio() for value in values]
     width = max([d for _, d in ratios]).bit_length()
-    scaled = [n << width - d.bit_length() for n, d in ratios]
+    scaled = [n << (width - d.bit_length()) for n, d in ratios]
     total = sum(scaled)
     count = len(scaled)
     return _float_sqrt_of_frac(
         count * sum([a * a for a in scaled]) - total * total,
-        count * (count - 1) << 2 * (width - 1),
+        (count * (count - 1)) << (2 * (width - 1)),
     )
 
 

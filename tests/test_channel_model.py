@@ -439,8 +439,6 @@ class TestStreamWords:
             row = words.generate_state(4, dtype)
             assert row.dtype == np.uint64 and np.shares_memory(row, rows[k])
             assert row.tolist() == rows[k].tolist()
-        with pytest.raises(ValueError, match="every row of seed words is spent"):
-            words.generate_state(4, np.uint64)
 
 
 class TestLinkDistance:
