@@ -225,21 +225,25 @@ _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 
 
-def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
-    """(xor, multiplier) of each successive hash: the hash constant
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xors and multipliers of count successive hashes, as uint32
+    columns that broadcast against the pool's rows: the hash constant
     starts at init and is multiplied by mult before every use as the
     multiplier, so the sequence does not depend on the data."""
-    pairs = []
+    xors, mults = [], []
     const = init
     for _ in range(count):
-        nxt = const * mult & _MASK32
-        pairs.append((const, nxt))
-        const = nxt
-    return pairs
+        xors.append(const)
+        const = const * mult & _MASK32
+        mults.append(const)
+    return (
+        np.array(xors, dtype=np.uint32).reshape(-1, 1),
+        np.array(mults, dtype=np.uint32).reshape(-1, 1),
+    )
 
 
 # mix_entropy hashes each pool word once, then each pool word once more
@@ -247,10 +251,32 @@ def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
 _ENTROPY_HASHES = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
 _STATE_HASHES = _hash_constants(_INIT_B, _MULT_B, 8)
 
+# stream_words' per-row constants: the first pass hashes the four
+# entropy words, then source word i_src mixes into the other three (in
+# order) with the next three hashes, and the output hashes read pool
+# words 0..3 twice
+_FIRST_PASS = tuple(column[:_POOL_SIZE] for column in _ENTROPY_HASHES)
+_MIX_ROUNDS = [
+    (
+        i_src,
+        np.array([i for i in range(_POOL_SIZE) if i != i_src], dtype=np.intp),
+        *(
+            column[_POOL_SIZE + 3 * i_src : _POOL_SIZE + 3 * i_src + 3]
+            for column in _ENTROPY_HASHES
+        ),
+    )
+    for i_src in range(_POOL_SIZE)
+]
+_OUTPUT_PASS = tuple(column.reshape(2, _POOL_SIZE, 1) for column in _STATE_HASHES)
 
-def _hash(value: np.ndarray, xor: int, mult: int) -> np.ndarray:
-    value = (value ^ np.uint32(xor)) * np.uint32(mult)
-    return value ^ (value >> np.uint32(_XSHIFT))
+
+def _hash(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each element, under the constants that
+    broadcast against it."""
+    value = value ^ xor
+    value *= mult
+    value ^= value >> _XSHIFT
+    return value
 
 
 def _check_seed(seed) -> int:
@@ -271,46 +297,49 @@ def stream_words(seeds, n_vehicles: int) -> np.ndarray:
     Returns a (len(seeds), n_vehicles, 4) uint64 array whose [s, v] row
     equals np.random.SeedSequence([seeds[s], v]).generate_state(4,
     np.uint64): the words default_rng([seeds[s], v]) seeds PCG64 with.
-    It is numpy's SeedSequence hash run over uint32 arrays. The entropy
-    is laid out as numpy coerces [seed, v]: [seed, v] for a seed below
-    2^32 (zero included) and [low word, high word, v] above, then padded
-    with zeros to the pool size, as the hash itself pads short entropy.
-    n_vehicles follows the count rule (_check_index).
+    It is numpy's SeedSequence hash run over one (4, S·n) uint32 pool,
+    S = len(seeds), n = n_vehicles, whose column s·n + v is the
+    substream [s, v]. The entropy is laid out per column as numpy
+    coerces [seed, v]: [seed, v] for a seed below 2^32 (zero included)
+    and [low word, high word, v] above, then padded with zeros to the
+    pool size, as the hash itself pads short entropy.
+
+    Each stage hashes whole rows at once under per-row constants
+    precomputed at import: the four entropy hashes are one pass, and so
+    are the eight output hashes. Of the twelve cross-mixing hashes, the
+    three of one source word run as one round: each destination word is
+    mixed with the source word alone, never with another destination,
+    and the source word does not change in its own round, so the three
+    updates are independent. That is about 75 numpy operations whatever
+    S and n are. n_vehicles follows the count rule (_check_index).
     """
     seeds = [_check_seed(seed) for seed in seeds]
     n_vehicles = _check_index("n_vehicles", n_vehicles)
     seed64 = np.array(seeds, dtype=np.uint64).reshape(-1, 1)
-    wide = seed64 > np.uint64(_MASK32)
+    high = (seed64 >> np.uint64(32)).astype(np.uint32)
+    wide = high != 0
     vids = np.arange(n_vehicles, dtype=np.uint32)
-    shape = (len(seeds), n_vehicles)
-    entropy = [
-        np.broadcast_to(seed64 & np.uint64(_MASK32), shape).astype(np.uint32),
-        np.where(wide, seed64 >> np.uint64(32), vids).astype(np.uint32),
-        np.where(wide, vids, 0).astype(np.uint32),
-        np.zeros(shape, dtype=np.uint32),
-    ]
+    entropy = np.zeros((_POOL_SIZE, len(seeds), n_vehicles), dtype=np.uint32)
+    entropy[0] = seed64.astype(np.uint32)  # the low word
+    entropy[1] = np.where(wide, high, vids)
+    entropy[2] = np.where(wide, vids, 0)
     # mix_entropy
-    constants = iter(_ENTROPY_HASHES)
-    pool = [_hash(word, *next(constants)) for word in entropy]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                hashed = _hash(pool[i_src], *next(constants))
-                mixed = (
-                    np.uint32(_MIX_MULT_L) * pool[i_dst]
-                    - np.uint32(_MIX_MULT_R) * hashed
-                )
-                pool[i_dst] = mixed ^ (mixed >> np.uint32(_XSHIFT))
-    # generate_state: cycle the pool; pairs of 32-bit outputs form each
-    # uint64 word, low half first
-    halves = [
-        _hash(pool[i % _POOL_SIZE], xor, mult).astype(np.uint64)
-        for i, (xor, mult) in enumerate(_STATE_HASHES)
-    ]
-    return np.stack(
-        [halves[2 * k] | (halves[2 * k + 1] << np.uint64(32)) for k in range(4)],
-        axis=-1,
-    )
+    pool = _hash(entropy.reshape(_POOL_SIZE, -1), *_FIRST_PASS)
+    for i_src, i_dst, xor, mult in _MIX_ROUNDS:
+        hashed = _hash(pool[i_src], xor, mult)
+        hashed *= _MIX_MULT_R
+        mixed = pool[i_dst]  # a copy: i_dst indexes rows
+        mixed *= _MIX_MULT_L
+        mixed -= hashed
+        mixed ^= mixed >> _XSHIFT
+        pool[i_dst] = mixed
+    # generate_state: output hash k reads pool word k mod 4, and output
+    # hashes 2k and 2k + 1 are the low and high halves of uint64 word k:
+    # each column's 8 hashes, stored as little-endian uint32 in order,
+    # are its 4 words as little-endian uint64
+    hashed = _hash(pool, *_OUTPUT_PASS).reshape(2 * _POOL_SIZE, -1)
+    words = np.ascontiguousarray(hashed.T, dtype="<u4").view("<u8")
+    return words.astype(np.uint64, copy=False).reshape(len(seeds), n_vehicles, 4)
 
 
 class _Words(ISeedSequence):

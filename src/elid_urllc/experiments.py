@@ -255,9 +255,10 @@ def _solve_slots(spec: SweepSpec, cell_config: SystemConfig):
     Returns (configs, slots, metrics). configs holds each distinct
     config once, the cell's own first. slots holds each distinct
     (solver name, config index) once, to be solved through run_solver.
-    metrics holds (metric, units, extract, slot indices) in metric-name
-    order; energy_saved_pct reads the symbol_sharing and
-    equal_allocation slots, the others their one solver's.
+    metrics holds (metric, units, extract, slot, second slot) in
+    metric-name order. energy_saved_pct reads the symbol_sharing slot
+    and then the equal_allocation slot; every other metric reads its
+    one solver's slot, and its second slot is None.
     """
     configs = [cell_config]
     slot_of: dict[tuple[str, int], int] = {}
@@ -273,31 +274,34 @@ def _solve_slots(spec: SweepSpec, cell_config: SystemConfig):
             configs.append(config)
         config_index = configs.index(config)
         if base == "energy_saved_pct":
-            solvers = ("symbol_sharing", "equal_allocation")
+            reads = (
+                slot_of.setdefault(("symbol_sharing", config_index), len(slot_of)),
+                slot_of.setdefault(("equal_allocation", config_index), len(slot_of)),
+            )
         else:
-            solvers = (mods.get("solver", spec.solver),)
-        ids = tuple(
-            slot_of.setdefault((solver, config_index), len(slot_of))
-            for solver in solvers
-        )
-        metrics.append((metric, METRIC_UNITS[base], _EXTRACT[base], ids))
+            solver = mods.get("solver", spec.solver)
+            reads = (slot_of.setdefault((solver, config_index), len(slot_of)), None)
+        metrics.append((metric, METRIC_UNITS[base], _EXTRACT[base], *reads))
     return configs, list(slot_of), metrics
 
 
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Evaluate every (swept value, seed, metric) cell of the sweep.
 
-    Each (swept value, seed) draws its scenario once; the seed words of
-    a swept value's substreams are hashed in one batch
-    (channel_model.stream_words). A metric with a symbol_budget modifier
-    gets the same links under its own config: the channel draws do not
-    depend on the budgets. Each swept value resolves its metrics once
-    into solve slots (_solve_slots), and each cell solves every slot
-    once through run_solver, an infeasible one included: the slot then
-    holds None, and every metric that reads it records None rather than
-    aborting the sweep. Values and metric names are iterated sorted, so
-    rows come out in (swept_value, seed, metric) order whatever the
-    spec's order, and serialization never depends on it.
+    Each (swept value, seed) draws its scenario once. One
+    channel_model.stream_words call per swept value hashes the seed
+    words of all its cells' substreams as one array, and each cell
+    hands its rows to sample_scenario. A metric with a symbol_budget
+    modifier gets the same links under its own config: the channel
+    draws do not depend on the budgets. Each swept value resolves once
+    which solve slot or slots each metric reads (_solve_slots), and
+    each cell solves every slot once through run_solver, an infeasible
+    one included: the slot then holds None, and every metric that reads
+    it records None rather than aborting the sweep. A one-slot metric
+    calls its extractor on its slot's report; only energy_saved_pct
+    reads two. Values and metric names are iterated sorted, so rows
+    come out in (swept_value, seed, metric) order whatever the spec's
+    order, and serialization never depends on it.
     """
     name = spec.name
     rows = []
@@ -325,7 +329,6 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
                 _set_seed(scenario, seed)
                 scenarios.append(scenario)
             solved = []
-            feasible = True
             for solver, config_index in slots:
                 try:
                     solved.append(run_solver(solver, scenarios[config_index]))
@@ -333,13 +336,15 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
                     # None, not the error: its traceback would keep the
                     # solver's frames alive until the next cell
                     solved.append(None)
-                    feasible = False
-            for metric, units, extract, ids in metrics:
-                reports = [solved[i] for i in ids]
-                if feasible or None not in reports:
-                    metric_value = extract(*reports)
-                else:
+            for metric, units, extract, slot, second in metrics:
+                report = solved[slot]
+                if report is None:
                     metric_value = None
+                elif second is None:
+                    metric_value = extract(report)
+                else:
+                    other = solved[second]
+                    metric_value = None if other is None else extract(report, other)
                 # ResultRow's finite test; its constructor raises its message
                 if not (metric_value is None or -math.inf < metric_value < math.inf):
                     rows.append(

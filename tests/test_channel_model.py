@@ -385,15 +385,29 @@ class TestStreamWords:
         rng = np.random.default_rng(2718)
         seeds = [int(s) for s in rng.integers(0, 2**64, size=1000, dtype=np.uint64)]
         seeds += self.EDGE_SEEDS
-        words = stream_words(seeds, 10)
-        assert words.shape == (len(seeds), 10, 4)
-        assert words.dtype == np.uint64
-        for row, seed in zip(words, seeds):
-            for vid in range(10):
-                expected = np.random.SeedSequence([seed, vid]).generate_state(
-                    4, np.uint64
-                )
-                assert np.array_equal(row[vid], expected), (seed, vid)
+        narrow = [int(s) for s in rng.integers(0, 2**32, size=40, dtype=np.uint64)]
+        # the entropy layout is set per seed, so one call mixes seeds
+        # below 2^32, at 2^32 - 1, at 2^32 and at 2^64 - 1
+        mixed = narrow[:20] + [2**32 - 1, 2**32, 2**64 - 1] + narrow[20:] + [0]
+        cases = [
+            (seeds, 10),
+            (seeds, 1),
+            ([2**40 + 7], 6),
+            ([3], 10),
+            (mixed, 10),
+            (mixed, 1),
+        ]
+        for call_seeds, n in cases:
+            words = stream_words(call_seeds, n)
+            assert words.shape == (len(call_seeds), n, 4)
+            assert words.dtype == np.uint64
+            assert words.flags.c_contiguous
+            for row, seed in zip(words, call_seeds):
+                for vid in range(n):
+                    expected = np.random.SeedSequence([seed, vid]).generate_state(
+                        4, np.uint64
+                    )
+                    assert np.array_equal(row[vid], expected), (seed, vid, n)
 
     @pytest.mark.parametrize("seed", EDGE_SEEDS + [987654321, 2**40 + 7])
     def test_streams_give_the_same_scenario(self, seed):

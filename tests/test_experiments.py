@@ -513,6 +513,40 @@ class TestRows:
             assert hash(row) == hash(built)
             assert repr(row) == repr(built)
 
+    def test_one_infeasible_slot_of_two(self):
+        # At E = 0.1 J symbol_sharing's floors sum past M=200 in some
+        # cells, where the equal split still answers: energy_saved_pct
+        # reads infeasible, and the metric on the equal slot alone keeps
+        # its value
+        spec = SweepSpec(
+            name="mixed",
+            base_config=SystemConfig(energy_budget=0.1),
+            swept_variable="n_vehicles",
+            values=(5,),
+            solver="symbol_sharing",
+            outputs=("total_energy[solver=equal_allocation]", "energy_saved_pct"),
+            num_seeds=10,
+        )
+        rows = run_sweep(spec)
+        assert len(rows) == 20
+        mixed = 0
+        for seed_index in range(10):
+            saved, equal = rows[2 * seed_index : 2 * seed_index + 2]
+            assert saved.metric_name == "energy_saved_pct"
+            scenario = sample_scenario(
+                spec.base_config, 5, cell_seed("mixed", 5, seed_index)
+            )
+            e_equal = run_solver("equal_allocation", scenario).total_energy
+            assert equal.metric_value == e_equal
+            try:
+                e_shared = symbol_sharing(scenario).total_energy
+            except InfeasibleError:
+                assert saved.metric_value is None
+                mixed += 1
+            else:
+                assert saved.metric_value == energy_saved_percent(e_equal, e_shared)
+        assert 0 < mixed < 10
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_metric_is_rejected(self, bad, monkeypatch):
         monkeypatch.setitem(experiments._EXTRACT, "total_energy", lambda report: bad)
