@@ -285,20 +285,20 @@ def min_energy_fixed_m(
     return powers, total
 
 
-def _energy_floors(scenario: Scenario) -> list[int | None]:
+def _energy_floors(scenario: Scenario) -> list[int]:
     """Each link's energy-feasibility blocklength bound: the least m <= M
     at which the energy budget affords a positive margin
-    (min_blocklength), or None where no m <= M does.
+    (min_blocklength), or 1 where no m <= M does.
 
-    The min-max solvers raise on None (_minmax_floors). The energy
-    objective itself carries no budget, so the energy solvers take the
-    trivial floor of one symbol there instead of an infeasibility error.
+    symbol_sharing and brute_force_energy start each vehicle there. The
+    energy objective carries no budget, so a link the budget cannot serve
+    takes the trivial floor of one symbol instead of an infeasibility error.
     """
     cfg = scenario.config
     return [
         min_blocklength(
             link.norm_gain * cfg.energy_budget, cfg.payload_bits, cfg.symbol_budget
-        )
+        ) or 1
         for link in scenario.links
     ]
 
@@ -445,7 +445,7 @@ def symbol_sharing(scenario: Scenario) -> SolveReport:
     """
     cfg = scenario.config
     m_total = cfg.symbol_budget
-    floors = [1 if m is None else m for m in _energy_floors(scenario)]
+    floors = _energy_floors(scenario)
     _check_floor_sum(floors, m_total)
     tables = _split_tables(cfg.payload_bits, q_inverse(cfg.target_eps), m_total)
     split = _SplitSetup([link.norm_gain for link in scenario.links], floors, m_total)
@@ -530,7 +530,8 @@ def solve_symbols_minmax_fixed_p(scenario: Scenario) -> SolveReport:
     ascending order: its M - n grants are the M - n smallest entries,
     one selection (_kth_smallest, _counts_at_most), ties in row-major
     order. Raises InfeasibleError when that power across all M symbols
-    costs more than the energy budget.
+    costs more than the energy budget; unlike the joint and fixed-m
+    solvers, it answers below margin 0.
     """
     cfg = scenario.config
     n = scenario.n_vehicles
@@ -565,56 +566,45 @@ def solve_symbols_minmax_fixed_p(scenario: Scenario) -> SolveReport:
     )
 
 
-def _minmax_floors(scenario: Scenario) -> list[int]:
-    """Per-vehicle blocklength floors for the budgeted min-max problem;
-    raises InfeasibleError naming the binding constraint."""
-    cfg = scenario.config
-    floors = _energy_floors(scenario)
-    for link, floor in zip(scenario.links, floors):
-        if floor is None:
-            raise InfeasibleError(
-                f"vehicle {link.vehicle_id}: the energy budget "
-                f"{cfg.energy_budget:.6g} J cannot support any blocklength "
-                f"up to {cfg.symbol_budget} at its channel gain"
-            )
-    _check_floor_sum(floors, cfg.symbol_budget)
-    return floors
-
-
 def solve_joint_minmax(scenario: Scenario) -> SolveReport:
     """Max-min margin over powers and integer blocklengths jointly.
 
     A margin g is reachable exactly when the least energy that gives
     every link margin g within the symbol budget (the split of
-    _SplitSetup over _minmax_floors) fits the energy budget; the answer
-    is the largest such g. Each round takes the least-energy split at the
-    current g, then the largest g that split affords (_split_margin),
-    as Dinkelbach (1967) alternates for fractional programs; both steps
-    are exact, the split by Fox and Federgruen & Groenevelt. Round 1
-    takes the split at the target margin q_inverse(target_eps) from the
-    cached tables symbol_sharing reads (_split_tables), and the first g
-    is the one that split affords: any split within the floors and M
-    affords a finite g, and this one is nearer the optimum than the
-    floors. A split that affords g with energy to spare affords a
-    strictly larger g, so g rises strictly over the finitely many
-    splits. The rounds stop when the split is unchanged or its least
-    energy is within _REL_IMPROVEMENT of the budget: least energy rises
-    strictly in g where it is positive, so no larger g fits. converged
-    is False only if the round cap ended the loop. Powers are the
-    closed-form minimum for g at the last split, as the margin solve of
-    that split returns them with their energy (_split_margin), which fits
-    the budget.
+    _SplitSetup over floors of one symbol) fits the energy budget; the
+    answer is the largest such g. Each round takes the least-energy split
+    at the current g, then the largest g that split affords
+    (_split_margin), as Dinkelbach (1967) alternates for fractional
+    programs; both steps are exact, the split by Fox and Federgruen &
+    Groenevelt. Round 1 takes the split at the target margin
+    q_inverse(target_eps) from the cached tables symbol_sharing reads
+    (_split_tables), and the first g is the one that split affords: any
+    split affords a finite g, at worst the one where all its powers are
+    zero, and this one is nearer the optimum than one symbol each. A
+    split that affords g with energy to spare affords a strictly larger
+    g, so g rises strictly over the finitely many splits. The rounds stop
+    when the split is unchanged or its least energy is within
+    _REL_IMPROVEMENT of the budget: least energy rises strictly in g
+    where it is positive, so no larger g fits. converged is False only if
+    the round cap ended the loop. Powers are the closed-form minimum for
+    g at the last split, as the margin solve of that split returns them
+    with their energy (_split_margin), which fits the budget.
     The split is set up once per solve, and each round, the start
     included, is one step of it at that round's table.
+    Raises InfeasibleError when M < n, and, giving g, when g is below
+    margin 0, as solve_power_minmax_fixed_m does. No energy floor is
+    needed: at g >= 0 each m_i buys margin >= 0 with energy <= E, so
+    c_0(m_i) / h_i <= E and m_i is at or above its min_blocklength (up to
+    the tie at equality that its strict test excludes).
     """
     cfg = scenario.config
     d = cfg.payload_bits
     m_total = cfg.symbol_budget
     budget = cfg.energy_budget
+    _check_symbol_cover(m_total, scenario.n_vehicles)
     gains = [link.norm_gain for link in scenario.links]
-    # one split setup for every round; _split_margin runs on the python
-    # floats
-    split = _SplitSetup(gains, _minmax_floors(scenario), m_total)
+    # one split setup for every round; _split_margin takes the python floats
+    split = _SplitSetup(gains, [1] * len(gains), m_total)
 
     m_vec = split.step(_split_tables(d, q_inverse(cfg.target_eps), m_total)).tolist()
     g, powers, energy, _ = _split_margin(m_vec, gains, d, budget)
@@ -633,6 +623,11 @@ def solve_joint_minmax(scenario: Scenario) -> SolveReport:
         if unchanged or not least < budget * (1.0 - _REL_IMPROVEMENT):
             converged = True
             break
+    if g < 0.0:
+        raise InfeasibleError(
+            f"energy budget {budget:.6g} J affords at most margin g = {g:.6g} "
+            f"within the symbol budget {m_total}, below the margin floor 0"
+        )
     return _build_report(
         scenario,
         powers,

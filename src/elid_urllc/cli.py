@@ -218,9 +218,17 @@ def _dump_failures(failures, out_dir: str) -> None:
                 handle.write(f"{key}={value}\n")
 
 
+def _worst_margin(solve, *args):
+    """The worst margin g of solve(*args), or the InfeasibleError it raised."""
+    try:
+        return solve(*args).worst_margin.g
+    except InfeasibleError as exc:
+        return exc
+
+
 def cmd_oracle_check(args) -> int:
-    """Randomized equivalence drills of the fast solvers against the
-    exhaustive ones; any disagreement is dumped for replay."""
+    """Randomized equivalence drills of the fast solvers against the exhaustive
+    ones, where both raising InfeasibleError agrees; any disagreement is dumped."""
     # no solve or sweep needs the oracles, so only this command loads them
     from .oracles import brute_force_energy, brute_force_minmax
 
@@ -255,10 +263,12 @@ def cmd_oracle_check(args) -> int:
         h_min = min(link.norm_gain for link in links)
         budget = feasible_gain / h_min * 10.0 ** float(rng.uniform(0.3, 2.0))
         scenario = Scenario(dataclasses.replace(base, energy_budget=budget), links, seed)
-        local = run_solver("joint_minmax", scenario).worst_margin.g
-        oracle = brute_force_minmax(scenario).worst_margin.g
-        gap = local - oracle
-        return abs(gap) <= 1e-6, {
+        local = _worst_margin(run_solver, "joint_minmax", scenario)
+        oracle = _worst_margin(brute_force_minmax, scenario)
+        # both raising is agreement; one raising against an answer is not
+        raised = isinstance(local, InfeasibleError), isinstance(oracle, InfeasibleError)
+        gap = None if any(raised) else local - oracle
+        return all(raised) if any(raised) else abs(gap) <= 1e-6, {
             "energy_budget": repr(budget),
             "local_margin": repr(local),
             "oracle_margin": repr(oracle),

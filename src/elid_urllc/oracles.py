@@ -5,16 +5,18 @@ solver families: brute_force_energy checks symbol_sharing, and
 brute_force_minmax checks solve_joint_minmax. They share no search code
 or tables with the solvers they check. The energy oracle prices each
 blocklength with the scalar min_power_for_target, not the solvers'
-numpy c_g tables. The min-max oracle scores every candidate split by
-its own expand-and-bisect on g, run over all candidates at once, not by
-the solvers' Newton margin solve (_split_margin) or their least-energy
-split, and prices the best one with min_power_for_target, not with the
-powers that margin solve returns. Only the oracle-check command and the
-tests import this module.
+numpy c_g tables. The min-max oracle takes no floors: it scores every
+split of one symbol or more by its own expand-and-bisect on g, run over
+all candidates at once, not by the solvers' Newton margin solve
+(_split_margin) or least-energy split, decides below margin 0 itself,
+and prices the best split with min_power_for_target, not with the
+powers that margin solve returns. Only oracle-check and the tests
+import this module.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 
@@ -27,7 +29,6 @@ from .allocators import (
     _build_report,
     _check_symbol_cover,
     _energy_floors,
-    _minmax_floors,
 )
 from .channel_model import Scenario
 from .exceptions import InfeasibleError
@@ -58,7 +59,7 @@ def brute_force_energy(scenario: Scenario) -> SolveReport:
     _check_symbol_cover(m_total, n)
     gt = q_inverse(cfg.target_eps)
     d = cfg.payload_bits
-    floors = [1 if m is None else m for m in _energy_floors(scenario)]
+    floors = _energy_floors(scenario)
 
     # rows[i][m - 1]: vehicle i's energy at blocklength m, the product the
     # report sums, and inf below the vehicle's floor
@@ -169,11 +170,13 @@ def brute_force_minmax(scenario: Scenario) -> SolveReport:
     """Exhaustive max-min margin over integer blocklength vectors.
 
     Verification oracle for solve_joint_minmax: enumerates every m
-    vector inside the per-vehicle bounds with sum(m) <= symbol_budget
-    and scores each by the largest common margin its closed-form powers
-    afford, bisected on g from the margin at which every power is zero
-    with all vectors stepped at once (_largest_affordable_margins, not
-    the solvers' Newton steps). Guarded to n <= 3 and M <= 100.
+    vector with each m_i >= 1 and sum(m) <= symbol_budget (161,700 at
+    n=3, M=100) and scores each by the largest common margin its
+    closed-form powers afford, bisected on g from the margin at which
+    every power is zero with all vectors stepped at once
+    (_largest_affordable_margins, not the solvers' Newton steps). Raises
+    InfeasibleError when M < n or, giving it, when the best margin is
+    below 0. Guarded to n <= 3 and M <= 100.
     """
     cfg = scenario.config
     n = scenario.n_vehicles
@@ -185,20 +188,12 @@ def brute_force_minmax(scenario: Scenario) -> SolveReport:
             f"brute_force_minmax is limited to symbol budgets <= 100, "
             f"got {m_total}"
         )
+    _check_symbol_cover(m_total, n)  # so at least (1, ..., 1) is enumerated
     d = cfg.payload_bits
     budget = cfg.energy_budget
-    floors = _minmax_floors(scenario)
-    # each vehicle may take what the others' floors leave; _minmax_floors
-    # has raised if the floors sum past the budget
-    ceilings = [m_total - (sum(floors) - f) for f in floors]
     gains = [link.norm_gain for link in scenario.links]
 
-    vectors = list(_bounded_vectors(floors, ceilings, m_total))
-    if not vectors:
-        raise RuntimeError(
-            "brute_force_minmax: no blocklength vector lies between the "
-            "floors and ceilings"
-        )
+    vectors = list(_bounded_vectors(n, m_total))
     ms = np.array(vectors, dtype=float)
     base = LN2 * d / ms
     roots = np.sqrt(ms)
@@ -219,6 +214,11 @@ def brute_force_minmax(scenario: Scenario) -> SolveReport:
     )
     best = int(np.argmax(margins))  # the first of equal best margins
     best_g = float(margins[best])
+    if best_g < 0.0:
+        raise InfeasibleError(
+            f"energy budget {budget:.6g} J affords at most margin "
+            f"g = {best_g:.6g} over every split, below the margin floor 0"
+        )
     best_m = vectors[best]
     # priced by min_power_for_target, not by the solvers' margin solve
     powers = [min_power_for_target(h, m, d, best_g) for h, m in zip(gains, best_m)]
@@ -236,15 +236,9 @@ def brute_force_minmax(scenario: Scenario) -> SolveReport:
     )
 
 
-def _bounded_vectors(floors: list[int], ceilings: list[int], m_total: int):
-    """Yield every integer vector with floors <= m <= ceilings and
-    sum(m) <= m_total, in lexicographic order: each first entry in turn,
-    followed by every vector of the remaining vehicles that fits in what
-    it leaves."""
-    firsts = range(floors[0], min(ceilings[0], m_total - sum(floors[1:])) + 1)
-    if len(floors) == 1:
-        yield from ((m,) for m in firsts)
-        return
-    for m in firsts:
-        for rest in _bounded_vectors(floors[1:], ceilings[1:], m_total - m):
-            yield (m, *rest)
+def _bounded_vectors(n: int, m_total: int):
+    """Yield every vector of n integers >= 1 with sum <= m_total, in
+    lexicographic order: the steps between the partial sums that
+    itertools.combinations(range(1, m_total + 1), n) yields in order."""
+    for sums in itertools.combinations(range(1, m_total + 1), n):
+        yield tuple(map(operator.sub, sums, (0, *sums)))

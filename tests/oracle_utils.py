@@ -9,11 +9,7 @@ import math
 
 import numpy as np
 
-from elid_urllc.allocators import (
-    _REL_IMPROVEMENT,
-    _SplitSetup,
-    _minmax_floors,
-)
+from elid_urllc.allocators import _REL_IMPROVEMENT, _SplitSetup
 from elid_urllc.channel_model import (
     Scenario,
     SystemConfig,
@@ -227,17 +223,19 @@ def reference_symbols_minmax_fixed_p(scenario):
 
 def reference_joint_minmax(scenario):
     """Expand-and-bisect search of the joint min-max problem: the largest
-    margin g whose least-energy split (_SplitSetup over
-    _minmax_floors) fits the energy budget, bisected on g from
-    g = -ln2 * D, where every link needs zero power. Returns
-    (blocklengths, g) with the blocklengths of the split at that g.
+    margin g whose least-energy split (_SplitSetup over floors of one
+    symbol) fits the energy budget, bisected on g from g = -ln2 * D,
+    where every link needs zero power. Returns (blocklengths, g) with the
+    blocklengths of the split at that g. Raises InfeasibleError when
+    M < n or that g is below margin 0.
     """
     cfg = scenario.config
     d = cfg.payload_bits
     m_total = cfg.symbol_budget
-    floors = _minmax_floors(scenario)
     gains = [link.norm_gain for link in scenario.links]
-
+    if m_total < len(gains):
+        raise InfeasibleError("the symbol budget cannot cover every vehicle")
+    floors = [1] * len(gains)
     gain_arr = np.asarray(gains, dtype=float)
 
     def split_at(margin):
@@ -250,6 +248,8 @@ def reference_joint_minmax(scenario):
     g, _ = largest_affordable_margin(
         lambda margin: split_at(margin)[1], -LN2 * d, cfg.energy_budget
     )
+    if g < 0.0:
+        raise InfeasibleError(f"the budget affords at most margin {g!r}, below 0")
     return tuple(split_at(g)[0]), g
 
 
@@ -276,20 +276,19 @@ def reference_power_minmax_fixed_m(scenario, m_vec):
 
 
 def reference_brute_force_minmax(scenario):
-    """Scalar form of brute_force_minmax: every blocklength vector inside
-    the same bounds, each scored on its own by largest_affordable_margin
-    over math.fsum of min_power_for_target energies, from the margin at
-    which every power is zero. Returns (blocklengths, g) of the first
-    vector with the largest margin.
+    """Scalar form of brute_force_minmax: every blocklength vector of
+    ones or more within the symbol budget, each scored on its own by
+    largest_affordable_margin over math.fsum of min_power_for_target
+    energies, from the margin at which every power is zero. Returns
+    (blocklengths, g) of the first vector with the largest margin.
+    Raises InfeasibleError when there is no vector or that margin is
+    below 0.
     """
     cfg = scenario.config
     d = cfg.payload_bits
-    m_total = cfg.symbol_budget
-    floors = _minmax_floors(scenario)
-    ceilings = [m_total - (sum(floors) - f) for f in floors]
     gains = [link.norm_gain for link in scenario.links]
     best_m, best_g = None, -math.inf
-    for m_vec in _bounded_vectors(floors, ceilings, m_total):
+    for m_vec in _bounded_vectors(len(gains), cfg.symbol_budget):
 
         def energy_at(margin):
             return math.fsum(
@@ -300,6 +299,8 @@ def reference_brute_force_minmax(scenario):
         g, _ = largest_affordable_margin(energy_at, zero_power, cfg.energy_budget)
         if best_m is None or g > best_g:
             best_m, best_g = m_vec, g
+    if best_m is None or best_g < 0.0:
+        raise InfeasibleError(f"the budget affords at most margin {best_g!r}, below 0")
     return best_m, best_g
 
 

@@ -1171,6 +1171,16 @@ def _joint_minmax_sweep():
                 yield make_scenario(gains, **config)
 
 
+# joint requests over n, M, D and E, E over five decades
+_scan_instances = st.tuples(
+    st.integers(1, 10),  # vehicles
+    st.sampled_from((10, 40, 100, 200, 400, 1000)),  # symbol budget
+    st.sampled_from((16, 160, 1000)),  # payload bits
+    st.floats(-3.0, 2.0),  # log10 of the energy budget in J
+    st.integers(0, 2**63 - 1),  # scenario seed
+)
+
+
 class TestJointMinmax:
     def test_single_vehicle(self):
         scenario = make_scenario([1.0], symbol_budget=64, energy_budget=1000.0)
@@ -1197,24 +1207,29 @@ class TestJointMinmax:
             )
             assert oracle.worst_margin.g >= local.worst_margin.g - 1e-9
 
-    def test_blocklengths_within_bounds(self):
-        rng = np.random.default_rng(516)
-        for _ in range(8):
-            scenario = feasible_joint_instance(rng)
+    @_KERNEL_EXAMPLES
+    @given(_scan_instances)
+    def test_blocklengths_within_bounds(self, instance):
+        # No energy floor is imposed, yet an answer has g >= 0, so each
+        # vehicle spends at most E on margin >= 0 and sits at or above
+        # the least m at which the whole budget affords it margin 0
+        n, m_total, payload_bits, log_budget, seed = instance
+        config = SystemConfig(
+            symbol_budget=m_total, payload_bits=payload_bits, energy_budget=10.0**log_budget
+        )
+        scenario = sample_scenario(config, n, seed)
+        try:
             report = solve_joint_minmax(scenario)
-            cfg = scenario.config
-            floors = [
-                min_blocklength(
-                    link.norm_gain * cfg.energy_budget,
-                    cfg.payload_bits,
-                    cfg.symbol_budget,
-                )
-                for link in scenario.links
-            ]
-            total_floor = sum(floors)
-            for m, floor in zip(report.allocation.blocklengths, floors):
-                ceiling = cfg.symbol_budget - (total_floor - floor)
-                assert floor <= m <= ceiling
+        except InfeasibleError:
+            return
+        assert report.worst_margin.g >= 0.0
+        floors = [
+            min_blocklength(link.norm_gain * config.energy_budget, payload_bits, m_total)
+            for link in scenario.links
+        ]
+        assert None not in floors
+        for m, floor in zip(report.allocation.blocklengths, floors):
+            assert floor <= m <= m_total - (sum(floors) - floor)
 
     def test_matches_reference_bisection(self):
         feasible = 0
@@ -1336,17 +1351,23 @@ class TestJointMinmax:
 
     def test_infeasible_energy_budget(self):
         scenario = make_scenario([1e-9], symbol_budget=40, energy_budget=1e-3)
-        with pytest.raises(InfeasibleError, match="vehicle 0"):
+        with pytest.raises(InfeasibleError, match="below the margin floor 0"):
             solve_joint_minmax(scenario)
 
     def test_infeasible_floor_sum(self):
-        # Each floor lands at the full budget, so two vehicles cannot fit.
+        # Each vehicle needs the whole budget at all M symbols to reach
+        # margin 0, so two vehicles cannot both reach it.
         required = 40.0 * (2.0 ** (32.0 / 40.0) - 1.0)
         gain = (required * 1.01) / 1.0
         scenario = make_scenario(
             [gain, gain], symbol_budget=40, payload_bits=32, energy_budget=1.0
         )
-        with pytest.raises(InfeasibleError, match="sum to"):
+        with pytest.raises(InfeasibleError, match="below the margin floor 0"):
+            solve_joint_minmax(scenario)
+
+    def test_budget_below_vehicle_count(self):
+        scenario = make_scenario([1.0, 1.0, 1.0], symbol_budget=2)
+        with pytest.raises(InfeasibleError, match="cannot cover 3 vehicles"):
             solve_joint_minmax(scenario)
 
 
@@ -1391,40 +1412,39 @@ class TestBruteForceMinmaxGuards:
                 assert oracle.allocation.blocklengths == best_m
                 assert oracle.worst_margin.g == pytest.approx(best_g, abs=1e-9)
 
-    def test_empty_enumeration_raises(self, monkeypatch):
-        # an explicit check, so it also holds under python -O
-        monkeypatch.setattr(oracles, "_bounded_vectors", lambda *args: iter(()))
-        scenario = make_scenario([1e3], symbol_budget=40, payload_bits=32)
-        with pytest.raises(RuntimeError, match="no blocklength vector"):
+    def test_empty_enumeration_raises(self):
+        # M < n leaves no vector of ones or more; an explicit check raises
+        # before the enumeration, so it also holds under python -O
+        assert list(oracles._bounded_vectors(3, 2)) == []
+        scenario = make_scenario([1e3] * 3, symbol_budget=2, payload_bits=32)
+        with pytest.raises(InfeasibleError, match="cannot cover 3 vehicles"):
             brute_force_minmax(scenario)
 
 
 @pytest.mark.parametrize(
-    "floors, ceilings, m_total",
+    "n, m_total",
     [
-        ([1], [40], 40),
-        ([3], [30], 12),
-        ([1, 4], [30, 9], 25),
-        ([2, 1], [5, 40], 30),
-        ([1, 5], [10, 3], 20),  # a ceiling below its floor: nothing
-        ([1, 2, 3], [20, 20, 20], 24),
-        ([3, 1, 5], [9, 30, 7], 20),
-        ([2, 2, 2], [2, 3, 2], 6),
-        ([4, 4, 4], [10, 10, 10], 11),  # floors past the budget: nothing
+        (1, 40),
+        (1, 12),
+        (2, 25),
+        (2, 30),
+        (2, 1),  # a budget below the vehicle count: nothing
+        (3, 24),
+        (3, 20),
+        (3, 3),  # one symbol each, the only vector
+        (3, 2),  # nothing
     ],
 )
-def test_bounded_vectors_match_a_filtered_product(floors, ceilings, m_total):
+def test_bounded_vectors_match_a_filtered_product(n, m_total):
     # the min-max oracle and its scalar reference both enumerate through
     # _bounded_vectors, so it is checked against the definition here,
     # in content and in lexicographic order
     expected = [
         m_vec
-        for m_vec in itertools.product(
-            *(range(f, c + 1) for f, c in zip(floors, ceilings))
-        )
+        for m_vec in itertools.product(range(1, m_total + 1), repeat=n)
         if sum(m_vec) <= m_total
     ]
-    got = list(oracles._bounded_vectors(floors, ceilings, m_total))
+    got = list(oracles._bounded_vectors(n, m_total))
     assert got == expected
     assert all(type(m) is int for m_vec in got for m in m_vec)
 
@@ -1626,6 +1646,50 @@ class TestJointOverTheEqualSplit:
         except InfeasibleError:
             return
         assert solve_joint_minmax(scenario).worst_margin.g >= fixed.worst_margin.g
+
+
+_fixed_power_instances = st.tuples(
+    st.integers(1, 10),  # vehicles
+    st.sampled_from((40, 100, 200, 400, 1000)),  # symbol budget
+    st.floats(-1.5, 2.0).map(lambda x: 10.0**x),  # energy budget in J
+    st.integers(0, 2**63 - 1),  # scenario seed
+)
+# Both solvers reach the same optimum at n = 1 by different arithmetic,
+# and the joint margin reads up to 5.7e-14 lower there (ROADMAP item 4)
+_ROUNDING_TOLERANCE = 1e-12
+
+
+class TestJointOverFixedPower:
+    """At the default common power p = E / M the fixed-power answer
+    spends E over all M symbols, so it is one of the joint problem's
+    candidates: wherever it reaches margin 0, the joint solver answers,
+    no lower up to rounding."""
+
+    @_MONOTONE_RELATION
+    @given(_fixed_power_instances)
+    @example((6, 200, 0.1030303704305884, 5734486530578299806))
+    def test_never_below_the_fixed_power_margin(self, instance):
+        n, m_total, budget, seed = instance
+        config = SystemConfig(symbol_budget=m_total, energy_budget=budget)
+        scenario = sample_scenario(config, n, seed)
+        fixed = solve_symbols_minmax_fixed_p(scenario).worst_margin.g
+        if fixed < 0.0:
+            return
+        joint = solve_joint_minmax(scenario).worst_margin.g
+        assert joint >= fixed - _ROUNDING_TOLERANCE
+
+    def test_named_example_raises_below_zero(self):
+        # Energy floors of [13, 20, 13, 21, 13, 119] would hold the joint
+        # split to (13, 20, 13, 21, 14, 119) at g = -6.677, below the
+        # fixed-power answer. The joint optimum reaches -3.896, above it,
+        # and the solver raises, as both are below margin 0
+        config = SystemConfig(symbol_budget=200, energy_budget=0.1030303704305884)
+        scenario = sample_scenario(config, 6, 5734486530578299806)
+        fixed = solve_symbols_minmax_fixed_p(scenario)
+        assert fixed.allocation.blocklengths == (15, 27, 16, 28, 16, 98)
+        assert fixed.worst_margin.g == pytest.approx(-4.751, abs=1e-3)
+        with pytest.raises(InfeasibleError, match=r"g = -3\.8959 .* margin floor 0"):
+            solve_joint_minmax(scenario)
 
 
 class TestReportInvariants:

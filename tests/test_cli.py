@@ -9,7 +9,7 @@ from elid_urllc import cli, experiments, oracles
 from elid_urllc.allocators import symbol_sharing
 from elid_urllc.channel_model import SystemConfig
 from elid_urllc.cli import build_parser, main
-from elid_urllc.exceptions import ConfigError
+from elid_urllc.exceptions import ConfigError, InfeasibleError
 from elid_urllc.experiments import SweepSpec, cell_seed, run_sweep
 from elid_urllc.fbl_core import ReliabilityMargin
 
@@ -535,6 +535,39 @@ class TestOracleCheckCommand:
         dump = (dump_dir / "failure_0.txt").read_text()
         assert "suite=energy" in dump
         capsys.readouterr()
+
+    def test_one_side_infeasible_fails_and_dumps_both(self, tmp_path, monkeypatch, capsys):
+        # a min-max instance where only the oracle raises is a failure,
+        # and its dump holds the solver's margin beside the oracle's error
+        def infeasible_oracle(scenario):
+            raise InfeasibleError("forced")
+
+        monkeypatch.setattr(oracles, "brute_force_minmax", infeasible_oracle)
+        dump_dir = tmp_path / "dumps"
+        code = main(
+            ["oracle-check", "--instances", "2", "--n-values", "1", "--out", str(dump_dir)]
+        )
+        assert code == 1
+        assert "minmax oracle: 0/1 passed" in capsys.readouterr().out
+        fields = read_report(dump_dir / "failure_0.txt")
+        assert fields["suite"] == "minmax"
+        assert float(fields["local_margin"]) >= 0.0
+        assert fields["oracle_margin"] == "InfeasibleError('forced')"
+        assert fields["margin_gap"] == "None"
+
+    def test_both_sides_infeasible_agree(self, tmp_path, monkeypatch, capsys):
+        def infeasible(*args):
+            raise InfeasibleError("forced")
+
+        monkeypatch.setattr(oracles, "brute_force_minmax", infeasible)
+        monkeypatch.setattr(experiments, "solve_joint_minmax", infeasible)
+        dump_dir = tmp_path / "dumps"
+        code = main(
+            ["oracle-check", "--instances", "4", "--n-values", "1,2", "--out", str(dump_dir)]
+        )
+        assert code == 0
+        assert "minmax oracle: 2/2 passed" in capsys.readouterr().out
+        assert not dump_dir.exists()
 
     @pytest.mark.parametrize("broken", sorted(FORCED_FAILURE_SHA256), ids="+".join)
     def test_forced_failures_match_the_pinned_dumps(

@@ -26,7 +26,7 @@ from elid_urllc.exceptions import InfeasibleError
 from elid_urllc.experiments import SOLVER_NAMES, run_solver
 from oracle_utils import reference_symbols_minmax_fixed_p
 
-SOLVER_ANSWERS_SHA256 = "6aa5282a14a82599e93a7015fc86b0187d5b3150b0d121a6d4ea8ccb59048c3a"
+SOLVER_ANSWERS_SHA256 = "3169d7ac735e5c068cd007c1bb0b835b85a0a2c572794c7992f1c3b3d9a03d9f"
 
 
 def _block():
@@ -139,7 +139,7 @@ def test_large_budget_answers_hash():
     assert large_budget_answers_digest() == LARGE_BUDGET_ANSWERS_SHA256
 
 
-ACCEPTED_SPACE_ANSWERS_SHA256 = "f551c995f5d16b6f8fa8629f57872e5b83d7450de512e468a95dc73911ff6cb2"
+ACCEPTED_SPACE_ANSWERS_SHA256 = "2f24232246bce2185bc46c43870e7e4b1523590d59eaa402e3124947b16fe884"
 
 
 def accepted_space_requests(count: int = 160, seed: int = 0):
