@@ -119,7 +119,7 @@ class SolveReport:
     - symbols_minmax_fixed_p: the M - n spare-symbol grants.
     - joint_minmax: split rounds, the start included.
     - brute_force_energy: terms compared.
-    - brute_force_minmax: candidates scored.
+    - brute_force_minmax: least-energy searches.
     converged is False only where a cap ended the search.
     """
 

@@ -234,9 +234,11 @@ def cmd_oracle_check(args) -> int:
 
     if args.instances < 1:
         raise ConfigError(f"--instances must be >= 1, got {args.instances}")
+    # the vehicle counts sample_scenario would reject, as SweepSpec checks
+    max_vehicles = SystemConfig().max_vehicles
     for n in args.n_values:
-        if not 1 <= n <= 3:
-            raise ConfigError(f"--n-values entries must be in 1..3, got {n}")
+        if not 1 <= n <= max_vehicles:
+            raise ConfigError(f"--n-values entries must be in 1..{max_vehicles}, got {n}")
     rng = np.random.default_rng(_check_seed(args.seed))
     _clear_failure_dumps(args.out)
 

@@ -5,6 +5,7 @@ shares no code path with the scalar solvers it checks.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +26,6 @@ from elid_urllc.fbl_core import (
     min_power_for_target,
     reliability_margin,
 )
-from elid_urllc.oracles import _bounded_vectors
 
 
 def largest_affordable_margin(energy_at, margin_floor, budget):
@@ -33,9 +33,9 @@ def largest_affordable_margin(energy_at, margin_floor, budget):
     by expanding upward from margin_floor and then bisecting; returns
     (g, number of energy_at calls).
 
-    The scalar form of oracles._largest_affordable_margins, which the
-    reference searches below use. energy_at must be nondecreasing in g,
-    and the caller has checked that the budget covers margin_floor.
+    The reference searches below use it; brute_force_minmax runs the
+    same search on its least energy. energy_at must be nondecreasing in
+    g, and the caller has checked that the budget covers margin_floor.
     """
     evaluations = 0
     lo = margin_floor
@@ -276,8 +276,9 @@ def reference_power_minmax_fixed_m(scenario, m_vec):
 
 
 def reference_brute_force_minmax(scenario):
-    """Scalar form of brute_force_minmax: every blocklength vector of
-    ones or more within the symbol budget, each scored on its own by
+    """Exhaustive form of brute_force_minmax: every blocklength vector of
+    ones or more within the symbol budget, enumerated in lexicographic
+    order as a filtered itertools.product, each scored on its own by
     largest_affordable_margin over math.fsum of min_power_for_target
     energies, from the margin at which every power is zero. Returns
     (blocklengths, g) of the first vector with the largest margin.
@@ -286,9 +287,11 @@ def reference_brute_force_minmax(scenario):
     """
     cfg = scenario.config
     d = cfg.payload_bits
+    m_total = cfg.symbol_budget
     gains = [link.norm_gain for link in scenario.links]
+    vectors = itertools.product(range(1, m_total + 1), repeat=len(gains))
     best_m, best_g = None, -math.inf
-    for m_vec in _bounded_vectors(len(gains), cfg.symbol_budget):
+    for m_vec in (v for v in vectors if sum(v) <= m_total):
 
         def energy_at(margin):
             return math.fsum(

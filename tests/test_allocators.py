@@ -803,11 +803,13 @@ class TestBruteForceEnergy:
         for name in ("_build_split_tables", "_split_tables", "_SplitSetup"):
             assert not hasattr(oracles, name), name
 
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            brute_force_energy(make_scenario([1.0] * 4))
-        with pytest.raises(ValueError):
-            brute_force_energy(make_scenario([1.0], symbol_budget=1001))
+    def test_cost_guard(self):
+        # one guard on the search's cost, n * M^2 <= 10 * 1000^2
+        for n, m_total in ((10, 1001), (1, 3163)):
+            with pytest.raises(ValueError, match=r"n \* M\^2"):
+                brute_force_energy(make_scenario([1.0] * n, symbol_budget=m_total))
+        report = brute_force_energy(make_scenario([1.0] * 4))
+        assert report.allocation.blocklengths == (50, 50, 50, 50)
 
 
 class TestPowerMinmaxFixedM:
@@ -1372,13 +1374,19 @@ class TestJointMinmax:
 
 
 class TestBruteForceMinmaxGuards:
-    def test_vehicle_guard(self):
-        with pytest.raises(ValueError):
-            brute_force_minmax(make_scenario([1.0] * 4, symbol_budget=40))
-
-    def test_budget_guard(self):
-        with pytest.raises(ValueError):
-            brute_force_minmax(make_scenario([1.0], symbol_budget=101))
+    def test_cost_guard(self):
+        # one guard on the search's cost, n * M^2 <= 10 * 1000^2
+        for n, m_total in ((10, 1001), (1, 3163)):
+            with pytest.raises(ValueError, match=r"n \* M\^2"):
+                brute_force_minmax(make_scenario([1.0] * n, symbol_budget=m_total))
+        for n, m_total in ((4, 40), (1, 101)):
+            scenario = make_scenario(
+                [1.0] * n, symbol_budget=m_total, payload_bits=32, energy_budget=1000.0
+            )
+            oracle = brute_force_minmax(scenario)
+            local = solve_joint_minmax(scenario)
+            assert oracle.allocation.blocklengths == (m_total // n,) * n
+            assert oracle.worst_margin.g == pytest.approx(local.worst_margin.g, abs=1e-6)
 
     def test_independent_of_the_newton_margin_solve(self, monkeypatch):
         # the oracle must not share the margin solve of the solvers it checks
@@ -1387,20 +1395,29 @@ class TestBruteForceMinmaxGuards:
         expected = [solve_joint_minmax(scenario) for scenario in instances]
 
         def forbidden(*args):
-            raise AssertionError("brute_force_minmax called _split_margin")
+            raise AssertionError("brute_force_minmax used the solvers' margin solve or split")
 
-        monkeypatch.setattr(allocators, "_split_margin", forbidden)
-        monkeypatch.setattr(fbl_core, "_split_margin", forbidden)
+        # nor the split tables and greedy split the energy oracle avoids:
+        # both oracles stand on the same least-energy search
+        for module, name in (
+            (allocators, "_split_margin"),
+            (fbl_core, "_split_margin"),
+            (fbl_core, "_build_split_tables"),
+            (allocators, "_build_split_tables"),
+            (allocators, "_split_tables"),
+            (allocators, "_SplitSetup"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
         for scenario, local in zip(instances, expected):
             oracle = brute_force_minmax(scenario)
             assert oracle.worst_margin.g == pytest.approx(local.worst_margin.g, abs=1e-6)
         # a name the oracles bound themselves would escape the patch above
-        for name in ("_split_margin", "_SplitSetup"):
+        for name in ("_split_margin", "_build_split_tables", "_split_tables", "_SplitSetup"):
             assert not hasattr(oracles, name), name
 
     def test_matches_scalar_bisection(self):
-        # every candidate stepped at once must pick the split and margin
-        # that bisecting each candidate on its own picks
+        # bisecting on the least energy over every split must pick the
+        # split and margin that bisecting each split on its own picks
         rng = np.random.default_rng(521)
         for n in (1, 2, 3):
             for m_total, d in ((24, 16), (40, 32)):
@@ -1413,40 +1430,53 @@ class TestBruteForceMinmaxGuards:
                 assert oracle.worst_margin.g == pytest.approx(best_g, abs=1e-9)
 
     def test_empty_enumeration_raises(self):
-        # M < n leaves no vector of ones or more; an explicit check raises
-        # before the enumeration, so it also holds under python -O
-        assert list(oracles._bounded_vectors(3, 2)) == []
+        # M < n leaves no split of ones or more; an explicit check raises
+        # before the search, so it also holds under python -O
         scenario = make_scenario([1e3] * 3, symbol_budget=2, payload_bits=32)
         with pytest.raises(InfeasibleError, match="cannot cover 3 vehicles"):
             brute_force_minmax(scenario)
 
 
-@pytest.mark.parametrize(
-    "n, m_total",
-    [
-        (1, 40),
-        (1, 12),
-        (2, 25),
-        (2, 30),
-        (2, 1),  # a budget below the vehicle count: nothing
-        (3, 24),
-        (3, 20),
-        (3, 3),  # one symbol each, the only vector
-        (3, 2),  # nothing
-    ],
-)
-def test_bounded_vectors_match_a_filtered_product(n, m_total):
-    # the min-max oracle and its scalar reference both enumerate through
-    # _bounded_vectors, so it is checked against the definition here,
-    # in content and in lexicographic order
-    expected = [
-        m_vec
-        for m_vec in itertools.product(range(1, m_total + 1), repeat=n)
-        if sum(m_vec) <= m_total
-    ]
-    got = list(oracles._bounded_vectors(n, m_total))
-    assert got == expected
-    assert all(type(m) is int for m_vec in got for m in m_vec)
+class TestOraclesAtFigureScale:
+    def test_solvers_match_both_oracles_from_four_to_ten_vehicles(self):
+        # up to the figures' n = 10. Each budget is drawn around the
+        # margin-0 energy of M // n symbols a vehicle, which both problems
+        # can afford wherever it covers that energy; both oracles raising
+        # InfeasibleError agrees
+        def answer(solve, scenario):
+            try:
+                return solve(scenario)
+            except InfeasibleError:
+                return None
+
+        rng = np.random.default_rng(530)
+        draws = feasible = 0
+        for n in range(4, 11):
+            for m_total in (50, 100, 200):
+                seed = int(rng.integers(0, 2**63))
+                base = SystemConfig(symbol_budget=m_total, payload_bits=32)
+                share = m_total // n
+                margin_zero = sum(
+                    share * min_power_for_target(link.norm_gain, share, 32, 0.0)
+                    for link in sample_scenario(base, n, seed).links
+                )
+                budget = margin_zero * 10.0 ** float(rng.uniform(-0.5, 1.5))
+                scenario = sample_scenario(
+                    dataclasses.replace(base, energy_budget=budget), n, seed
+                )
+                shared = symbol_sharing(scenario)
+                oracle = brute_force_energy(scenario)
+                assert shared.total_energy == pytest.approx(oracle.total_energy, rel=1e-9)
+                local = answer(solve_joint_minmax, scenario)
+                oracle = answer(brute_force_minmax, scenario)
+                assert (local is None) == (oracle is None)
+                if local is not None:
+                    assert local.worst_margin.g == pytest.approx(
+                        oracle.worst_margin.g, abs=1e-6
+                    )
+                    feasible += 1
+                draws += 1
+        assert feasible >= draws / 2
 
 
 class TestOraclesStayOutOfTheProduct:

@@ -488,8 +488,8 @@ class TestSweepCommand:
 DEFAULT_STDOUT_SHA256 = "308376259680ad930fa289d44859e7a0a729a6f99f26260fea9adb1b6547e80d"
 FORCED_FAILURE_SHA256 = {
     ("energy",): "60dfa38b15d779c92c0e10503f18466dfa13aa700aa73e20fc7e96d0d32892d6",
-    ("minmax",): "f2087cb4c01173f3ee71062ba72ea87b907a8f22a8decac7ae6ae9746c8d7eae",
-    ("energy", "minmax"): "415f66e8efef4db9289e3e605004b40ced6df69de927436a341cff242df95603",
+    ("minmax",): "2d5a44b4050c7a64de0edb108e61450b460fc16b1d15a8279a8d07ab61d52e96",
+    ("energy", "minmax"): "b1dc99ab72f8fd9dd8fe245f801294a121b3626f8d338c90b10dff31372fdcda",
 }
 
 
@@ -644,8 +644,10 @@ class TestOracleCheckCommand:
             assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_rejects_oversized_n(self, capsys):
-        assert main(["oracle-check", "--n-values", "4", "--instances", "2"]) == 1
-        capsys.readouterr()
+        # the vehicle counts a scenario takes, 1..max_vehicles = 10
+        for n in ("11", "0"):
+            assert main(["oracle-check", "--n-values", n, "--instances", "2"]) == 1
+            assert "--n-values entries must be in 1..10" in capsys.readouterr().err
 
     def test_rejects_fewer_than_one_instance(self, capsys):
         for count in ("-5", "0"):
