@@ -1374,19 +1374,28 @@ class TestJointMinmax:
 
 
 class TestBruteForceMinmaxGuards:
-    def test_cost_guard(self):
-        # one guard on the search's cost, n * M^2 <= 10 * 1000^2
-        for n, m_total in ((10, 1001), (1, 3163)):
-            with pytest.raises(ValueError, match=r"n \* M\^2"):
-                brute_force_minmax(make_scenario([1.0] * n, symbol_budget=m_total))
-        for n, m_total in ((4, 40), (1, 101)):
-            scenario = make_scenario(
-                [1.0] * n, symbol_budget=m_total, payload_bits=32, energy_budget=1000.0
-            )
-            oracle = brute_force_minmax(scenario)
-            local = solve_joint_minmax(scenario)
-            assert oracle.allocation.blocklengths == (m_total // n,) * n
-            assert oracle.worst_margin.g == pytest.approx(local.worst_margin.g, abs=1e-6)
+    # one guard on the search's cost, n * M^2 <= 10 * 1000^2, bounds both
+    # the vehicle count and the symbol budget
+
+    @staticmethod
+    def _accepts(n, m_total):
+        scenario = make_scenario(
+            [1.0] * n, symbol_budget=m_total, payload_bits=32, energy_budget=1000.0
+        )
+        oracle = brute_force_minmax(scenario)
+        local = solve_joint_minmax(scenario)
+        assert oracle.allocation.blocklengths == (m_total // n,) * n
+        assert oracle.worst_margin.g == pytest.approx(local.worst_margin.g, abs=1e-6)
+
+    def test_vehicle_guard(self):
+        with pytest.raises(ValueError, match=r"n \* M\^2"):
+            brute_force_minmax(make_scenario([1.0] * 10, symbol_budget=1001))
+        self._accepts(4, 40)
+
+    def test_budget_guard(self):
+        with pytest.raises(ValueError, match=r"n \* M\^2"):
+            brute_force_minmax(make_scenario([1.0], symbol_budget=3163))
+        self._accepts(1, 101)
 
     def test_independent_of_the_newton_margin_solve(self, monkeypatch):
         # the oracle must not share the margin solve of the solvers it checks
